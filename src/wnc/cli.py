@@ -324,6 +324,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RecursionError:
+        sys.stderr.write("error: input is nested too deeply\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -247,7 +247,13 @@ class _Tokens:
         return value, pos
 
 
-def _parse_expr(tokens: _Tokens) -> RingExpr:
+MAX_NESTING = 100  # constructor nesting depth the parser accepts
+
+
+def _parse_expr(tokens: _Tokens, depth: int = 1) -> RingExpr:
+    if depth > MAX_NESTING:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
+                              tokens.peek()[2])
     name, pos = tokens.expect_name()
     if name == "z":
         tokens.expect_punct("(")
@@ -256,21 +262,21 @@ def _parse_expr(tokens: _Tokens) -> RingExpr:
         return Zn(n)
     if name == "prod":
         tokens.expect_punct("(")
-        factors = [_parse_expr(tokens)]
+        factors = [_parse_expr(tokens, depth + 1)]
         while tokens.peek()[:2] == ("punct", ","):
             tokens.take()
-            factors.append(_parse_expr(tokens))
+            factors.append(_parse_expr(tokens, depth + 1))
         tokens.expect_punct(")")
         return Prod(tuple(factors))
     if name in ("m", "t", "eqdiag"):
         k = tokens.expect_int()
         tokens.expect_punct("(")
-        inner = _parse_expr(tokens)
+        inner = _parse_expr(tokens, depth + 1)
         tokens.expect_punct(")")
         return {"m": Mat, "t": Tri, "eqdiag": EqDiag}[name](k, inner)
     if name == "idealize":
         tokens.expect_punct("(")
-        inner = _parse_expr(tokens)
+        inner = _parse_expr(tokens, depth + 1)
         tokens.expect_punct(",")
         mod_name, mod_pos = tokens.expect_name()
         if mod_name == "self":
@@ -286,14 +292,14 @@ def _parse_expr(tokens: _Tokens) -> RingExpr:
         return Idealize(inner, module)
     if name == "corner":
         tokens.expect_punct("(")
-        inner = _parse_expr(tokens)
+        inner = _parse_expr(tokens, depth + 1)
         tokens.expect_punct(",")
         index = tokens.expect_int()
         tokens.expect_punct(")")
         return Corner(inner, index)
     if name == "quot":
         tokens.expect_punct("(")
-        inner = _parse_expr(tokens)
+        inner = _parse_expr(tokens, depth + 1)
         tokens.expect_punct(",")
         tokens.expect_punct("[")
         gens: list[int] = []
@@ -307,7 +313,7 @@ def _parse_expr(tokens: _Tokens) -> RingExpr:
         return Quot(inner, tuple(gens))
     if name == "skew":
         tokens.expect_punct("(")
-        inner = _parse_expr(tokens)
+        inner = _parse_expr(tokens, depth + 1)
         tokens.expect_punct(",")
         endo_name, endo_pos = tokens.expect_name()
         if endo_name == "id":
@@ -486,9 +492,13 @@ def eq_diag_subring(k: int, inner: RingTable, label: Optional[str] = None) -> Ri
 
 
 def build_idealize(inner: RingTable, msize: int, maction: np.ndarray,
-                   madd: np.ndarray, mneg: np.ndarray, label: str,
-                   mnames: Sequence[str]) -> RingTable:
-    """Trivial extension on R + M with (r,m)(r',m') = (rr', rm' + r'm)."""
+                   mright: np.ndarray, madd: np.ndarray, mneg: np.ndarray,
+                   label: str, mnames: Sequence[str]) -> RingTable:
+    """Trivial extension on R + M with (r,m)(r',m') = (rr', rm' + mr').
+
+    ``maction[r, m]`` is the left action r*m and ``mright[m, r]`` the right
+    action m*r.
+    """
     n = inner.order
     order = n * msize
     add = np.zeros((order, order), dtype=np.int32)
@@ -501,7 +511,7 @@ def build_idealize(inner: RingTable, msize: int, maction: np.ndarray,
         for e2 in range(order):
             r2, m2 = divmod(e2, msize)
             add[e1, e2] = int(iadd[r1, r2]) * msize + int(madd[m1, m2])
-            mpart = int(madd[maction[r1, m2], maction[r2, m1]])
+            mpart = int(madd[maction[r1, m2], mright[m1, r2]])
             mul[e1, e2] = int(imul[r1, r2]) * msize + mpart
     zero = inner.zero * msize + 0
     one = inner.one * msize + 0
@@ -549,29 +559,19 @@ def quotient(ring: RingTable, ideal: Subset,
         raise InvalidIdealError(
             f"{sorted(ideal.members)} is not a two-sided ideal of {ring.label}"
         )
-    proj = [-1] * ring.order
-    reps: list[int] = []
-    for x in ring.elements():
-        if proj[x] != -1:
-            continue
-        index = len(reps)
-        reps.append(x)
-        for i in ideal.members:
-            proj[int(ring.add[x, i])] = index
+    # x represents its coset x + I when it is the coset's minimal element
+    rep_of = ring.add[:, sorted(ideal.members)].min(axis=1)
+    reps = np.flatnonzero(rep_of == np.arange(ring.order))
+    proj = np.searchsorted(reps, rep_of)
     order = len(reps)
-    add = np.zeros((order, order), dtype=np.int32)
-    mul = np.zeros((order, order), dtype=np.int32)
-    neg = np.zeros(order, dtype=np.int32)
-    for i, x in enumerate(reps):
-        neg[i] = proj[int(ring.neg[x])]
-        for j, y in enumerate(reps):
-            add[i, j] = proj[int(ring.add[x, y])]
-            mul[i, j] = proj[int(ring.mul[x, y])]
+    add = proj[ring.add[np.ix_(reps, reps)]]
+    mul = proj[ring.mul[np.ix_(reps, reps)]]
+    neg = proj[ring.neg[reps]]
     if label is None:
         label = f"quot({ring.label},[{','.join(str(m) for m in sorted(ideal.members))}])"
-    names = tuple(f"[{ring.name_of(x)}]" for x in reps)
+    names = tuple(f"[{ring.name_of(x)}]" for x in reps.tolist())
     table = ring_table(order, add, mul, neg, proj[ring.zero], proj[ring.one], label, names)
-    return table, tuple(proj)
+    return table, tuple(proj.tolist())
 
 
 def _validate_endomorphism(ring: RingTable, sigma: np.ndarray) -> None:
@@ -688,7 +688,7 @@ def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
         inner = build(expr.inner, budget)
         if isinstance(expr.module, SelfModule):
             msize = inner.order
-            maction = inner.mul
+            maction = mright = inner.mul
             madd = inner.add
             mneg = inner.neg
             mnames = tuple(inner.name_of(x) for x in inner.elements())
@@ -702,10 +702,12 @@ def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
             ridx = np.arange(inner.order)
             midx = np.arange(m)
             maction = (ridx[:, None] * midx[None, :]) % m
+            mright = maction.T
             madd = (midx[:, None] + midx[None, :]) % m
             mneg = (-midx) % m
             mnames = tuple(str(x) for x in range(m))
-        return build_idealize(inner, msize, maction, madd, mneg, expr_label(expr), mnames)
+        return build_idealize(inner, msize, maction, mright, madd, mneg, expr_label(expr),
+                              mnames)
     if isinstance(expr, Corner):
         inner = build(expr.inner, budget)
         ring, _ = corner(inner, expr.index)

@@ -22,9 +22,9 @@ class StructureCache:
     """Memoized structural sets of one ring.
 
     nilpotency maps x to the smallest k >= 1 with x**k = 0; its key set is Nil(R).
+    It holds no reference to its ring, which keys it in a weak memo.
     """
 
-    ring: RingTable
     units: frozenset[ElementId]
     inverse: dict[ElementId, ElementId]
     idempotents: tuple[ElementId, ...]
@@ -87,7 +87,7 @@ def structure(ring: RingTable) -> StructureCache:
     radical_mask = unit_mask[one_minus].all(axis=0)
     radical = frozenset(int(x) for x in np.flatnonzero(radical_mask))
 
-    cache = StructureCache(ring, units, inverse, idempotents, nilpotency, radical)
+    cache = StructureCache(units, inverse, idempotents, nilpotency, radical)
     _structure_memo[ring] = cache
     return cache
 
@@ -138,29 +138,24 @@ class Subset:
 
 
 def subset(ring: RingTable, members: Iterable[ElementId]) -> Subset:
-    """Build a Subset, computing its subgroup/ideal flags from the member set."""
+    """Build a Subset, computing its subgroup/ideal flags from the member set.
+
+    The flags are mask tests over gathered table blocks: M is an additive
+    subgroup when it holds 0, -M and M + M; a left ideal when it also holds
+    R*M, and a right ideal when it also holds M*R.
+    """
     mset = frozenset(int(x) for x in members)
-    for x in mset:
-        ring.check_element(x)
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    is_group = ring.zero in mset
-    if is_group:
-        for a in mset:
-            if int(neg[a]) not in mset:
-                is_group = False
-                break
-            for b in mset:
-                if int(add[a, b]) not in mset:
-                    is_group = False
-                    break
-            if not is_group:
-                break
-    left = is_group and all(
-        int(mul[r, x]) in mset for r in ring.elements() for x in mset
+    if mset:
+        ring.check_element(min(mset))
+        ring.check_element(max(mset))
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[list(mset)] = True
+    m = np.flatnonzero(mask)
+    is_group = bool(
+        mask[ring.zero] and mask[ring.neg[m]].all() and mask[ring.add[np.ix_(m, m)]].all()
     )
-    right = is_group and all(
-        int(mul[x, r]) in mset for r in ring.elements() for x in mset
-    )
+    left = is_group and bool(mask[ring.mul[:, m]].all())
+    right = is_group and bool(mask[ring.mul[m, :]].all())
     return Subset(ring, mset, is_group, left, right)
 
 
@@ -197,34 +192,44 @@ def ann_right(ring: RingTable, x: ElementId) -> Subset:
     return subset(ring, members)
 
 
-def _ideal_closure(ring: RingTable, gens: Iterable[ElementId]) -> frozenset[int]:
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    members: set[int] = {ring.zero}
-    queue: list[int] = []
-    for g in gens:
-        g = int(g)
-        if g not in members:
-            members.add(g)
-            queue.append(g)
-    while queue:
-        x = queue.pop()
-        candidates = [int(neg[x])]
-        candidates.extend(int(v) for v in mul[:, x])
-        candidates.extend(int(v) for v in mul[x])
-        candidates.extend(int(add[x, y]) for y in tuple(members))
-        for c in candidates:
-            if c not in members:
-                members.add(c)
-                queue.append(c)
-    return frozenset(members)
+def _additive_closure(ring: RingTable, mask: np.ndarray) -> np.ndarray:
+    """The additive subgroup generated by a mask that holds 0.
+
+    Each round replaces M by M + M, so after k rounds M holds every sum of up
+    to 2**k generators; in a finite group the generated submonoid is already
+    the subgroup, and it is reached within ceil(log2 n) rounds.
+    """
+    while True:
+        m = np.flatnonzero(mask)
+        grown = np.zeros_like(mask)
+        grown[ring.add[np.ix_(m, m)]] = True
+        if np.count_nonzero(grown) == m.size:
+            return grown
+        mask = grown
+
+
+def _right_multiples(ring: RingTable, mask: np.ndarray) -> np.ndarray:
+    """Mask of M*R, gathered from the rows of the mul table at M."""
+    out = np.zeros_like(mask)
+    out[ring.mul[mask].ravel()] = True
+    return out
 
 
 def ideal_generated_by(ring: RingTable, gens: Iterable[ElementId]) -> Subset:
-    """Smallest two-sided ideal containing the generators (closure to fixpoint)."""
+    """Smallest two-sided ideal containing the generators.
+
+    It is the additive closure of {0} together with every R*g*R: each r*g*s
+    lies in the ideal, and sums of such products are closed under
+    multiplication on either side.  R*G*R is gathered as (R*G)*R, and it
+    holds G because 1 lies in R.
+    """
     gens = [int(g) for g in gens]
     for g in gens:
         ring.check_element(g)
-    return subset(ring, _ideal_closure(ring, gens))
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[ring.zero] = True
+    mask[ring.mul[:, gens]] = True
+    return subset(ring, np.flatnonzero(_additive_closure(ring, _right_multiples(ring, mask))))
 
 
 _ideals_memo: "weakref.WeakKeyDictionary[RingTable, tuple[frozenset[int], ...]]" = (
@@ -233,29 +238,49 @@ _ideals_memo: "weakref.WeakKeyDictionary[RingTable, tuple[frozenset[int], ...]]"
 
 
 def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
-    """Every two-sided ideal: principal ideals saturated under pairwise sums.
+    """Every two-sided ideal, sorted by (size, members).
 
-    Complete because each ideal is the sum of the principal ideals of its members.
+    The principal ideal of x is the additive closure of R*x*R = (R*x)*R;
+    elements with the same left multiples R*x share it, so it is gathered
+    and closed once per distinct R*x.
+    The lattice then grows by joining each newly found ideal with each
+    principal ideal, I + P being the set of sums add[I, P], which is already
+    an ideal.  This is complete: every ideal is the sum of the principal
+    ideals of its members, so it is reached by adding principal ideals one at
+    a time.
     """
     cached = _ideals_memo.get(ring)
     if cached is not None:
         return cached
-    add = ring.add
-    ideals: set[frozenset[int]] = {_ideal_closure(ring, (x,)) for x in ring.elements()}
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(ideals, key=lambda s: (len(s), sorted(s)))
-        for i, a in enumerate(current):
-            ta = sorted(a)
-            for b in current[i + 1 :]:
-                if a <= b or b <= a:
+    lefts: dict[bytes, np.ndarray] = {}
+    for x in ring.elements():
+        left = np.zeros(ring.order, dtype=bool)
+        left[ring.mul[:, x]] = True
+        lefts.setdefault(left.tobytes(), left)
+    principal: dict[bytes, np.ndarray] = {}
+    for left in lefts.values():
+        ideal = _additive_closure(ring, _right_multiples(ring, left))
+        principal.setdefault(ideal.tobytes(), ideal)
+    ideals = dict(principal)
+    frontier = list(principal.values())
+    while frontier:
+        found = []
+        for ideal in frontier:
+            i = np.flatnonzero(ideal)
+            for p in principal.values():
+                if ideal[p].all() or p[i].all():
                     continue
-                total = frozenset(int(v) for v in np.unique(add[np.ix_(ta, sorted(b))]))
-                if total not in ideals:
-                    ideals.add(total)
-                    changed = True
-    result = tuple(sorted(ideals, key=lambda s: (len(s), sorted(s))))
+                total = np.zeros_like(ideal)
+                total[ring.add[np.ix_(i, np.flatnonzero(p))]] = True
+                key = total.tobytes()
+                if key not in ideals:
+                    ideals[key] = total
+                    found.append(total)
+        frontier = found
+    result = tuple(sorted(
+        (frozenset(np.flatnonzero(m).tolist()) for m in ideals.values()),
+        key=lambda s: (len(s), sorted(s)),
+    ))
     _ideals_memo[ring] = result
     return result
 

@@ -106,3 +106,73 @@ def validate_cert(ring, cert):
     if commutes != cert.commutes:
         return False
     return commutes or not need_commute
+
+
+def ideal_closure(ring, gens):
+    """Smallest two-sided ideal holding gens, by breadth-first closure."""
+    add, mul, neg = ring.add.tolist(), ring.mul.tolist(), ring.neg.tolist()
+    members = {ring.zero}
+    queue = []
+    for g in gens:
+        if g not in members:
+            members.add(g)
+            queue.append(g)
+    while queue:
+        x = queue.pop()
+        candidates = [neg[x]]
+        candidates.extend(row[x] for row in mul)
+        candidates.extend(mul[x])
+        candidates.extend(add[x][y] for y in tuple(members))
+        for c in candidates:
+            if c not in members:
+                members.add(c)
+                queue.append(c)
+    return frozenset(members)
+
+
+def all_ideals(ring):
+    """Principal ideals saturated under pairwise sums until nothing changes."""
+    add = ring.add.tolist()
+    ideals = {ideal_closure(ring, (x,)) for x in range(ring.order)}
+    changed = True
+    while changed:
+        changed = False
+        current = sorted(ideals, key=lambda s: (len(s), sorted(s)))
+        for i, a in enumerate(current):
+            for b in current[i + 1:]:
+                if a <= b or b <= a:
+                    continue
+                total = frozenset(add[x][y] for x in a for y in b)
+                if total not in ideals:
+                    ideals.add(total)
+                    changed = True
+    return tuple(sorted(ideals, key=lambda s: (len(s), sorted(s))))
+
+
+def subset_flags(ring, members):
+    """(additive subgroup, left ideal, right ideal) by scanning every pair."""
+    add, mul, neg = ring.add.tolist(), ring.mul.tolist(), ring.neg.tolist()
+    mset = set(members)
+    is_group = ring.zero in mset and all(
+        neg[a] in mset and all(add[a][b] in mset for b in mset) for a in mset
+    )
+    left = is_group and all(mul[r][x] in mset for r in range(ring.order) for x in mset)
+    right = is_group and all(mul[x][r] in mset for r in range(ring.order) for x in mset)
+    return is_group, left, right
+
+
+def quotient_tables(ring, members):
+    """(add, mul, neg, projection) of R/I, cosets by minimal representative."""
+    add, mul, neg = ring.add.tolist(), ring.mul.tolist(), ring.neg.tolist()
+    proj = [-1] * ring.order
+    reps = []
+    for x in range(ring.order):
+        if proj[x] != -1:
+            continue
+        for i in members:
+            proj[add[x][i]] = len(reps)
+        reps.append(x)
+    qadd = [[proj[add[x][y]] for y in reps] for x in reps]
+    qmul = [[proj[mul[x][y]] for y in reps] for x in reps]
+    qneg = [proj[neg[x]] for x in reps]
+    return qadd, qmul, qneg, tuple(proj)

@@ -215,6 +215,14 @@ def test_usage_errors_exit_two(capsys):
                    "--kinds", "nil-clean")[0] == 2
 
 
+def test_deep_nesting_exits_two_without_traceback(capsys):
+    ring = "corner(" * 3000 + "Z(2)" + ",1)" * 3000
+    code, out, err = run_cli(capsys, "classify", "--ring", ring, "--kinds", "nil-clean")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_s_variant_kinds_use_zero_one(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--ring", "Z(6)", "--kinds", "s-weak-nil-clean",

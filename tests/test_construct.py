@@ -1,5 +1,6 @@
 """Ring expression parsing and every construction builder."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +227,39 @@ def test_idealize_product_law():
                     got = int(ring.mul[encode(r1, m1), encode(r2, m2)])
                     want = encode((r1 * r2) % 6, (r1 * m2 + r2 * m1) % 6)
                     assert got == want
+
+
+def _idealize_self_mul(inner, right):
+    """mul of idealize(inner,self) by (r,m)(r',m') = (rr', rm' + right[m, r'])."""
+    n = inner.order
+    r, m = np.divmod(np.arange(n * n), n)
+    mpart = inner.add[inner.mul[r[:, None], m[None, :]], right[m[:, None], r[None, :]]]
+    return inner.mul[r[:, None], r[None, :]] * n + mpart
+
+
+def test_idealize_self_uses_right_action_for_noncommutative_base():
+    inner = build_text("T2(Z(2))")
+    ring = build_text("idealize(T2(Z(2)),self)")
+    assert verify_ring_axioms(ring).passed
+    assert np.array_equal(ring.mul, _idealize_self_mul(inner, inner.mul))
+
+
+@pytest.mark.parametrize("base", ["Z(6)", "Z(12)", "prod(Z(2),Z(3))"])
+def test_idealize_commutative_tables_unchanged(base):
+    # over a commutative base m*r' = r'*m, so the table equals the one built
+    # with the left action on both sides (right = mul.T), byte for byte
+    inner = build_text(base)
+    ring = build_text(f"idealize({base},self)")
+    old = _idealize_self_mul(inner, inner.mul.T).astype(np.int32)
+    assert ring.mul.tobytes() == old.tobytes()
+    assert verify_ring_axioms(ring).passed
+
+
+def test_parser_rejects_deep_nesting():
+    # MAX_NESTING levels: 99 corners around Z(2) parse, 100 do not
+    assert parse_ring_expr("corner(" * 99 + "Z(2)" + ",1)" * 99) is not None
+    with pytest.raises(ExprSyntaxError):
+        parse_ring_expr("corner(" * 100 + "Z(2)" + ",1)" * 100)
 
 
 def test_idealize_cyclic_module():

@@ -1,10 +1,14 @@
 """Structure sets, annihilators, ideals and subset utilities."""
 
+import gc
+
 import pytest
 
 import naive
+from wnc.construct import build_text, quotient
 from wnc.errors import CrossRingError
 from wnc.structure import (
+    _structure_memo,
     all_ideals,
     ann_left,
     ann_right,
@@ -49,6 +53,17 @@ def test_structure_agrees_with_naive_oracles(rings):
 
 def test_structure_is_memoized(rings):
     assert structure(rings["Z(6)"]) is structure(rings["Z(6)"])
+
+
+def test_structure_memo_frees_rings():
+    gc.collect()
+    before = len(_structure_memo)
+    for _ in range(20):
+        ring = build_text("T2(Z(3))")
+        structure(ring)
+        del ring
+    gc.collect()
+    assert len(_structure_memo) == before
 
 
 def test_annihilator_examples(rings):
@@ -100,11 +115,13 @@ def test_maximal_ideals(rings):
     assert [m.sorted_members() for m in maximal_ideals(rings["Z(2)"])] == [(0,)]
 
 
-def test_matrix_ring_is_simple(rings):
+def test_matrix_ring_is_simple(rings, m2z4):
     assert [sorted(i) for i in all_ideals(rings["M2(Z(3))"])] == [
         [0],
         sorted(rings["M2(Z(3))"].elements()),
     ]
+    # the ideals of M2(Z(4)) are M2(I) for the three ideals I of Z(4)
+    assert [len(i) for i in all_ideals(m2z4)] == [1, 16, 256]
 
 
 def test_subset_utilities(rings):
@@ -187,3 +204,60 @@ def test_radical_equals_intersection_of_maximal_ideals(rings):
         for ideal in maximal_ideals(ring):
             expected &= ideal.members
         assert set(structure(ring).radical) == expected, ring.label
+
+
+# --- differential tests against the loop oracles in naive.py --------------------
+
+
+@pytest.fixture(scope="module")
+def m2z4():
+    return build_text("M2(Z(4))")
+
+
+@pytest.fixture(scope="module")
+def oracle_rings(corpus_entries, m2z4):
+    # every default-corpus ideal is principal; the maximal ideal of
+    # eqdiag4(Z(2)) needs three generators, so it exercises repeated joins
+    return [entry.ring for entry in corpus_entries] + [m2z4, build_text("eqdiag4(Z(2))")]
+
+
+def _flags(handle):
+    return handle.is_additive_subgroup, handle.is_left_ideal, handle.is_right_ideal
+
+
+def test_all_ideals_match_oracle(oracle_rings):
+    for ring in oracle_rings:
+        assert all_ideals(ring) == naive.all_ideals(ring), ring.label
+
+
+def test_ideal_generated_by_matches_oracle(oracle_rings):
+    for ring in oracle_rings:
+        cache = structure(ring)
+        n = ring.order
+        for gens in ((), (ring.one,), (n // 3,), (n // 2, n - 1),
+                     tuple(cache.nilpotency), cache.idempotents[:3]):
+            got = ideal_generated_by(ring, gens)
+            assert got.members == naive.ideal_closure(ring, gens), (ring.label, gens)
+            assert got.is_two_sided_ideal, (ring.label, gens)
+
+
+def test_subset_flags_match_oracle(oracle_rings):
+    for ring in oracle_rings:
+        handles = [subset(ring, members) for members in all_ideals(ring)]
+        step = max(1, ring.order // 64)
+        for x in range(0, ring.order, step):
+            handles += [ann_left(ring, x), ann_right(ring, x)]
+        handles.append(subset(ring, {ring.zero, ring.one}))
+        for handle in handles:
+            assert _flags(handle) == naive.subset_flags(ring, handle.members), handle
+
+
+def test_quotient_tables_match_oracle(oracle_rings):
+    for ring in oracle_rings:
+        for members in all_ideals(ring):
+            quot, proj = quotient(ring, subset(ring, members))
+            add, mul, neg, want_proj = naive.quotient_tables(ring, sorted(members))
+            assert proj == want_proj, (ring.label, sorted(members))
+            assert quot.add.tolist() == add and quot.mul.tolist() == mul
+            assert quot.neg.tolist() == neg
+            assert (quot.zero, quot.one) == (proj[ring.zero], proj[ring.one])

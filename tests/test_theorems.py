@@ -11,6 +11,7 @@ from wnc.structure import ideal_generated_by, structure, subset
 from wnc.table import ring_table
 from wnc.theorems import (
     CorpusEntry,
+    _rigidity_subsets,
     check_J_subset_Nil,
     check_S_rigidity,
     check_S_unique_maximal,
@@ -138,6 +139,13 @@ def test_s_rigidity(rings):
     z2 = rings["Z(2)"]
     assert check_S_rigidity(z2, (0, 1)) == (True, None)
     assert ring_verdict(z2, DecompKind.S_WEAK_STAR_NIL_CLEAN, (0, 1)).holds
+
+
+def test_rigidity_checks_maximal_proper_subsets():
+    assert list(_rigidity_subsets((0, 1, 3, 4))) == [
+        (1, 3, 4), (0, 3, 4), (0, 1, 4), (0, 1, 3), (0, 1, 3, 4),
+    ]
+    assert list(_rigidity_subsets((0,))) == [(0,)]
 
 
 def test_weakstar_exchange(rings):
