@@ -13,13 +13,24 @@ across runs:
 * ``corner(R,f)``: elements of fRf sorted by parent id.
 * ``quot(R,I)``: cosets sorted by their minimal representative.
 * ``skew(R,s,n)``: coefficient tuples (a0,...,a_{n-1}), a0 most significant.
+
+Products, matrix rings, idealizations and skew rings share one builder. An
+element is a digit vector over component rings, encoded as above. Addition and
+negation act digit by digit through each component's tables. Digit k of a
+product is the component-k sum of ``table[a_i, b_j]`` over a fixed list of
+(i, j, table) terms: (k, k, mul) for products, (il, lj, mul) over the stored
+matrix positions, (0, 1, left action) and (1, 0, right action) for the module
+digit of an idealization, and (i, c-i, mul twisted by sigma^i) for the
+coefficient c of a skew ring.  ``corner`` and ``quot`` restrict their parent's
+tables to a set of ids and relabel them.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -346,20 +357,11 @@ def parse_ring_expr(text: str) -> RingExpr:
 
 # --- builders ----------------------------------------------------------------
 
+# Table entries per block of rows in a coordinate-ring build: bounds the
+# temporaries at a few MB whatever the ring order.
+ROW_BLOCK_ENTRIES = 1 << 16
 
-def _mixed_radix_encode(digits: Sequence[int], sizes: Sequence[int]) -> int:
-    idx = 0
-    for d, s in zip(digits, sizes):
-        idx = idx * s + d
-    return idx
-
-
-def _mixed_radix_decode(idx: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    digits = []
-    for s in reversed(sizes):
-        idx, d = divmod(idx, s)
-        digits.append(d)
-    return tuple(reversed(digits))
+Terms = Sequence[Sequence[tuple[int, int, np.ndarray]]]
 
 
 def build_zn(n: int) -> RingTable:
@@ -373,51 +375,50 @@ def build_zn(n: int) -> RingTable:
     return ring_table(n, add, mul, neg, 0, 1 % n, f"Z({n})", names)
 
 
-def build_product(factors: Sequence[RingTable], label: str) -> RingTable:
-    sizes = [f.order for f in factors]
-    order = int(np.prod(sizes, dtype=np.int64))
-    strides = []
-    acc = 1
-    for s in reversed(sizes):
-        strides.append(acc)
-        acc *= s
-    strides.reverse()
-    idx = np.arange(order)
-    digits = [(idx // strides[i]) % sizes[i] for i in range(len(factors))]
-    add = np.zeros((order, order), dtype=np.int64)
-    mul = np.zeros((order, order), dtype=np.int64)
-    neg = np.zeros(order, dtype=np.int64)
-    for i, f in enumerate(factors):
-        d = digits[i]
-        add += f.add[d[:, None], d[None, :]].astype(np.int64) * strides[i]
-        mul += f.mul[d[:, None], d[None, :]].astype(np.int64) * strides[i]
-        neg += f.neg[d].astype(np.int64) * strides[i]
-    zero = _mixed_radix_encode([f.zero for f in factors], sizes)
-    one = _mixed_radix_encode([f.one for f in factors], sizes)
-    names = tuple(
-        "(" + ",".join(factors[i].name_of(int(digits[i][e])) for i in range(len(factors))) + ")"
-        for e in range(order)
-    )
-    return ring_table(order, add, mul, neg, zero, one, label, names)
-
-
-def _matrix_mul(ring: RingTable, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], k: int):
-    add, mul = ring.add, ring.mul
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            acc = ring.zero
-            for l in range(k):
-                acc = int(add[acc, mul[a[i][l], b[l][j]]])
-            row.append(acc)
-        out.append(row)
+def _coordinate_table(parts: Sequence[RingTable], digits: Sequence[np.ndarray],
+                      terms: Terms) -> np.ndarray:
+    """Table whose digit k at (a, b) is the parts[k]-sum of table[a_i, b_j]
+    over the (i, j, table) entries of terms[k]."""
+    order = len(digits[0])
+    sizes = [p.order for p in parts]
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    out = np.empty((order, order), dtype=np.int32)
+    rows = max(1, ROW_BLOCK_ENTRIES // order)
+    for r0 in range(0, order, rows):
+        block = out[r0:r0 + rows]
+        block.fill(0)
+        left = [d[r0:r0 + rows, None] for d in digits]
+        for part, stride, digit_terms in zip(parts, strides, terms):
+            acc = None
+            for i, j, table in digit_terms:
+                value = table[left[i], digits[j]]
+                acc = value if acc is None else part.add[acc, value]
+            block += acc * stride
     return out
 
 
-def _matrix_name(ring: RingTable, m: Sequence[Sequence[int]], k: int) -> str:
-    rows = ("[" + ",".join(ring.name_of(m[i][j]) for j in range(k)) + "]" for i in range(k))
-    return "[" + ",".join(rows) + "]"
+def _coordinate_ring(parts: Sequence[RingTable], terms: Terms, one: Sequence[int],
+                     label: str, name: Callable[[tuple[int, ...]], str]) -> RingTable:
+    """Ring on digit vectors over ``parts`` (last digit fastest), added digit by
+    digit, with digit k of a product given by the term list ``terms[k]``."""
+    sizes = [p.order for p in parts]
+    order = math.prod(sizes)
+    digits = np.unravel_index(np.arange(order), sizes)
+    add = _coordinate_table(parts, digits, [[(k, k, p.add)] for k, p in enumerate(parts)])
+    mul = _coordinate_table(parts, digits, terms)
+    neg = np.ravel_multi_index([p.neg[d] for p, d in zip(parts, digits)], sizes)
+    zero = int(np.ravel_multi_index([p.zero for p in parts], sizes))
+    names = tuple(name(v) for v in zip(*(d.tolist() for d in digits)))
+    return ring_table(order, add, mul, neg, zero, int(np.ravel_multi_index(one, sizes)),
+                      label, names)
+
+
+def build_product(factors: Sequence[RingTable], label: str) -> RingTable:
+    terms = [[(k, k, f.mul)] for k, f in enumerate(factors)]
+    return _coordinate_ring(
+        factors, terms, [f.one for f in factors], label,
+        lambda v: "(" + ",".join(f.name_of(x) for f, x in zip(factors, v)) + ")",
+    )
 
 
 def _build_matrix_kind(inner: RingTable, k: int, positions: list[tuple[int, int]],
@@ -428,45 +429,21 @@ def _build_matrix_kind(inner: RingTable, k: int, positions: list[tuple[int, int]
     remaining coordinates fill ``positions``; otherwise the coordinates are
     exactly ``positions``.
     """
-    ncoord = len(positions) + (1 if diag_coord else 0)
-    sizes = [inner.order] * ncoord
-    order = inner.order ** ncoord
+    coords = ([(0, 0)] if diag_coord else []) + positions
+    slot = {pos: c for c, pos in enumerate(coords)}
+    if diag_coord:
+        slot.update({(i, i): 0 for i in range(k)})
+    terms = [[(slot[i, l], slot[l, j], inner.mul) for l in range(k)
+              if (i, l) in slot and (l, j) in slot] for i, j in coords]
+    one = [inner.one if i == j else inner.zero for i, j in coords]
+    zero_name = inner.name_of(inner.zero)
 
-    def decode(e: int) -> list[list[int]]:
-        digits = _mixed_radix_decode(e, sizes)
-        m = [[inner.zero] * k for _ in range(k)]
-        rest = digits
-        if diag_coord:
-            for i in range(k):
-                m[i][i] = digits[0]
-            rest = digits[1:]
-        for (i, j), v in zip(positions, rest):
-            m[i][j] = v
-        return m
+    def name(v: tuple[int, ...]) -> str:
+        rows = ("[" + ",".join(inner.name_of(v[slot[i, j]]) if (i, j) in slot else zero_name
+                               for j in range(k)) + "]" for i in range(k))
+        return "[" + ",".join(rows) + "]"
 
-    def encode(m: Sequence[Sequence[int]]) -> int:
-        digits = ([m[0][0]] if diag_coord else []) + [m[i][j] for i, j in positions]
-        return _mixed_radix_encode(digits, sizes)
-
-    mats = [decode(e) for e in range(order)]
-    add = np.zeros((order, order), dtype=np.int32)
-    mul = np.zeros((order, order), dtype=np.int32)
-    neg = np.zeros(order, dtype=np.int32)
-    iadd, ineg = inner.add, inner.neg
-    coords = [tuple(_mixed_radix_decode(e, sizes)) for e in range(order)]
-    for e1 in range(order):
-        c1 = coords[e1]
-        neg[e1] = _mixed_radix_encode([int(ineg[v]) for v in c1], sizes)
-        for e2 in range(order):
-            c2 = coords[e2]
-            add[e1, e2] = _mixed_radix_encode(
-                [int(iadd[x, y]) for x, y in zip(c1, c2)], sizes
-            )
-            mul[e1, e2] = encode(_matrix_mul(inner, mats[e1], mats[e2], k))
-    zero_m = [[inner.zero] * k for _ in range(k)]
-    one_m = [[inner.one if i == j else inner.zero for j in range(k)] for i in range(k)]
-    names = tuple(_matrix_name(inner, mats[e], k) for e in range(order))
-    return ring_table(order, add, mul, neg, encode(zero_m), encode(one_m), label, names)
+    return _coordinate_ring([inner] * len(coords), terms, one, label, name)
 
 
 def build_mat(k: int, inner: RingTable, label: Optional[str] = None) -> RingTable:
@@ -491,34 +468,28 @@ def eq_diag_subring(k: int, inner: RingTable, label: Optional[str] = None) -> Ri
     return _build_matrix_kind(inner, k, positions, True, label or f"eqdiag{k}({inner.label})")
 
 
-def build_idealize(inner: RingTable, msize: int, maction: np.ndarray,
-                   mright: np.ndarray, madd: np.ndarray, mneg: np.ndarray,
-                   label: str, mnames: Sequence[str]) -> RingTable:
+def build_idealize(inner: RingTable, module: RingTable, left: np.ndarray,
+                   right: np.ndarray, label: str) -> RingTable:
     """Trivial extension on R + M with (r,m)(r',m') = (rr', rm' + mr').
 
-    ``maction[r, m]`` is the left action r*m and ``mright[m, r]`` the right
-    action m*r.
+    ``module`` carries the additive group of M; ``left[r, m]`` is the left
+    action r*m and ``right[m, r]`` the right action m*r.
     """
-    n = inner.order
-    order = n * msize
-    add = np.zeros((order, order), dtype=np.int32)
-    mul = np.zeros((order, order), dtype=np.int32)
-    neg = np.zeros(order, dtype=np.int32)
-    iadd, imul, ineg = inner.add, inner.mul, inner.neg
-    for e1 in range(order):
-        r1, m1 = divmod(e1, msize)
-        neg[e1] = int(ineg[r1]) * msize + int(mneg[m1])
-        for e2 in range(order):
-            r2, m2 = divmod(e2, msize)
-            add[e1, e2] = int(iadd[r1, r2]) * msize + int(madd[m1, m2])
-            mpart = int(madd[maction[r1, m2], mright[m1, r2]])
-            mul[e1, e2] = int(imul[r1, r2]) * msize + mpart
-    zero = inner.zero * msize + 0
-    one = inner.one * msize + 0
-    names = tuple(
-        f"({inner.name_of(e // msize)},{mnames[e % msize]})" for e in range(order)
+    terms = [[(0, 0, inner.mul)], [(0, 1, left), (1, 0, right)]]
+    return _coordinate_ring(
+        [inner, module], terms, [inner.one, module.zero], label,
+        lambda v: f"({inner.name_of(v[0])},{module.name_of(v[1])})",
     )
-    return ring_table(order, add, mul, neg, zero, one, label, names)
+
+
+def _restrict(ring: RingTable, keep: np.ndarray, relabel: np.ndarray, one: int,
+              label: str, names: Sequence[str]) -> RingTable:
+    """The tables of ``ring`` on the ids ``keep``, renamed through ``relabel``."""
+    relabel = relabel.astype(np.int32)  # gather straight into the table dtype
+    add = relabel[ring.add[np.ix_(keep, keep)]]
+    mul = relabel[ring.mul[np.ix_(keep, keep)]]
+    neg = relabel[ring.neg[keep]]
+    return ring_table(len(keep), add, mul, neg, relabel[ring.zero], relabel[one], label, names)
 
 
 def corner(ring: RingTable, f: int) -> tuple[RingTable, tuple[int, ...]]:
@@ -527,23 +498,12 @@ def corner(ring: RingTable, f: int) -> tuple[RingTable, tuple[int, ...]]:
     mul = ring.mul
     if int(mul[f, f]) != f:
         raise InvalidIdempotentError(f"element {f} of {ring.label} is not idempotent")
-    members = sorted({int(mul[f, mul[x, f]]) for x in ring.elements()})
-    to_corner = {x: i for i, x in enumerate(members)}
-    order = len(members)
-    add = np.zeros((order, order), dtype=np.int32)
-    cmul = np.zeros((order, order), dtype=np.int32)
-    neg = np.zeros(order, dtype=np.int32)
-    for i, x in enumerate(members):
-        neg[i] = to_corner[int(ring.neg[x])]
-        for j, y in enumerate(members):
-            add[i, j] = to_corner[int(ring.add[x, y])]
-            cmul[i, j] = to_corner[int(mul[x, y])]
-    names = tuple(ring.name_of(x) for x in members)
-    table = ring_table(
-        order, add, cmul, neg, to_corner[ring.zero], to_corner[f],
-        f"corner({ring.label},{f})", names,
-    )
-    return table, tuple(members)
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[mul[f, mul[:, f]]] = True
+    members = np.flatnonzero(mask)
+    table = _restrict(ring, members, np.cumsum(mask) - 1, f, f"corner({ring.label},{f})",
+                      [ring.name_of(x) for x in members.tolist()])
+    return table, tuple(members.tolist())
 
 
 def quotient(ring: RingTable, ideal: Subset,
@@ -563,15 +523,10 @@ def quotient(ring: RingTable, ideal: Subset,
     rep_of = ring.add[:, sorted(ideal.members)].min(axis=1)
     reps = np.flatnonzero(rep_of == np.arange(ring.order))
     proj = np.searchsorted(reps, rep_of)
-    order = len(reps)
-    add = proj[ring.add[np.ix_(reps, reps)]]
-    mul = proj[ring.mul[np.ix_(reps, reps)]]
-    neg = proj[ring.neg[reps]]
     if label is None:
         label = f"quot({ring.label},[{','.join(str(m) for m in sorted(ideal.members))}])"
-    names = tuple(f"[{ring.name_of(x)}]" for x in reps.tolist())
-    table = ring_table(order, add, mul, neg, proj[ring.zero], proj[ring.one], label, names)
-    return table, tuple(proj.tolist())
+    names = [f"[{ring.name_of(x)}]" for x in reps.tolist()]
+    return _restrict(ring, reps, proj, ring.one, label, names), tuple(proj.tolist())
 
 
 def _validate_endomorphism(ring: RingTable, sigma: np.ndarray) -> None:
@@ -597,54 +552,31 @@ def skew_poly_quot(ring: RingTable, sigma: Optional[Sequence[int]], trunc: int,
     n = ring.order
     sig = np.arange(n) if sigma is None else np.asarray(sigma, dtype=np.int64)
     _validate_endomorphism(ring, sig)
-    sig_pows = [np.arange(n)]
+    # a_i x^i * b_j x^j = a_i sigma^i(b_j) x^(i+j)
+    twisted = [ring.mul]
     for _ in range(1, trunc):
-        sig_pows.append(sig[sig_pows[-1]])
-    order = n ** trunc
-    sizes = [n] * trunc
-    coeffs = [_mixed_radix_decode(e, sizes) for e in range(order)]
-    add = np.zeros((order, order), dtype=np.int32)
-    mul = np.zeros((order, order), dtype=np.int32)
-    neg = np.zeros(order, dtype=np.int32)
-    radd, rmul, rneg = ring.add, ring.mul, ring.neg
-    for e1 in range(order):
-        a = coeffs[e1]
-        neg[e1] = _mixed_radix_encode([int(rneg[v]) for v in a], sizes)
-        for e2 in range(order):
-            b = coeffs[e2]
-            add[e1, e2] = _mixed_radix_encode(
-                [int(radd[x, y]) for x, y in zip(a, b)], sizes
-            )
-            c = [ring.zero] * trunc
-            for i in range(trunc):
-                if a[i] == ring.zero:
-                    continue
-                for j in range(trunc - i):
-                    term = int(rmul[a[i], sig_pows[i][b[j]]])
-                    c[i + j] = int(radd[c[i + j], term])
-            mul[e1, e2] = _mixed_radix_encode(c, sizes)
-    zero = _mixed_radix_encode([ring.zero] * trunc, sizes)
-    one = _mixed_radix_encode([ring.one] + [ring.zero] * (trunc - 1), sizes)
+        twisted.append(twisted[-1][:, sig])
+    terms = [[(i, c - i, twisted[i]) for i in range(c + 1)] for c in range(trunc)]
+    zero_name = ring.name_of(ring.zero)
 
     def poly_name(cs: tuple[int, ...]) -> str:
-        terms = []
+        monomials = []
         for i, v in enumerate(cs):
             if v == ring.zero:
                 continue
             base = ring.name_of(v)
-            terms.append(base if i == 0 else (f"{base}x" if i == 1 else f"{base}x^{i}"))
-        return "+".join(terms) if terms else ring.name_of(ring.zero)
+            monomials.append(base if i == 0 else (f"{base}x" if i == 1 else f"{base}x^{i}"))
+        return "+".join(monomials) if monomials else zero_name
 
-    names = tuple(poly_name(cs) for cs in coeffs)
     if label is None:
         sigma_txt = "id" if sigma is None else "sigma"
         label = f"skew({ring.label},{sigma_txt},{trunc})"
-    return ring_table(order, add, mul, neg, zero, one, label, names)
+    one = [ring.one] + [ring.zero] * (trunc - 1)
+    return _coordinate_ring([ring] * trunc, terms, one, label, poly_name)
 
 
-def _resolve_factor_swap(expr: SkewPolyQuot, factors: Sequence[RingTable]) -> np.ndarray:
-    endo = expr.endo
-    assert isinstance(endo, FactorPermutation)
+def _resolve_factor_swap(endo: FactorPermutation, factors: Sequence[RingTable]) -> np.ndarray:
+    """The product-ring automorphism swapping two factors, as an id table."""
     i, j = endo.swap
     count = len(factors)
     if not (1 <= i <= count and 1 <= j <= count) or i == j:
@@ -656,23 +588,23 @@ def _resolve_factor_swap(expr: SkewPolyQuot, factors: Sequence[RingTable]) -> np
         raise InvalidEndomorphismError(
             f"swap({i},{j}) permutes factors of different orders"
         )
-    order = int(np.prod(sizes, dtype=np.int64))
-    table = np.zeros(order, dtype=np.int64)
-    for e in range(order):
-        digits = list(_mixed_radix_decode(e, sizes))
-        digits[i - 1], digits[j - 1] = digits[j - 1], digits[i - 1]
-        table[e] = _mixed_radix_encode(digits, sizes)
-    return table
+    digits = list(np.unravel_index(np.arange(math.prod(sizes)), sizes))
+    digits[i - 1], digits[j - 1] = digits[j - 1], digits[i - 1]
+    return np.ravel_multi_index(digits, sizes)
 
 
-def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
-    """Elaborate a ring expression into a verified-encodable RingTable."""
-    limit = size_budget(budget)
+def _check_budget(expr: RingExpr, limit: int) -> None:
     bound = order_bound(expr)
     if bound > limit:
         raise CapacityError(
             f"{expr_label(expr)} needs {bound} elements, over the budget of {limit}"
         )
+
+
+def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
+    """Elaborate a ring expression into a verified-encodable RingTable."""
+    limit = size_budget(budget)
+    _check_budget(expr, limit)
     if isinstance(expr, Zn):
         return build_zn(expr.n)
     if isinstance(expr, Prod):
@@ -687,27 +619,14 @@ def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
     if isinstance(expr, Idealize):
         inner = build(expr.inner, budget)
         if isinstance(expr.module, SelfModule):
-            msize = inner.order
-            maction = mright = inner.mul
-            madd = inner.add
-            mneg = inner.neg
-            mnames = tuple(inner.name_of(x) for x in inner.elements())
-        else:
-            if not isinstance(expr.inner, Zn):
-                raise InvalidModuleError("Z(m) modules attach only to Z(n) base rings")
-            m, n = expr.module.m, expr.inner.n
-            if m < 1 or n % m != 0:
-                raise InvalidModuleError(f"Z({m}) is not a module over Z({n}): {m} does not divide {n}")
-            msize = m
-            ridx = np.arange(inner.order)
-            midx = np.arange(m)
-            maction = (ridx[:, None] * midx[None, :]) % m
-            mright = maction.T
-            madd = (midx[:, None] + midx[None, :]) % m
-            mneg = (-midx) % m
-            mnames = tuple(str(x) for x in range(m))
-        return build_idealize(inner, msize, maction, mright, madd, mneg, expr_label(expr),
-                              mnames)
+            return build_idealize(inner, inner, inner.mul, inner.mul, expr_label(expr))
+        if not isinstance(expr.inner, Zn):
+            raise InvalidModuleError("Z(m) modules attach only to Z(n) base rings")
+        m, n = expr.module.m, expr.inner.n
+        if m < 1 or n % m != 0:
+            raise InvalidModuleError(f"Z({m}) is not a module over Z({n}): {m} does not divide {n}")
+        action = np.arange(n)[:, None] * np.arange(m)[None, :] % m
+        return build_idealize(inner, build_zn(m), action, action.T, expr_label(expr))
     if isinstance(expr, Corner):
         inner = build(expr.inner, budget)
         ring, _ = corner(inner, expr.index)
@@ -718,16 +637,19 @@ def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
         ring, _ = quotient(inner, ideal, expr_label(expr))
         return ring
     if isinstance(expr, SkewPolyQuot):
-        inner = build(expr.inner, budget)
-        if isinstance(expr.endo, IdentityEndo):
-            sigma = None
+        sigma = None
+        if isinstance(expr.endo, FactorPermutation) and isinstance(expr.inner, Prod):
+            # the swap needs the factors, so assemble the product from them
+            _check_budget(expr.inner, limit)
+            factors = [build(f, budget) for f in expr.inner.factors]
+            inner = build_product(factors, expr_label(expr.inner))
+            sigma = _resolve_factor_swap(expr.endo, factors)
         else:
-            if not isinstance(expr.inner, Prod):
+            inner = build(expr.inner, budget)
+            if isinstance(expr.endo, FactorPermutation):
                 raise InvalidEndomorphismError(
                     "factor swaps are only defined on product rings"
                 )
-            factors = [build(f, budget) for f in expr.inner.factors]
-            sigma = _resolve_factor_swap(expr, factors)
         return skew_poly_quot(inner, sigma, expr.n, expr_label(expr))
     raise TypeError(f"not a ring expression: {expr!r}")
 

@@ -6,6 +6,10 @@ tables so it can confirm or refute the fast deciders.
 
 from __future__ import annotations
 
+import numpy as np
+
+from wnc.table import ring_table
+
 
 def idempotents(ring):
     return [e for e in range(ring.order) if int(ring.mul[e, e]) == e]
@@ -176,3 +180,215 @@ def quotient_tables(ring, members):
     qmul = [[proj[mul[x][y]] for y in reps] for x in reps]
     qneg = [proj[neg[x]] for x in reps]
     return qadd, qmul, qneg, tuple(proj)
+
+
+# --- ring constructions, one element pair at a time ----------------------------
+
+
+def mixed_radix_encode(digits, sizes):
+    idx = 0
+    for d, s in zip(digits, sizes):
+        idx = idx * s + d
+    return idx
+
+
+def mixed_radix_decode(idx, sizes):
+    digits = []
+    for s in reversed(sizes):
+        idx, d = divmod(idx, s)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def product(factors, label):
+    """Direct product with componentwise operations."""
+    sizes = [f.order for f in factors]
+    order = int(np.prod(sizes))
+    coords = [mixed_radix_decode(e, sizes) for e in range(order)]
+    fadd = [f.add.tolist() for f in factors]
+    fmul = [f.mul.tolist() for f in factors]
+    fneg = [f.neg.tolist() for f in factors]
+    add = np.zeros((order, order), dtype=np.int32)
+    mul = np.zeros((order, order), dtype=np.int32)
+    neg = np.zeros(order, dtype=np.int32)
+    for e1, c1 in enumerate(coords):
+        neg[e1] = mixed_radix_encode([t[x] for t, x in zip(fneg, c1)], sizes)
+        for e2, c2 in enumerate(coords):
+            add[e1, e2] = mixed_radix_encode(
+                [t[x][y] for t, x, y in zip(fadd, c1, c2)], sizes)
+            mul[e1, e2] = mixed_radix_encode(
+                [t[x][y] for t, x, y in zip(fmul, c1, c2)], sizes)
+    zero = mixed_radix_encode([f.zero for f in factors], sizes)
+    one = mixed_radix_encode([f.one for f in factors], sizes)
+    names = tuple("(" + ",".join(f.name_of(x) for f, x in zip(factors, c)) + ")"
+                  for c in coords)
+    return ring_table(order, add, mul, neg, zero, one, label, names)
+
+
+def matrix_mul(add, mul, zero, a, b, k):
+    out = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            acc = zero
+            for l in range(k):
+                acc = add[acc][mul[a[i][l]][b[l][j]]]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def matrix_name(ring, m, k):
+    rows = ("[" + ",".join(ring.name_of(m[i][j]) for j in range(k)) + "]" for i in range(k))
+    return "[" + ",".join(rows) + "]"
+
+
+def build_matrix_kind(inner, k, positions, diag_coord, label):
+    """M_k, T_k or eqdiag_k over inner by full matrix arithmetic.
+
+    When diag_coord is true, coordinate 0 is the common diagonal value and the
+    remaining coordinates fill ``positions``; otherwise the coordinates are
+    exactly ``positions``.
+    """
+    ncoord = len(positions) + (1 if diag_coord else 0)
+    sizes = [inner.order] * ncoord
+    order = inner.order ** ncoord
+
+    def decode(e):
+        digits = mixed_radix_decode(e, sizes)
+        m = [[inner.zero] * k for _ in range(k)]
+        rest = digits
+        if diag_coord:
+            for i in range(k):
+                m[i][i] = digits[0]
+            rest = digits[1:]
+        for (i, j), v in zip(positions, rest):
+            m[i][j] = v
+        return m
+
+    def encode(m):
+        digits = ([m[0][0]] if diag_coord else []) + [m[i][j] for i, j in positions]
+        return mixed_radix_encode(digits, sizes)
+
+    mats = [decode(e) for e in range(order)]
+    add = np.zeros((order, order), dtype=np.int32)
+    mul = np.zeros((order, order), dtype=np.int32)
+    neg = np.zeros(order, dtype=np.int32)
+    iadd, imul, ineg = inner.add.tolist(), inner.mul.tolist(), inner.neg.tolist()
+    coords = [tuple(mixed_radix_decode(e, sizes)) for e in range(order)]
+    for e1 in range(order):
+        c1 = coords[e1]
+        neg[e1] = mixed_radix_encode([ineg[v] for v in c1], sizes)
+        for e2 in range(order):
+            c2 = coords[e2]
+            add[e1, e2] = mixed_radix_encode([iadd[x][y] for x, y in zip(c1, c2)], sizes)
+            mul[e1, e2] = encode(matrix_mul(iadd, imul, inner.zero, mats[e1], mats[e2], k))
+    zero_m = [[inner.zero] * k for _ in range(k)]
+    one_m = [[inner.one if i == j else inner.zero for j in range(k)] for i in range(k)]
+    names = tuple(matrix_name(inner, mats[e], k) for e in range(order))
+    return ring_table(order, add, mul, neg, encode(zero_m), encode(one_m), label, names)
+
+
+def idealize(inner, module, left, right, label):
+    """Trivial extension R + M with (r,m)(r',m') = (rr', left[r,m'] + right[m,r'])."""
+    msize = module.order
+    order = inner.order * msize
+    add = np.zeros((order, order), dtype=np.int32)
+    mul = np.zeros((order, order), dtype=np.int32)
+    neg = np.zeros(order, dtype=np.int32)
+    iadd, imul, ineg = inner.add.tolist(), inner.mul.tolist(), inner.neg.tolist()
+    madd, mneg = module.add.tolist(), module.neg.tolist()
+    left, right = np.asarray(left).tolist(), np.asarray(right).tolist()
+    for e1 in range(order):
+        r1, m1 = divmod(e1, msize)
+        neg[e1] = ineg[r1] * msize + mneg[m1]
+        for e2 in range(order):
+            r2, m2 = divmod(e2, msize)
+            add[e1, e2] = iadd[r1][r2] * msize + madd[m1][m2]
+            mpart = madd[left[r1][m2]][right[m1][r2]]
+            mul[e1, e2] = imul[r1][r2] * msize + mpart
+    zero = inner.zero * msize + module.zero
+    one = inner.one * msize + module.zero
+    names = tuple(
+        f"({inner.name_of(e // msize)},{module.name_of(e % msize)})" for e in range(order)
+    )
+    return ring_table(order, add, mul, neg, zero, one, label, names)
+
+
+def corner(ring, f):
+    """fRf with unity f and its embedding, elements sorted by parent id."""
+    radd, mul, rneg = ring.add.tolist(), ring.mul.tolist(), ring.neg.tolist()
+    members = sorted({mul[f][mul[x][f]] for x in ring.elements()})
+    to_corner = {x: i for i, x in enumerate(members)}
+    order = len(members)
+    add = np.zeros((order, order), dtype=np.int32)
+    cmul = np.zeros((order, order), dtype=np.int32)
+    neg = np.zeros(order, dtype=np.int32)
+    for i, x in enumerate(members):
+        neg[i] = to_corner[rneg[x]]
+        for j, y in enumerate(members):
+            add[i, j] = to_corner[radd[x][y]]
+            cmul[i, j] = to_corner[mul[x][y]]
+    names = tuple(ring.name_of(x) for x in members)
+    table = ring_table(
+        order, add, cmul, neg, to_corner[ring.zero], to_corner[f],
+        f"corner({ring.label},{f})", names,
+    )
+    return table, tuple(members)
+
+
+def skew_poly_quot(ring, sigma, trunc, label):
+    """R[x; sigma]/(x^trunc) by polynomial multiplication; sigma None is the identity."""
+    n = ring.order
+    sig = list(range(n)) if sigma is None else [int(s) for s in sigma]
+    sig_pows = [list(range(n))]
+    for _ in range(1, trunc):
+        sig_pows.append([sig[x] for x in sig_pows[-1]])
+    order = n ** trunc
+    sizes = [n] * trunc
+    coeffs = [mixed_radix_decode(e, sizes) for e in range(order)]
+    add = np.zeros((order, order), dtype=np.int32)
+    mul = np.zeros((order, order), dtype=np.int32)
+    neg = np.zeros(order, dtype=np.int32)
+    radd, rmul, rneg = ring.add.tolist(), ring.mul.tolist(), ring.neg.tolist()
+    for e1 in range(order):
+        a = coeffs[e1]
+        neg[e1] = mixed_radix_encode([rneg[v] for v in a], sizes)
+        for e2 in range(order):
+            b = coeffs[e2]
+            add[e1, e2] = mixed_radix_encode([radd[x][y] for x, y in zip(a, b)], sizes)
+            c = [ring.zero] * trunc
+            for i in range(trunc):
+                if a[i] == ring.zero:
+                    continue
+                for j in range(trunc - i):
+                    term = rmul[a[i]][sig_pows[i][b[j]]]
+                    c[i + j] = radd[c[i + j]][term]
+            mul[e1, e2] = mixed_radix_encode(c, sizes)
+    zero = mixed_radix_encode([ring.zero] * trunc, sizes)
+    one = mixed_radix_encode([ring.one] + [ring.zero] * (trunc - 1), sizes)
+
+    def poly_name(cs):
+        terms = []
+        for i, v in enumerate(cs):
+            if v == ring.zero:
+                continue
+            base = ring.name_of(v)
+            terms.append(base if i == 0 else (f"{base}x" if i == 1 else f"{base}x^{i}"))
+        return "+".join(terms) if terms else ring.name_of(ring.zero)
+
+    names = tuple(poly_name(cs) for cs in coeffs)
+    return ring_table(order, add, mul, neg, zero, one, label, names)
+
+
+def factor_swap(swap, factors):
+    """Id table of the product automorphism exchanging factors i and j (1-based)."""
+    i, j = swap
+    sizes = [f.order for f in factors]
+    order = int(np.prod(sizes))
+    table = np.zeros(order, dtype=np.int64)
+    for e in range(order):
+        digits = list(mixed_radix_decode(e, sizes))
+        digits[i - 1], digits[j - 1] = digits[j - 1], digits[i - 1]
+        table[e] = mixed_radix_encode(digits, sizes)
+    return table

@@ -1,10 +1,13 @@
 """Ring expression parsing and every construction builder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive
 from wnc.construct import (
     Corner,
     CyclicModule,
@@ -21,6 +24,7 @@ from wnc.construct import (
     Zn,
     build,
     build_text,
+    build_zn,
     corner,
     eq_diag_subring,
     expr_label,
@@ -37,10 +41,11 @@ from wnc.errors import (
     InvalidIdealError,
     InvalidIdempotentError,
     InvalidModuleError,
+    RingError,
 )
 from wnc.iso import find_isomorphism
 from wnc.structure import ideal_generated_by, structure, subset
-from wnc.table import verify_ring_axioms
+from wnc.table import ring_table, verify_ring_axioms
 
 
 # --- parsing ------------------------------------------------------------------
@@ -465,3 +470,89 @@ def test_degenerate_dimensions_rejected():
 def test_element_names_are_unique(rings):
     for ring in rings.values():
         assert len(set(ring.element_names)) == ring.order
+
+
+# --- differential tests against the loop builders in naive.py -----------------
+
+
+def _naive_top(expr):
+    """expr's top constructor built by naive loops over library-built inner rings."""
+    label = expr_label(expr)
+    if isinstance(expr, Prod):
+        return naive.product([build(f) for f in expr.factors], label)
+    if isinstance(expr, (Mat, Tri, EqDiag)):
+        k = expr.k
+        first = {Mat: lambda i: 0, Tri: lambda i: i, EqDiag: lambda i: i + 1}[type(expr)]
+        positions = [(i, j) for i in range(k) for j in range(first(i), k)]
+        return naive.build_matrix_kind(build(expr.inner), k, positions,
+                                       isinstance(expr, EqDiag), label)
+    if isinstance(expr, Idealize):
+        inner = build(expr.inner)
+        if isinstance(expr.module, SelfModule):
+            return naive.idealize(inner, inner, inner.mul, inner.mul, label)
+        m = expr.module.m
+        action = np.array([[r * x % m for x in range(m)] for r in range(inner.order)])
+        return naive.idealize(inner, build_zn(m), action, action.T, label)
+    if isinstance(expr, Corner):
+        return naive.corner(build(expr.inner), expr.index)[0]
+    if isinstance(expr, Quot):
+        inner = build(expr.inner)
+        members = naive.ideal_closure(inner, expr.gens)
+        add, mul, neg, proj = naive.quotient_tables(inner, sorted(members))
+        names = [f"[{inner.name_of(proj.index(c))}]" for c in range(len(neg))]
+        return ring_table(len(neg), add, mul, neg, proj[inner.zero], proj[inner.one],
+                          label, names)
+    if isinstance(expr, SkewPolyQuot):
+        sigma = None
+        if isinstance(expr.endo, FactorPermutation):
+            sigma = naive.factor_swap(expr.endo.swap, [build(f) for f in expr.inner.factors])
+        return naive.skew_poly_quot(build(expr.inner), sigma, expr.n, label)
+    return None  # Z(n) has no loop builder
+
+
+def _assert_same_ring(got, want):
+    for op in ("add", "mul", "neg"):
+        g, w = getattr(got, op), getattr(want, op)
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), (got.label, op)
+    assert (got.label, got.zero, got.one, got.element_names) == (
+        want.label, want.zero, want.one, want.element_names)
+
+
+def test_builders_and_corners_match_naive_loops(corpus_entries):
+    extra = ["M2(Z(4))", "eqdiag3(Z(4))", "skew(prod(Z(2),Z(2)),swap(1,2),4)",
+             "idealize(T2(Z(2)),self)"]
+    rings = [(entry.expr, entry.ring) for entry in corpus_entries]
+    rings += [(parse_ring_expr(text), build_text(text)) for text in extra]
+    for expr, ring in rings:
+        want = _naive_top(expr)
+        if want is not None:
+            _assert_same_ring(ring, want)
+        for e in naive.idempotents(ring):
+            got, embed = corner(ring, e)
+            want, want_embed = naive.corner(ring, e)
+            _assert_same_ring(got, want)
+            assert embed == want_embed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs(2).filter(lambda expr: order_bound(expr) <= 200))
+def test_grammar_builds_rings_matching_naive_loops(expr):
+    try:
+        ring = build(expr)
+    except RingError:
+        return
+    assert verify_ring_axioms(ring).passed, expr_label(expr)
+    want = _naive_top(expr)
+    if want is not None:
+        _assert_same_ring(ring, want)
+
+
+def test_build_peak_memory_per_table_entry():
+    # the two kept tables are 8 bytes per entry; row blocks bound the rest
+    tracemalloc.start()
+    try:
+        ring = build_text("M2(Z(7))")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * ring.order ** 2
