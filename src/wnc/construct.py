@@ -532,6 +532,10 @@ def quotient(ring: RingTable, ideal: Subset,
 def _validate_endomorphism(ring: RingTable, sigma: np.ndarray) -> None:
     if sigma.shape != (ring.order,):
         raise InvalidEndomorphismError("twisting map has the wrong domain size")
+    if sigma.size and (sigma.min() < 0 or sigma.max() >= ring.order):
+        raise InvalidEndomorphismError(
+            f"twisting map holds an element id outside 0..{ring.order - 1}"
+        )
     if int(sigma[ring.one]) != ring.one:
         raise InvalidEndomorphismError("twisting map does not fix 1")
     add_ok = np.array_equal(sigma[ring.add], ring.add[np.ix_(sigma, sigma)])

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CrossRingError
-from .table import ElementId, RingTable
+from .table import ElementId, RingTable, _additive_closure
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +137,15 @@ class Subset:
         return f"Subset({self.ring.label}, {sorted(self.members)})"
 
 
+def _member_mask(ring: RingTable, mset: frozenset[ElementId]) -> np.ndarray:
+    if mset:
+        ring.check_element(min(mset))
+        ring.check_element(max(mset))
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[list(mset)] = True
+    return mask
+
+
 def subset(ring: RingTable, members: Iterable[ElementId]) -> Subset:
     """Build a Subset, computing its subgroup/ideal flags from the member set.
 
@@ -145,11 +154,7 @@ def subset(ring: RingTable, members: Iterable[ElementId]) -> Subset:
     R*M, and a right ideal when it also holds M*R.
     """
     mset = frozenset(int(x) for x in members)
-    if mset:
-        ring.check_element(min(mset))
-        ring.check_element(max(mset))
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[list(mset)] = True
+    mask = _member_mask(ring, mset)
     m = np.flatnonzero(mask)
     is_group = bool(
         mask[ring.zero] and mask[ring.neg[m]].all() and mask[ring.add[np.ix_(m, m)]].all()
@@ -166,16 +171,13 @@ def element_of(handle: Subset, x: ElementId) -> bool:
 
 def is_subring_unital(ring: RingTable, members: Iterable[ElementId]) -> bool:
     """True when the member set is closed under add/neg/mul and contains 0 and 1."""
-    mset = frozenset(int(x) for x in members)
-    if ring.zero not in mset or ring.one not in mset:
-        return False
-    for a in mset:
-        if int(ring.neg[a]) not in mset:
-            return False
-        for b in mset:
-            if int(ring.add[a, b]) not in mset or int(ring.mul[a, b]) not in mset:
-                return False
-    return True
+    mask = _member_mask(ring, frozenset(int(x) for x in members))
+    m = np.flatnonzero(mask)
+    block = np.ix_(m, m)
+    return bool(
+        mask[ring.zero] and mask[ring.one] and mask[ring.neg[m]].all()
+        and mask[ring.add[block]].all() and mask[ring.mul[block]].all()
+    )
 
 
 def ann_left(ring: RingTable, x: ElementId) -> Subset:
@@ -190,22 +192,6 @@ def ann_right(ring: RingTable, x: ElementId) -> Subset:
     ring.check_element(x)
     members = np.flatnonzero(ring.mul[x] == ring.zero)
     return subset(ring, members)
-
-
-def _additive_closure(ring: RingTable, mask: np.ndarray) -> np.ndarray:
-    """The additive subgroup generated by a mask that holds 0.
-
-    Each round replaces M by M + M, so after k rounds M holds every sum of up
-    to 2**k generators; in a finite group the generated submonoid is already
-    the subgroup, and it is reached within ceil(log2 n) rounds.
-    """
-    while True:
-        m = np.flatnonzero(mask)
-        grown = np.zeros_like(mask)
-        grown[ring.add[np.ix_(m, m)]] = True
-        if np.count_nonzero(grown) == m.size:
-            return grown
-        mask = grown
 
 
 def _right_multiples(ring: RingTable, mask: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from wnc.table import ring_table
+from wnc.table import AxiomReport, ring_table
 
 
 def idempotents(ring):
@@ -165,6 +165,21 @@ def subset_flags(ring, members):
     return is_group, left, right
 
 
+def is_subring_unital(ring, members):
+    """Holds 0 and 1 and is closed under neg, add and mul, pair by pair."""
+    add, mul, neg = ring.add.tolist(), ring.mul.tolist(), ring.neg.tolist()
+    mset = set(members)
+    if ring.zero not in mset or ring.one not in mset:
+        return False
+    for a in mset:
+        if neg[a] not in mset:
+            return False
+        for b in mset:
+            if add[a][b] not in mset or mul[a][b] not in mset:
+                return False
+    return True
+
+
 def quotient_tables(ring, members):
     """(add, mul, neg, projection) of R/I, cosets by minimal representative."""
     add, mul, neg = ring.add.tolist(), ring.mul.tolist(), ring.neg.tolist()
@@ -180,6 +195,51 @@ def quotient_tables(ring, members):
     qmul = [[proj[mul[x][y]] for y in reps] for x in reps]
     qneg = [proj[neg[x]] for x in reps]
     return qadd, qmul, qneg, tuple(proj)
+
+
+def _first_cubic_witness(n, law):
+    """First (a, b, c) in scan order with law(a, b, c) false, or None."""
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if not law(a, b, c):
+                    return (a, b, c)
+    return None
+
+
+def axiom_report(ring):
+    """The ring axioms by literal loops, each with its first failing tuple.
+
+    Scan order: the cubic laws run over (a, b, c) with c fastest, and the
+    right-distributive witness is reported as (b, c, a) for (b + c) * a.
+    """
+    n, zero, one = ring.order, ring.zero, ring.one
+    add, mul, neg = ring.add.tolist(), ring.mul.tolist(), ring.neg.tolist()
+    results = []
+    w = _first_cubic_witness(n, lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]])
+    results.append(("add-associative", w))
+    w = next(((a, b) for a in range(n) for b in range(n) if add[a][b] != add[b][a]), None)
+    results.append(("add-commutative", w))
+    w = next(((zero, b) for b in range(n) if add[zero][b] != b), None)
+    if w is None:
+        w = next(((a, zero) for a in range(n) if add[a][zero] != a), None)
+    results.append(("add-identity", w))
+    w = next(((a,) for a in range(n) if add[a][neg[a]] != zero), None)
+    results.append(("add-inverse", w))
+    w = _first_cubic_witness(n, lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]])
+    results.append(("mul-associative", w))
+    w = next(((one, b) for b in range(n) if mul[one][b] != b), None)
+    if w is None:
+        w = next(((a, one) for a in range(n) if mul[a][one] != a), None)
+    results.append(("one-identity", w))
+    w = _first_cubic_witness(
+        n, lambda a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]])
+    results.append(("left-distributive", w))
+    w = _first_cubic_witness(
+        n, lambda a, b, c: mul[add[b][c]][a] == add[mul[b][a]][mul[c][a]])
+    results.append(("right-distributive", None if w is None else (w[1], w[2], w[0])))
+    results.append(("zero-one-distinct", None if n == 1 or zero != one else (zero, one)))
+    return AxiomReport(tuple((name, w is None, w) for name, w in results))
 
 
 # --- ring constructions, one element pair at a time ----------------------------

@@ -428,6 +428,11 @@ def test_skew_accepts_explicit_twist_table():
         skew_poly_quot(base, [(e + 1) % 9 for e in range(9)], 2)
     with pytest.raises(InvalidEndomorphismError):
         skew_poly_quot(base, [0] * 4, 2)
+    for bad_id in (99, -1):
+        sigma = list(swap_table)
+        sigma[2] = bad_id
+        with pytest.raises(InvalidEndomorphismError, match="outside"):
+            skew_poly_quot(base, sigma, 2)
 
 
 def test_skew_constant_projection_on_twisted_ring():

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 import naive
-from wnc.construct import build_text, quotient
+from wnc.construct import build_text, corner, quotient
 from wnc.errors import CrossRingError
 from wnc.structure import (
     _structure_memo,
@@ -261,3 +261,18 @@ def test_quotient_tables_match_oracle(oracle_rings):
             assert quot.add.tolist() == add and quot.mul.tolist() == mul
             assert quot.neg.tolist() == neg
             assert (quot.zero, quot.one) == (proj[ring.zero], proj[ring.one])
+
+
+def test_is_subring_unital_matches_oracle(corpus_entries):
+    for entry in corpus_entries:
+        ring = entry.ring
+        candidates = list(all_ideals(ring))
+        candidates += [corner(ring, e)[1] for e in structure(ring).idempotents]
+        prime = [ring.zero]  # the multiples of 1: the prime subring, always unital
+        while (x := int(ring.add[prime[-1], ring.one])) != ring.zero:
+            prime.append(x)
+        candidates += [prime, prime[1:]]
+        for members in candidates:
+            assert is_subring_unital(ring, members) == naive.is_subring_unital(ring, members), (
+                ring.label, sorted(members))
+        assert is_subring_unital(ring, prime), ring.label

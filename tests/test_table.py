@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive
 from wnc.construct import build_zn
 from wnc.errors import CrossRingError, TableFormatError
 from wnc.table import AXIOM_NAMES, ring_table, tables_to_csv, verify_ring_axioms
@@ -108,3 +109,104 @@ def test_built_samples_pass_axioms(rings):
 def test_tables_are_immutable(rings):
     with pytest.raises(ValueError):
         rings["Z(6)"].mul[0, 0] = 1
+
+
+def test_default_corpus_rings_pass_axioms(corpus_entries):
+    all_pass = tuple((name, True, None) for name in AXIOM_NAMES)
+    for entry in corpus_entries:
+        assert verify_ring_axioms(entry.ring).results == all_pass, entry.label
+
+
+def _stealthy_corruption(data, rings):
+    """One of the rings with one entry changed so that every O(n^2) test passes.
+
+    add changes are symmetric pairs add[a,b] = add[b,a] with a, b != 0 and
+    b != -a; mul changes avoid the row and column of 1.  Only the generator
+    steps of verify_ring_axioms can then tell the table from a ring.
+    """
+    ring = data.draw(st.sampled_from(rings), label="ring")
+    n = ring.order
+    ids = st.integers(0, n - 1)
+    add, mul = np.array(ring.add), np.array(ring.mul)
+    if data.draw(st.booleans(), label="corrupt add"):
+        a = data.draw(ids.filter(lambda x: x != ring.zero))
+        b = data.draw(ids.filter(lambda x: x not in (ring.zero, int(ring.neg[a]))))
+        value = data.draw(ids.filter(lambda v: v != add[a, b]))
+        add[a, b] = add[b, a] = value
+    else:
+        a = data.draw(ids.filter(lambda x: x != ring.one))
+        b = data.draw(ids.filter(lambda x: x != ring.one))
+        mul[a, b] = data.draw(ids.filter(lambda v: v != mul[a, b]))
+    return ring_table(n, add, mul, ring.neg, ring.zero, ring.one, ring.label + "-corrupt")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stealthy_corruption_gets_the_full_scan_report(corpus_entries, data):
+    # order 3 is the least with an add change of this kind
+    small = [entry.ring for entry in corpus_entries if 3 <= entry.ring.order <= 36]
+    bad = _stealthy_corruption(data, small)
+    assert verify_ring_axioms(bad) == naive.axiom_report(bad)
+
+
+def _algebra(p, k, consts):
+    """Z(p)^(k+1) with unity e0; consts lists the coordinates of e_i * e_j for
+    1 <= i, j <= k, row-major in (i, j, coordinate).
+
+    Every such table is bi-additive with unity, so it is a ring exactly when
+    its multiplication is associative.
+    """
+    basis = np.eye(k + 1, dtype=np.int64)
+    c = np.empty((k + 1, k + 1, k + 1), dtype=np.int64)
+    c[0], c[:, 0] = basis, basis
+    c[1:, 1:] = np.asarray(consts, dtype=np.int64).reshape(k, k, k + 1)
+    n = p ** (k + 1)
+    x = np.array(np.unravel_index(np.arange(n), (p,) * (k + 1))).T
+    encode = p ** np.arange(k, -1, -1)
+    add = ((x[:, None, :] + x[None, :, :]) % p) @ encode
+    mul = (np.einsum("ai,bj,ijm->abm", x, x, c) % p) @ encode
+    neg = ((-x) % p) @ encode
+    return ring_table(n, add, mul, neg, 0, int(encode[0]), f"algebra({p},{k},{consts})")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bilinear_algebras_get_the_full_scan_report(data):
+    p = data.draw(st.sampled_from([2, 3]), label="p")
+    k = data.draw(st.integers(1, 2), label="k")
+    coord = st.integers(0, p - 1)
+    size = k * k * (k + 1)
+    consts = data.draw(st.lists(coord, min_size=size, max_size=size), label="consts")
+    algebra = _algebra(p, k, consts)
+    assert verify_ring_axioms(algebra) == naive.axiom_report(algebra)
+
+
+def test_near_rings_fail_one_distributive_law():
+    # maps of Z(3) that fix 0, f = (f(1), f(2)) with id 3*f(1) + f(2), added
+    # pointwise and multiplied by composition: only a(b+c) = ab + ac fails
+    maps = [(0, f1, f2) for f1 in range(3) for f2 in range(3)]
+    add = [[maps.index(tuple((f[x] + g[x]) % 3 for x in range(3))) for g in maps] for f in maps]
+    mul = [[maps.index(tuple(f[g[x]] for x in range(3))) for g in maps] for f in maps]
+    neg = [maps.index(tuple(-v % 3 for v in f)) for f in maps]
+    one = maps.index((0, 1, 2))
+    for table, failing in ((mul, "left-distributive"), (np.transpose(mul), "right-distributive")):
+        near = ring_table(9, add, table, neg, 0, one, "near-ring")
+        report = verify_ring_axioms(near)
+        assert report == naive.axiom_report(near)
+        assert [name for name, _ in report.failures()] == [failing]
+
+
+def test_cheap_test_failures_get_the_full_scan_report(rings):
+    z6 = rings["Z(6)"]
+    for x in range(6):
+        for v in range(6):
+            neg = np.array(z6.neg)
+            neg[x] = v
+            add = np.array(z6.add)
+            add[z6.zero, x] = v
+            mul = np.array(z6.mul)
+            mul[x, z6.one] = v
+            for bad in (ring_table(6, z6.add, z6.mul, neg, 0, 1, "bad-neg"),
+                        ring_table(6, add, z6.mul, z6.neg, 0, 1, "bad-add"),
+                        ring_table(6, z6.add, mul, z6.neg, 0, 1, "bad-one")):
+                assert verify_ring_axioms(bad) == naive.axiom_report(bad), (bad.label, x, v)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import naive
 from wnc.construct import build_text
 from wnc.decomp import DecompKind, ring_verdict, zero_one_subset
 from wnc.structure import ideal_generated_by, structure, subset
@@ -180,6 +181,17 @@ def test_default_corpus_contents():
     corners = [line for line in corpus if line.startswith("corner(")]
     assert len(corners) == 8 + 14  # all idempotents of M2(Z2) and M2(Z3)
     assert "skew(prod(Z(3),Z(3)),swap(1,2),2)" in corpus
+
+
+def test_default_corpus_corners_are_every_idempotent():
+    corners = {}
+    for line in default_corpus():
+        if line.startswith("corner("):
+            base, e = line[len("corner("):-1].rsplit(",", 1)
+            corners.setdefault(base, []).append(int(e))
+    assert corners == {
+        base: naive.idempotents(build_text(base)) for base in ("M2(Z(2))", "M2(Z(3))")
+    }
 
 
 def test_corpus_file_parsing():
