@@ -55,7 +55,6 @@ from .errors import (
     RingError,
     TableFormatError,
 )
-from .iso import find_isomorphism
 from .structure import (
     StructureCache,
     Subset,

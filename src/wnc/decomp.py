@@ -12,11 +12,13 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from .construct import quotient
 from .errors import InvalidSubsetError
-from .structure import StructureCache, Subset, structure, subset
+from .structure import Subset, structure, subset
 from .table import ElementId, RingTable
 
 
@@ -43,17 +45,17 @@ class DecompKind(Enum):
         raise ValueError(f"unknown decomposition kind {name!r}")
 
 
-# companion class, both signs allowed, commuting required, takes an S argument
+# StructureCache companion field, both signs allowed, commuting required, takes an S argument
 _KIND_RULES: dict[DecompKind, tuple[str, bool, bool, bool]] = {
-    DecompKind.CLEAN: ("unit", False, False, False),
-    DecompKind.STRONGLY_CLEAN: ("unit", False, True, False),
-    DecompKind.WEAKLY_CLEAN: ("unit", True, False, False),
-    DecompKind.NIL_CLEAN: ("nil", False, False, False),
-    DecompKind.STRONGLY_NIL_CLEAN: ("nil", False, True, False),
-    DecompKind.WEAK_NIL_CLEAN: ("nil", True, False, False),
-    DecompKind.WEAK_STAR_NIL_CLEAN: ("nil", True, True, False),
-    DecompKind.S_WEAK_NIL_CLEAN: ("nil", True, False, True),
-    DecompKind.S_WEAK_STAR_NIL_CLEAN: ("nil", True, True, True),
+    DecompKind.CLEAN: ("units", False, False, False),
+    DecompKind.STRONGLY_CLEAN: ("units", False, True, False),
+    DecompKind.WEAKLY_CLEAN: ("units", True, False, False),
+    DecompKind.NIL_CLEAN: ("nilpotency", False, False, False),
+    DecompKind.STRONGLY_NIL_CLEAN: ("nilpotency", False, True, False),
+    DecompKind.WEAK_NIL_CLEAN: ("nilpotency", True, False, False),
+    DecompKind.WEAK_STAR_NIL_CLEAN: ("nilpotency", True, True, False),
+    DecompKind.S_WEAK_NIL_CLEAN: ("nilpotency", True, False, True),
+    DecompKind.S_WEAK_STAR_NIL_CLEAN: ("nilpotency", True, True, True),
     DecompKind.J_CLEAN: ("radical", False, False, False),
     DecompKind.STRONGLY_J_CLEAN: ("radical", False, True, False),
     DecompKind.WEAK_J_CLEAN: ("radical", True, False, False),
@@ -88,22 +90,17 @@ class RingVerdict:
     s: Optional[tuple[ElementId, ...]] = None
 
 
-def _companion_pool(cache: StructureCache, family: str):
-    if family == "nil":
-        return cache.nilpotency
-    if family == "unit":
-        return cache.units
-    return cache.radical
-
-
-def _resolve_s(ring: RingTable, cache: StructureCache,
-               s: Optional[Iterable[ElementId] | Subset]) -> tuple[ElementId, ...]:
+def _resolve_s(ring: RingTable, kind: DecompKind,
+               s: Optional[Iterable[ElementId] | Subset]) -> Optional[tuple[ElementId, ...]]:
+    """The sorted S of an S-kind, None for every other kind."""
+    if not kind_takes_subset(kind):
+        return None
     if s is None:
         raise InvalidSubsetError("this kind needs an idempotent subset S")
     members = s.members if isinstance(s, Subset) else frozenset(int(x) for x in s)
     if not members:
         raise InvalidSubsetError("S must be a non-empty set of idempotents")
-    bad = members - cache.idempotent_set
+    bad = members - structure(ring).idempotent_set
     if bad:
         raise InvalidSubsetError(
             f"S contains non-idempotent elements {sorted(bad)} of {ring.label}"
@@ -111,42 +108,75 @@ def _resolve_s(ring: RingTable, cache: StructureCache,
     return tuple(sorted(members))
 
 
+def _first_rows(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """Columns of ok with a True, the first row of each, and the least column without."""
+    cols, rows = np.nonzero(ok.T)
+    cols, first = np.unique(cols, return_index=True)
+    missing = np.flatnonzero(~ok.any(axis=0))
+    return cols, rows[first], int(missing[0]) if missing.size else None
+
+
+class _Table(NamedTuple):
+    """Candidate table of one kind and S: row r is (idems[r], signs[r])."""
+
+    idems: np.ndarray
+    signs: tuple[str, ...]
+    ok: np.ndarray  # companion x -+ idems[r] in the kind's pool, commuting where required
+    verdict: RingVerdict
+
+
+_verdict_memo: "weakref.WeakKeyDictionary[RingTable, dict]" = weakref.WeakKeyDictionary()
+
+
+def _candidates(ring: RingTable, kind: DecompKind,
+                s_tuple: Optional[tuple[ElementId, ...]] = None) -> _Table:
+    """The memoised candidate table and verdict of one kind and S."""
+    memo = _verdict_memo.setdefault(ring, {})
+    if (kind, s_tuple) in memo:
+        return memo[kind, s_tuple]
+    cache = structure(ring)
+    family, both_signs, need_commute, _ = _KIND_RULES[kind]
+    signs = ("+", "-") if both_signs else ("+",)
+    idems = np.asarray(cache.idempotents if s_tuple is None else s_tuple, dtype=np.intp)
+    idems, signs = np.repeat(idems, len(signs)), signs * len(idems)
+    comp = ring.add[:, np.where(np.array(signs) == "+", ring.neg[idems], idems)].T
+    commutes = ring.mul[comp, idems[:, None]] == ring.mul[idems[:, None], comp]
+    ok = np.isin(comp, list(getattr(cache, family))) & (commutes | (not need_commute))
+    xs, rows, witness = _first_rows(ok)
+    certs = {x: DecompCert(kind, x, e, c, signs[r], com) for x, r, e, c, com in zip(
+        xs.tolist(), rows.tolist(), idems[rows].tolist(), comp[rows, xs].tolist(),
+        commutes[rows, xs].tolist())}
+    memo[kind, s_tuple] = table = _Table(idems, signs, ok, RingVerdict(
+        kind, witness is None, witness, certs, s_tuple))
+    return table
+
+
 def iter_decomps(ring: RingTable, x: ElementId, kind: DecompKind,
                  s: Optional[Iterable[ElementId] | Subset] = None) -> Iterator[DecompCert]:
     """All decompositions of x of the given kind, in canonical search order."""
     ring.check_element(x)
-    cache = structure(ring)
-    family, both_signs, need_commute, takes_s = _KIND_RULES[kind]
-    pool = _companion_pool(cache, family)
-    idems = _resolve_s(ring, cache, s) if takes_s else cache.idempotents
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    signs = ("+", "-") if both_signs else ("+",)
-    for e in idems:
-        for sign in signs:
-            companion = int(add[x, neg[e]]) if sign == "+" else int(add[x, e])
-            if companion not in pool:
-                continue
-            commutes = int(mul[companion, e]) == int(mul[e, companion])
-            if need_commute and not commutes:
-                continue
-            yield DecompCert(kind, x, e, companion, sign, commutes)
+    table = _candidates(ring, kind, _resolve_s(ring, kind, s))
+    for r in np.flatnonzero(table.ok[:, x]).tolist():
+        e, sign = int(table.idems[r]), table.signs[r]
+        c = ring.sub(x, e) if sign == "+" else int(ring.add[x, e])
+        yield DecompCert(kind, x, e, c, sign, int(ring.mul[c, e]) == int(ring.mul[e, c]))
 
 
 def find_decomp(ring: RingTable, x: ElementId, kind: DecompKind,
                 s: Optional[Iterable[ElementId] | Subset] = None) -> Optional[DecompCert]:
     """First certificate in canonical order, or None when no decomposition exists."""
-    return next(iter_decomps(ring, x, kind, s), None)
+    ring.check_element(x)
+    return _candidates(ring, kind, _resolve_s(ring, kind, s)).verdict.certs.get(x)
 
 
 def cert_is_valid(ring: RingTable, cert: DecompCert,
                   s: Optional[Iterable[ElementId] | Subset] = None) -> bool:
     """Re-evaluate a certificate directly against the ring tables."""
     cache = structure(ring)
-    family, both_signs, need_commute, takes_s = _KIND_RULES[cert.kind]
-    if cert.companion not in _companion_pool(cache, family):
+    family, both_signs, need_commute, _ = _KIND_RULES[cert.kind]
+    if cert.companion not in getattr(cache, family):
         return False
-    idems = _resolve_s(ring, cache, s) if takes_s else cache.idempotents
-    if cert.idempotent not in idems:
+    if cert.idempotent not in (_resolve_s(ring, cert.kind, s) or cache.idempotents):
         return False
     if cert.sign == "+":
         recomposed = int(ring.add[cert.companion, cert.idempotent])
@@ -164,29 +194,10 @@ def cert_is_valid(ring: RingTable, cert: DecompCert,
     return commutes or not need_commute
 
 
-_verdict_memo: "weakref.WeakKeyDictionary[RingTable, dict]" = weakref.WeakKeyDictionary()
-
-
 def ring_verdict(ring: RingTable, kind: DecompKind,
                  s: Optional[Iterable[ElementId] | Subset] = None) -> RingVerdict:
     """Decide the ring-level property; certificates are kept for every element."""
-    cache = structure(ring)
-    s_tuple = _resolve_s(ring, cache, s) if kind_takes_subset(kind) else None
-    memo = _verdict_memo.setdefault(ring, {})
-    key = (kind, s_tuple)
-    if key in memo:
-        return memo[key]
-    certs: dict[ElementId, DecompCert] = {}
-    witness: Optional[ElementId] = None
-    for x in ring.elements():
-        cert = find_decomp(ring, x, kind, s_tuple)
-        if cert is not None:
-            certs[x] = cert
-        elif witness is None:
-            witness = x
-    verdict = RingVerdict(kind, witness is None, witness, certs, s_tuple)
-    memo[key] = verdict
-    return verdict
+    return _candidates(ring, kind, _resolve_s(ring, kind, s)).verdict
 
 
 def verdict_to_json(ring: RingTable, verdict: RingVerdict) -> dict:
@@ -217,53 +228,68 @@ class ExchangeReport:
     failure: Optional[ElementId]
 
 
+def _multiples(ring: RingTable, side: str, xs=slice(None)) -> np.ndarray:
+    """mask[i, y] says that y lies in xR (side 'right') or in Rx ('left'), x = xs[i]."""
+    products = (ring.mul if side == "right" else ring.mul.T)[xs]
+    mask = np.zeros(products.shape, dtype=bool)
+    np.put_along_axis(mask, products, True, axis=1)
+    return mask
+
+
+def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
+                         also: Optional[DecompKind] = None) -> Optional[tuple[int, int, int]]:
+    """First (x, e, law) at which a decomposition x = c +- e of the kind breaks a law.
+
+    Laws 0-3 are ann_l(x) <= ann_l(e), ann_r(x) <= ann_r(e), ann_l(x) <= R(1-e) and
+    ann_r(x) <= (1-e)R, of which the first ``laws`` count; law -1 is that x also
+    decomposes as kind ``also``.  The order is x, then candidate row, then law.
+    """
+    table = _candidates(ring, kind)
+    pre = False if also is None else ~_candidates(ring, also).ok.any(axis=0)
+    zero = ring.mul == ring.zero
+    one_minus = ring.add[ring.one][ring.neg[table.idems]]
+    bounds = [zero.T[table.idems], zero[table.idems], _multiples(ring, "left", one_minus),
+              _multiples(ring, "right", one_minus)][:laws]
+    sets = np.packbits(zero.T, axis=1), np.packbits(zero, axis=1)  # row x: ann_l(x), ann_r(x)
+    fails = [table.ok & pre]
+    for k, bound in enumerate(bounds):
+        escapes = [(sets[k % 2] & outside).any(axis=1) for outside in np.packbits(~bound, axis=1)]
+        fails.append(table.ok & np.reshape(escapes, table.ok.shape))
+    hits = np.argwhere(np.stack(fails).transpose(2, 1, 0))
+    if not len(hits):
+        return None
+    x, r, law = hits[0].tolist()
+    return x, int(table.idems[r]), law - 1
+
+
 def is_exchange(ring: RingTable, side: str = "right") -> ExchangeReport:
     """Exchange-ring test: an idempotent e in xR with 1-e in (1-x)R.
 
     ``side`` selects the right-module or left-module form; both are decided
-    by brute force and compared elsewhere since the convention is ambiguous.
+    and compared elsewhere since the convention is ambiguous.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', not {side!r}")
-    cache = structure(ring)
-    mul = ring.mul
-    witnesses: dict[ElementId, ElementId] = {}
-    for x in ring.elements():
-        one_minus_x = ring.sub(ring.one, x)
-        if side == "right":
-            reach_x = set(int(v) for v in mul[x])
-            reach_1mx = set(int(v) for v in mul[one_minus_x])
-        else:
-            reach_x = set(int(v) for v in mul[:, x])
-            reach_1mx = set(int(v) for v in mul[:, one_minus_x])
-        found = None
-        for e in cache.idempotents:
-            if e in reach_x and ring.sub(ring.one, e) in reach_1mx:
-                found = e
-                break
-        if found is None:
-            return ExchangeReport(side, False, witnesses, x)
-        witnesses[x] = found
-    return ExchangeReport(side, True, witnesses, None)
+    idems = np.asarray(structure(ring).idempotents, dtype=np.intp)
+    reach = _multiples(ring, side)
+    one_minus = ring.add[ring.one][ring.neg]
+    ok = (reach[:, idems] & reach[np.ix_(one_minus, one_minus[idems])]).T
+    xs, rows, failure = _first_rows(ok)
+    witnesses = dict(zip(xs[:failure].tolist(), idems[rows[:failure]].tolist()))
+    return ExchangeReport(side, failure is None, witnesses, failure)
 
 
 def is_strongly_pi_regular(ring: RingTable) -> bool:
     """Some power a**k lies in a**(k+1)R and in R a**(k+1), for every a."""
-    mul = ring.mul
-    for a in ring.elements():
-        power = a
-        ok = False
-        for _ in range(ring.order):
-            next_power = int(mul[power, a])
-            if power in set(int(v) for v in mul[next_power]) and power in set(
-                int(v) for v in mul[:, next_power]
-            ):
-                ok = True
-                break
-            power = next_power
-        if not ok:
-            return False
-    return True
+    right, left = _multiples(ring, "right"), _multiples(ring, "left")
+    a = power = np.arange(ring.order)
+    for _ in range(ring.order):
+        next_power = ring.mul[power, a]
+        pending = ~(right[next_power, power] & left[next_power, power])
+        a, power = a[pending], next_power[pending]
+        if not a.size:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .construct import (
     Idealize,
     Prod,
@@ -21,14 +19,15 @@ from .construct import (
     build,
     corner,
     expr_label,
+    order_bound,
     parse_ring_expr,
     quotient,
 )
 from .decomp import (
     DecompKind,
+    _annihilator_failure,
     is_exchange,
     is_strongly_pi_regular,
-    iter_decomps,
     lifts_idempotents,
     lifts_idempotents_weakly,
     ring_verdict,
@@ -155,33 +154,16 @@ def zn_classification(n_max: int, budget: Optional[int] = None) -> tuple[bool, l
     return not mismatches, mismatches
 
 
-def _left_annihilator_set(ring: RingTable, x: int) -> frozenset[int]:
-    return frozenset(int(v) for v in np.flatnonzero(ring.mul[:, x] == ring.zero))
-
-
-def _right_annihilator_set(ring: RingTable, x: int) -> frozenset[int]:
-    return frozenset(int(v) for v in np.flatnonzero(ring.mul[x] == ring.zero))
+_ANNIHILATOR_LAWS = ("left annihilator escapes ann_l(e)", "right annihilator escapes ann_r(e)",
+                     "ann_l(x) escapes R(1-e)", "ann_r(x) escapes (1-e)R")
 
 
 def check_annihilator_lemmas(ring: RingTable) -> tuple[bool, Optional[str]]:
     """Annihilator containments for every commuting nil decomposition."""
-    mul = ring.mul
-    for x in ring.elements():
-        ann_l_x = _left_annihilator_set(ring, x)
-        ann_r_x = _right_annihilator_set(ring, x)
-        for cert in iter_decomps(ring, x, DecompKind.WEAK_STAR_NIL_CLEAN):
-            e = cert.idempotent
-            one_minus_e = ring.sub(ring.one, e)
-            if not ann_l_x <= _left_annihilator_set(ring, e):
-                return False, f"x={x}, e={e}: left annihilator escapes ann_l(e)"
-            if not ann_r_x <= _right_annihilator_set(ring, e):
-                return False, f"x={x}, e={e}: right annihilator escapes ann_r(e)"
-            left_multiples = frozenset(int(v) for v in mul[:, one_minus_e])
-            right_multiples = frozenset(int(v) for v in mul[one_minus_e])
-            if not ann_l_x <= left_multiples:
-                return False, f"x={x}, e={e}: ann_l(x) escapes R(1-e)"
-            if not ann_r_x <= right_multiples:
-                return False, f"x={x}, e={e}: ann_r(x) escapes (1-e)R"
+    found = _annihilator_failure(ring, DecompKind.WEAK_STAR_NIL_CLEAN, 4)
+    if found is not None:
+        x, e, law = found
+        return False, f"x={x}, e={e}: {_ANNIHILATOR_LAWS[law]}"
     return True, None
 
 
@@ -277,28 +259,16 @@ def check_strongly_nilclean_equiv(ring: RingTable) -> tuple[bool, Optional[str]]
     return True, None
 
 
-def _is_boolean(ring: RingTable) -> bool:
-    return len(structure(ring).idempotents) == ring.order
-
-
 def check_weak_jclean_suite(ring: RingTable) -> tuple[bool, Optional[str]]:
     """Bundle of radical-decomposition facts (see the registry entry)."""
     cache = structure(ring)
-    strongly_clean_certs = ring_verdict(ring, DecompKind.STRONGLY_CLEAN).certs
     wsj_certs = ring_verdict(ring, DecompKind.WEAK_STAR_J_CLEAN).certs
-    for x in ring.elements():
-        ann_l_x = ann_r_x = None
-        for cert in iter_decomps(ring, x, DecompKind.WEAK_STAR_J_CLEAN):
-            if x not in strongly_clean_certs:
-                return False, f"(a) x={x} is weak* J-clean but not strongly clean"
-            if ann_l_x is None or ann_r_x is None:
-                ann_l_x = _left_annihilator_set(ring, x)
-                ann_r_x = _right_annihilator_set(ring, x)
-            e = cert.idempotent
-            if not ann_l_x <= _left_annihilator_set(ring, e):
-                return False, f"(b) x={x}, e={e}: left annihilator escapes ann_l(e)"
-            if not ann_r_x <= _right_annihilator_set(ring, e):
-                return False, f"(b) x={x}, e={e}: right annihilator escapes ann_r(e)"
+    found = _annihilator_failure(ring, DecompKind.WEAK_STAR_J_CLEAN, 2, DecompKind.STRONGLY_CLEAN)
+    if found is not None:
+        x, e, law = found
+        if law < 0:
+            return False, f"(a) x={x} is weak* J-clean but not strongly clean"
+        return False, f"(b) x={x}, e={e}: {_ANNIHILATOR_LAWS[law]}"
     for f in cache.idempotents:
         corner_ring, embed = corner(ring, f)
         corner_certs = ring_verdict(corner_ring, DecompKind.WEAK_STAR_J_CLEAN).certs
@@ -307,7 +277,7 @@ def check_weak_jclean_suite(ring: RingTable) -> tuple[bool, Optional[str]]:
                 return False, f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
     radical = subset(ring, cache.radical)
     quot, _ = quotient(ring, radical)
-    boolean = _is_boolean(quot)
+    boolean = len(structure(quot).idempotents) == quot.order
     if boolean and lifts_idempotents_weakly(ring, radical).holds:
         verdict = ring_verdict(ring, DecompKind.WEAK_J_CLEAN)
         if not verdict.holds:
@@ -436,15 +406,17 @@ def _run_quotient_image(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
     return True, None
 
 
+# Sub-rings are built under the bound that their whole expression passed: every
+# budget that admitted the entry admits them.
 def _run_product(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
     assert isinstance(entry.expr, Prod)
-    factors = [build(f) for f in entry.expr.factors]
+    factors = [build(f, order_bound(entry.expr)) for f in entry.expr.factors]
     return check_product_theorem(entry.ring, factors)
 
 
 def _run_idealization(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
     assert isinstance(entry.expr, Idealize)
-    return check_idealization(build(entry.expr.inner), entry.ring)
+    return check_idealization(build(entry.expr.inner, order_bound(entry.expr)), entry.ring)
 
 
 def _run_zn(entry: CorpusEntry) -> tuple[bool, Optional[str]]:

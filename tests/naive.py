@@ -452,3 +452,188 @@ def factor_swap(swap, factors):
         digits[i - 1], digits[j - 1] = digits[j - 1], digits[i - 1]
         table[e] = mixed_radix_encode(digits, sizes)
     return table
+
+
+# --- decomposition deciders, one element at a time ----------------------------
+
+# S-kinds search the weak and weak* nil rules over the idempotents of S only
+S_KINDS = {"s-weak-nil-clean": "weak-nil-clean", "s-weak-star-nil-clean": "weak-star-nil-clean"}
+
+
+def all_decomps(ring, kind_name, s=None, pools=None):
+    """x -> [(e, companion, sign, commutes), ...] in canonical order, for every x.
+
+    ``pools`` may map each companion family to its member set, to save recomputing it.
+    """
+    family, both_signs, need_commute = KIND_RULES[S_KINDS.get(kind_name, kind_name)]
+    pool = set(companion_family(ring, family)) if pools is None else pools[family]
+    idems = idempotents(ring) if s is None else sorted(s)
+    add, mul, neg = ring.add.tolist(), ring.mul.tolist(), ring.neg.tolist()
+    out = {}
+    for x in range(ring.order):
+        found = out[x] = []
+        for e in idems:
+            for sign in ("+", "-") if both_signs else ("+",):
+                c = add[x][neg[e]] if sign == "+" else add[x][e]
+                commutes = mul[c][e] == mul[e][c]
+                if c in pool and (commutes or not need_commute):
+                    found.append((e, c, sign, commutes))
+    return out
+
+
+def verdict(decomps):
+    """(holds, witness, {x: first decomposition}) from all_decomps, witness the first x without."""
+    certs = {x: found[0] for x, found in decomps.items() if found}
+    witness = next((x for x, found in decomps.items() if not found), None)
+    return witness is None, witness, certs
+
+
+def is_exchange(ring, side):
+    """(holds, witnesses, failure): least e in xR with 1-e in (1-x)R, per x in order."""
+    mul, idems = ring.mul.tolist(), idempotents(ring)
+    witnesses = {}
+    for x in range(ring.order):
+        one_minus_x = ring.sub(ring.one, x)
+        if side == "right":
+            reach_x, reach_1mx = set(mul[x]), set(mul[one_minus_x])
+        else:
+            reach_x = {row[x] for row in mul}
+            reach_1mx = {row[one_minus_x] for row in mul}
+        found = next((e for e in idems
+                      if e in reach_x and ring.sub(ring.one, e) in reach_1mx), None)
+        if found is None:
+            return False, witnesses, x
+        witnesses[x] = found
+    return True, witnesses, None
+
+
+def is_strongly_pi_regular(ring):
+    """Each power chain a, a*a, ... reaches a**k in a**(k+1)R and R a**(k+1) within n steps."""
+    mul = ring.mul.tolist()
+    for a in range(ring.order):
+        power = a
+        for _ in range(ring.order):
+            next_power = mul[power][a]
+            if power in mul[next_power] and power in {row[next_power] for row in mul}:
+                break
+            power = next_power
+        else:
+            return False
+    return True
+
+
+def annihilator_failure(ring, kind_name, laws, also=None):
+    """First (x, e, law) where x = c +- e breaks a law, as the library's helper numbers them.
+
+    Law -1 is that x also decomposes as kind ``also``; laws 0-3 are
+    ann_l(x) <= ann_l(e), ann_r(x) <= ann_r(e), ann_l(x) <= R(1-e) and
+    ann_r(x) <= (1-e)R, of which the first ``laws`` are checked.
+    """
+    mul = ring.mul.tolist()
+    also_found = None if also is None else all_decomps(ring, also)
+
+    def ann_l(y):
+        return {r for r in range(ring.order) if mul[r][y] == ring.zero}
+
+    def ann_r(y):
+        return {r for r in range(ring.order) if mul[y][r] == ring.zero}
+
+    for x, found in all_decomps(ring, kind_name).items():
+        for e, _, _, _ in found:
+            if also_found is not None and not also_found[x]:
+                return x, e, -1
+            one_minus_e = ring.sub(ring.one, e)
+            holds = (ann_l(x) <= ann_l(e), ann_r(x) <= ann_r(e),
+                     ann_l(x) <= {row[one_minus_e] for row in mul},
+                     ann_r(x) <= set(mul[one_minus_e]))
+            for law in range(laws):
+                if not holds[law]:
+                    return x, e, law
+    return None
+
+
+# --- ring isomorphism ---------------------------------------------------------
+
+
+def _additive_order(ring, x):
+    acc, k = x, 1
+    while acc != ring.zero:
+        acc = int(ring.add[acc, x])
+        k += 1
+    return k
+
+
+def _signatures(ring):
+    nil, unit = nilpotents(ring), units(ring)
+    return [(_additive_order(ring, x), int(ring.mul[x, x]) == x, nil.get(x, 0), x in unit)
+            for x in range(ring.order)]
+
+
+def find_isomorphism(a, b):
+    """A ring isomorphism a -> b as an id mapping, or None.
+
+    Backtracking over element images with closure propagation; candidate
+    images are pruned by additive order, idempotency, nilpotency index and
+    the unit flag.  For fixture-sized rings only.
+    """
+    if a.order != b.order:
+        return None
+    siga, sigb = _signatures(a), _signatures(b)
+    if sorted(siga) != sorted(sigb):
+        return None
+    n = a.order
+    map_ab = [-1] * n
+    map_ba = [-1] * n
+    trail = []
+    aadd, amul, badd, bmul = a.add, a.mul, b.add, b.mul
+
+    def assign(x, y):
+        queue = [(x, y)]
+        while queue:
+            x, y = queue.pop()
+            if map_ab[x] != -1:
+                if map_ab[x] != y:
+                    return False
+                continue
+            if map_ba[y] != -1 or siga[x] != sigb[y]:
+                return False
+            map_ab[x] = y
+            map_ba[y] = x
+            trail.append(x)
+            for z in tuple(trail):
+                w = map_ab[z]
+                queue.append((int(aadd[x, z]), int(badd[y, w])))
+                queue.append((int(aadd[z, x]), int(badd[w, y])))
+                queue.append((int(amul[x, z]), int(bmul[y, w])))
+                queue.append((int(amul[z, x]), int(bmul[w, y])))
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            x = trail.pop()
+            map_ba[map_ab[x]] = -1
+            map_ab[x] = -1
+
+    def backtrack():
+        x = next((i for i in range(n) if map_ab[i] == -1), None)
+        if x is None:
+            return True
+        for y in range(n):
+            if map_ba[y] != -1 or sigb[y] != siga[x]:
+                continue
+            mark = len(trail)
+            if assign(x, y) and backtrack():
+                return True
+            undo(mark)
+        return False
+
+    if not (assign(a.zero, b.zero) and assign(a.one, b.one)):
+        return None
+    if not backtrack():
+        return None
+    mapped = np.array(map_ab)
+    if not np.array_equal(mapped[a.add], b.add[np.ix_(mapped, mapped)]):
+        return None
+    if not np.array_equal(mapped[a.mul], b.mul[np.ix_(mapped, mapped)]):
+        return None
+    return tuple(map_ab)

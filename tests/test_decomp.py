@@ -2,18 +2,22 @@
 
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import naive
 from wnc.construct import build_text, corner
 from wnc.decomp import (
     DecompKind,
+    _annihilator_failure,
     cert_is_valid,
     find_decomp,
     is_exchange,
     is_strongly_pi_regular,
     iter_decomps,
+    kind_takes_subset,
     lifts_idempotents,
     lifts_idempotents_weakly,
     nil_clean_count_bound,
@@ -23,6 +27,7 @@ from wnc.decomp import (
 )
 from wnc.errors import InvalidSubsetError
 from wnc.structure import structure, subset
+from wnc.table import ring_table
 
 
 # --- certificates -------------------------------------------------------------
@@ -320,3 +325,138 @@ def test_certificate_soundness_smoke(rings):
             assert x not in reachable[key], (ring.label, x, kind)
         else:
             assert naive.validate_cert(ring, cert), (ring.label, x, kind)
+
+
+# --- table deciders against the per-element loops -----------------------------
+
+ORACLE_EXTRAS = ("Z(360)", "M2(Z(4))", "idealize(T2(Z(2)),self)",
+                 "skew(prod(Z(2),Z(2)),swap(1,2),4)")
+
+
+@pytest.fixture(scope="module")
+def oracle_rings(corpus_entries):
+    return [entry.ring for entry in corpus_entries] + [build_text(t) for t in ORACLE_EXTRAS]
+
+
+def _subsets_for(ring, kind):
+    """None for a plain kind; for an S-kind, S = {0, 1} and Idem(R) without its largest."""
+    if not kind_takes_subset(kind):
+        return [None]
+    idems = structure(ring).idempotents
+    return [zero_one_subset(ring).sorted_members()] + ([idems[:-1]] if len(idems) > 1 else [])
+
+
+def _fields(cert):
+    return cert.idempotent, cert.companion, cert.sign, cert.commutes
+
+
+def test_verdicts_and_decomps_match_loop_oracle(oracle_rings):
+    for ring in oracle_rings:
+        pools = {family: set(naive.companion_family(ring, family))
+                 for family in ("nil", "unit", "radical")}
+        for kind in DecompKind:
+            for s in _subsets_for(ring, kind):
+                decomps = naive.all_decomps(ring, kind.value, s, pools)
+                verdict = ring_verdict(ring, kind, s)
+                certs = {x: _fields(cert) for x, cert in verdict.certs.items()}
+                where = (ring.label, kind.value, s)
+                assert (verdict.holds, verdict.witness, certs) == naive.verdict(decomps), where
+                assert verdict.s == s and list(certs) == sorted(certs), where
+                for x in ring.elements():
+                    found = list(iter_decomps(ring, x, kind, s))
+                    assert [_fields(c) for c in found] == decomps[x], (where, x)
+                    assert all(c.kind is kind and c.target == x for c in found), (where, x)
+                    assert find_decomp(ring, x, kind, s) == (found[0] if found else None)
+
+
+def test_exchange_and_pi_regularity_match_loop_oracle(oracle_rings):
+    for ring in oracle_rings:
+        if ring.order > 256:
+            continue
+        for side in ("right", "left"):
+            report = is_exchange(ring, side)
+            assert (report.holds, report.witnesses, report.failure) == naive.is_exchange(
+                ring, side), (ring.label, side)
+        assert is_strongly_pi_regular(ring) == naive.is_strongly_pi_regular(ring), ring.label
+
+
+def _corruptions(ring, names=("add", "mul")):
+    """Every table with one entry of the named operation tables changed."""
+    n = ring.order
+    for name in names:
+        for a in range(n):
+            for b in range(n):
+                for value in range(n):
+                    add, mul = np.array(ring.add), np.array(ring.mul)
+                    table = add if name == "add" else mul
+                    if table[a, b] != value:
+                        table[a, b] = value
+                        yield ring_table(n, add, mul, ring.neg, ring.zero, ring.one,
+                                         f"{ring.label}-{name}[{a},{b}]={value}")
+
+
+# (kind, laws, also): clean elements break containment, and clean with also = nil
+# clean reaches law -1, so the order of laws and rows is pinned by real failures
+ANNIHILATOR_CASES = (
+    (DecompKind.CLEAN, 4, None),
+    (DecompKind.CLEAN, 2, DecompKind.NIL_CLEAN),
+    (DecompKind.WEAK_STAR_NIL_CLEAN, 4, None),
+    (DecompKind.WEAK_STAR_J_CLEAN, 2, DecompKind.STRONGLY_CLEAN),
+)
+
+
+def _check_annihilators(ring, laws_seen):
+    for kind, laws, also in ANNIHILATOR_CASES:
+        found = _annihilator_failure(ring, kind, laws, also)
+        expected = naive.annihilator_failure(ring, kind.value, laws, also and also.value)
+        assert found == expected, (ring.label, kind, laws, also)
+        if found is not None:
+            laws_seen.add(found[2])
+
+
+def test_exchange_pi_regularity_and_annihilators_on_non_rings(rings):
+    # no ring reaches the exchange failure path, and in a ring ann_l(e) = R(1-e),
+    # so laws 2 and 3 can only fail first on tables that are not rings
+    outcomes, laws_seen = set(), set()
+    z4 = list(_corruptions(rings["Z(4)"]))
+    for bad in z4 + list(_corruptions(rings["T2(Z(2))"], ("mul",))):
+        for side in ("right", "left"):
+            report = is_exchange(bad, side)
+            assert (report.holds, report.witnesses, report.failure) == naive.is_exchange(
+                bad, side), (bad.label, side)
+            outcomes.add((side, report.holds))
+        pi_regular = is_strongly_pi_regular(bad)
+        assert pi_regular == naive.is_strongly_pi_regular(bad), bad.label
+        outcomes.add(("pi", pi_regular))
+    for bad in z4:
+        _check_annihilators(bad, laws_seen)
+    assert outcomes == {(t, held) for t in ("right", "left", "pi") for held in (True, False)}
+    assert laws_seen == {-1, 0, 1, 2, 3}
+
+
+def test_annihilator_helper_matches_loop_oracle(corpus_entries):
+    laws_seen = set()
+    for entry in corpus_entries:
+        _check_annihilators(entry.ring, laws_seen)
+    _check_annihilators(build_text("idealize(T2(Z(2)),self)"), laws_seen)
+    assert 0 in laws_seen  # clean elements break the containment in rings too
+
+
+def test_deciders_peak_memory_per_table_entry():
+    ring = build_text("M2(Z(5))")
+    structure(ring)  # its own peak is measured elsewhere
+    s = zero_one_subset(ring)
+    tracemalloc.start()
+    try:
+        for kind in DecompKind:
+            ring_verdict(ring, kind, s)
+            list(iter_decomps(ring, ring.one, kind, s))
+        is_exchange(ring, "right")
+        is_exchange(ring, "left")
+        is_strongly_pi_regular(ring)
+        for kind, laws, also in ANNIHILATOR_CASES:
+            _annihilator_failure(ring, kind, laws, also)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ring.order ** 2

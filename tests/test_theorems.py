@@ -248,6 +248,16 @@ def test_build_failures_become_error_cells():
     assert suite_failed(cells)
 
 
+def test_sub_rings_are_built_under_the_suite_budget(monkeypatch):
+    # the environment budget admits neither ring; the suite's own budget admits both
+    monkeypatch.setenv("WNC_SIZE_BUDGET", "5")
+    cells = run_suite(["prod(Z(6),Z(1))", "idealize(Z(6),self)"], budget=100)
+    outcomes = {(cell["ring"], cell["check_id"]): cell["outcome"] for cell in cells}
+    assert outcomes[("prod(Z(6),Z(1))", "thm-finite-product")] == "pass"
+    assert outcomes[("idealize(Z(6),self)", "thm-idealization")] == "pass"
+    assert set(outcomes.values()) == {"pass", "not-applicable"}
+
+
 def test_corrupted_table_surfaces_as_build_error(rings):
     z6 = rings["Z(6)"]
     mul = np.array(z6.mul)
