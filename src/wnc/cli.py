@@ -96,6 +96,15 @@ def _banner(args) -> str:
 def cmd_classify(args) -> int:
     ring = build_text(args.ring)
     kinds = _parse_kinds(args.kinds)
+    expect = []
+    for clause in args.expect.split(",") if args.expect else []:
+        name, _, want = clause.partition("=")
+        name, want = name.strip(), want.strip().lower()
+        if want not in ("true", "false"):
+            raise ValueError(f"--expect wants true/false, got {want!r}")
+        if name not in {kind.value for kind in kinds}:
+            raise ValueError(f"--expect names unclassified kind {name!r}")
+        expect.append((name, want))
     verdicts = [(kind, _verdict(ring, kind)) for kind in kinds]
     if args.format == "json":
         _emit(json.dumps([verdict_to_json(ring, v) for _, v in verdicts], indent=2) + "\n",
@@ -110,23 +119,12 @@ def cmd_classify(args) -> int:
             _emit(_render_csv(headers, rows), args.output)
         else:
             _emit(_banner(args) + _render_table(headers, rows), args.output)
-    if args.expect:
-        failures = []
-        got = {kind.value: v.holds for kind, v in verdicts}
-        for clause in args.expect.split(","):
-            name, _, want = clause.partition("=")
-            name, want = name.strip(), want.strip().lower()
-            if want not in ("true", "false"):
-                raise ValueError(f"--expect wants true/false, got {want!r}")
-            if name not in got:
-                raise ValueError(f"--expect names unclassified kind {name!r}")
-            if got[name] != (want == "true"):
-                failures.append(f"{name}: expected {want}, got {_bool_text(got[name])}")
-        if failures:
-            for failure in failures:
-                sys.stderr.write(f"expectation failed: {failure}\n")
-            return 1
-    return 0
+    got = {kind.value: v.holds for kind, v in verdicts}
+    failures = [f"{name}: expected {want}, got {_bool_text(got[name])}"
+                for name, want in expect if got[name] != (want == "true")]
+    for failure in failures:
+        sys.stderr.write(f"expectation failed: {failure}\n")
+    return 1 if failures else 0
 
 
 def cmd_element(args) -> int:

@@ -45,7 +45,7 @@ from .errors import (
     TableFormatError,
 )
 from .structure import Subset, ideal_generated_by
-from .table import RingTable, ring_table
+from .table import RingTable, _memoised, ring_table
 
 DEFAULT_SIZE_BUDGET = 20_000
 SIZE_BUDGET_ENV = "WNC_SIZE_BUDGET"
@@ -492,6 +492,7 @@ def _restrict(ring: RingTable, keep: np.ndarray, relabel: np.ndarray, one: int,
     return ring_table(len(keep), add, mul, neg, relabel[ring.zero], relabel[one], label, names)
 
 
+@_memoised
 def corner(ring: RingTable, f: int) -> tuple[RingTable, tuple[int, ...]]:
     """Corner ring fRf with unity f, plus the embedding of its ids back into R."""
     ring.check_element(f)
@@ -519,12 +520,19 @@ def quotient(ring: RingTable, ideal: Subset,
         raise InvalidIdealError(
             f"{sorted(ideal.members)} is not a two-sided ideal of {ring.label}"
         )
-    # x represents its coset x + I when it is the coset's minimal element
-    rep_of = ring.add[:, sorted(ideal.members)].min(axis=1)
-    reps = np.flatnonzero(rep_of == np.arange(ring.order))
-    proj = np.searchsorted(reps, rep_of)
     if label is None:
         label = f"quot({ring.label},[{','.join(str(m) for m in sorted(ideal.members))}])"
+    return _quotient(ring, ideal.members, label)
+
+
+# keyed on the member set, not the Subset, which holds the ring
+@_memoised
+def _quotient(ring: RingTable, members: frozenset[int],
+              label: str) -> tuple[RingTable, tuple[int, ...]]:
+    # x represents its coset x + I when it is the coset's minimal element
+    rep_of = ring.add[:, sorted(members)].min(axis=1)
+    reps = np.flatnonzero(rep_of == np.arange(ring.order))
+    proj = np.searchsorted(reps, rep_of)
     names = [f"[{ring.name_of(x)}]" for x in reps.tolist()]
     return _restrict(ring, reps, proj, ring.one, label, names), tuple(proj.tolist())
 

@@ -9,7 +9,6 @@ so returned certificates are deterministic.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -19,7 +18,7 @@ import numpy as np
 from .construct import quotient
 from .errors import InvalidSubsetError
 from .structure import Subset, structure, subset
-from .table import ElementId, RingTable
+from .table import ElementId, RingTable, _memoised
 
 
 class DecompKind(Enum):
@@ -125,15 +124,10 @@ class _Table(NamedTuple):
     verdict: RingVerdict
 
 
-_verdict_memo: "weakref.WeakKeyDictionary[RingTable, dict]" = weakref.WeakKeyDictionary()
-
-
+@_memoised
 def _candidates(ring: RingTable, kind: DecompKind,
-                s_tuple: Optional[tuple[ElementId, ...]] = None) -> _Table:
+                s_tuple: Optional[tuple[ElementId, ...]]) -> _Table:
     """The memoised candidate table and verdict of one kind and S."""
-    memo = _verdict_memo.setdefault(ring, {})
-    if (kind, s_tuple) in memo:
-        return memo[kind, s_tuple]
     cache = structure(ring)
     family, both_signs, need_commute, _ = _KIND_RULES[kind]
     signs = ("+", "-") if both_signs else ("+",)
@@ -146,9 +140,7 @@ def _candidates(ring: RingTable, kind: DecompKind,
     certs = {x: DecompCert(kind, x, e, c, signs[r], com) for x, r, e, c, com in zip(
         xs.tolist(), rows.tolist(), idems[rows].tolist(), comp[rows, xs].tolist(),
         commutes[rows, xs].tolist())}
-    memo[kind, s_tuple] = table = _Table(idems, signs, ok, RingVerdict(
-        kind, witness is None, witness, certs, s_tuple))
-    return table
+    return _Table(idems, signs, ok, RingVerdict(kind, witness is None, witness, certs, s_tuple))
 
 
 def iter_decomps(ring: RingTable, x: ElementId, kind: DecompKind,
@@ -244,8 +236,8 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
     ann_r(x) <= (1-e)R, of which the first ``laws`` count; law -1 is that x also
     decomposes as kind ``also``.  The order is x, then candidate row, then law.
     """
-    table = _candidates(ring, kind)
-    pre = False if also is None else ~_candidates(ring, also).ok.any(axis=0)
+    table = _candidates(ring, kind, None)
+    pre = False if also is None else ~_candidates(ring, also, None).ok.any(axis=0)
     zero = ring.mul == ring.zero
     one_minus = ring.add[ring.one][ring.neg[table.idems]]
     bounds = [zero.T[table.idems], zero[table.idems], _multiples(ring, "left", one_minus),

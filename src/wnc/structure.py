@@ -7,14 +7,13 @@ invertibility already implies invertibility, so no side distinction is needed.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import CrossRingError
-from .table import ElementId, RingTable, _additive_closure
+from .table import ElementId, RingTable, _additive_closure, _memoised
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,7 +21,6 @@ class StructureCache:
     """Memoized structural sets of one ring.
 
     nilpotency maps x to the smallest k >= 1 with x**k = 0; its key set is Nil(R).
-    It holds no reference to its ring, which keys it in a weak memo.
     """
 
     units: frozenset[ElementId]
@@ -40,36 +38,27 @@ class StructureCache:
         return frozenset(self.nilpotency)
 
 
-_structure_memo: "weakref.WeakKeyDictionary[RingTable, StructureCache]" = weakref.WeakKeyDictionary()
-
-
 def _nilpotency_indices(ring: RingTable) -> dict[int, int]:
-    n = ring.order
-    idx = np.arange(n)
-    powers = idx.copy()
-    undecided = np.ones(n, dtype=bool)
-    out: dict[int, int] = {}
-    seen_states: set[bytes] = set()
-    for k in range(1, n + 1):
-        hits = undecided & (powers == ring.zero)
-        for x in np.flatnonzero(hits):
-            out[int(x)] = k
-        undecided &= ~hits
-        if not undecided.any():
-            break
-        state = powers.tobytes()
-        if state in seen_states:
-            break
-        seen_states.add(state)
-        powers = ring.mul[powers, idx]
-    return dict(sorted(out.items()))
+    """The least k >= 1 with x**k = 0, for every nilpotent x, in id order.
+
+    A nilpotent x of index k gives a strictly falling chain of additive groups
+    R > Rx > ... > Rx**k = 0: were Rx**i = Rx**(i+1) for some i < k, then
+    x**i = r*x**i*x for some r, so x**i = r**k * x**i * x**k = 0.  Each step at
+    least halves the order, so 2**k <= n, and the powers x**1 .. x**K with
+    K = n.bit_length() decide every index.
+    """
+    idx = np.arange(ring.order)
+    powers = [idx]
+    for _ in range(1, ring.order.bit_length()):
+        powers.append(ring.mul[powers[-1], idx])
+    zero = np.stack(powers) == ring.zero
+    nil = np.flatnonzero(zero.any(axis=0))
+    return dict(zip(nil.tolist(), (zero[:, nil].argmax(axis=0) + 1).tolist()))
 
 
+@_memoised
 def structure(ring: RingTable) -> StructureCache:
     """Compute (and memoize) units with inverses, Idem(R), Nil(R) and J(R)."""
-    cached = _structure_memo.get(ring)
-    if cached is not None:
-        return cached
     n = ring.order
     idx = np.arange(n)
     mul = ring.mul
@@ -87,9 +76,7 @@ def structure(ring: RingTable) -> StructureCache:
     radical_mask = unit_mask[one_minus].all(axis=0)
     radical = frozenset(int(x) for x in np.flatnonzero(radical_mask))
 
-    cache = StructureCache(units, inverse, idempotents, nilpotency, radical)
-    _structure_memo[ring] = cache
-    return cache
+    return StructureCache(units, inverse, idempotents, nilpotency, radical)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +205,7 @@ def ideal_generated_by(ring: RingTable, gens: Iterable[ElementId]) -> Subset:
     return subset(ring, np.flatnonzero(_additive_closure(ring, _right_multiples(ring, mask))))
 
 
-_ideals_memo: "weakref.WeakKeyDictionary[RingTable, tuple[frozenset[int], ...]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
+@_memoised
 def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
     """Every two-sided ideal, sorted by (size, members).
 
@@ -235,9 +218,6 @@ def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
     ideals of its members, so it is reached by adding principal ideals one at
     a time.
     """
-    cached = _ideals_memo.get(ring)
-    if cached is not None:
-        return cached
     lefts: dict[bytes, np.ndarray] = {}
     for x in ring.elements():
         left = np.zeros(ring.order, dtype=bool)
@@ -263,12 +243,10 @@ def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
                     ideals[key] = total
                     found.append(total)
         frontier = found
-    result = tuple(sorted(
+    return tuple(sorted(
         (frozenset(np.flatnonzero(m).tolist()) for m in ideals.values()),
         key=lambda s: (len(s), sorted(s)),
     ))
-    _ideals_memo[ring] = result
-    return result
 
 
 def maximal_ideals(ring: RingTable) -> list[Subset]:

@@ -7,8 +7,10 @@ Tables are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +61,25 @@ class RingTable:
 
     def __repr__(self) -> str:  # keep huge tables out of tracebacks
         return f"RingTable({self.label}, order={self.order})"
+
+
+_memo: "weakref.WeakKeyDictionary[RingTable, dict]" = weakref.WeakKeyDictionary()
+
+
+def _memoised(fn: Callable) -> Callable:
+    """Memoise fn(ring, *args) per ring; the results die with the ring.
+
+    The memo holds keys and results strongly, so neither may refer to the ring:
+    such a reference would keep the ring, and everything memoised on it, alive.
+    """
+    @functools.wraps(fn)
+    def wrapper(ring: RingTable, *args):
+        memo = _memo.setdefault(ring, {})
+        key = (fn, *args)
+        if key not in memo:
+            memo[key] = fn(ring, *args)
+        return memo[key]
+    return wrapper
 
 
 def ring_table(

@@ -349,33 +349,30 @@ def default_corpus() -> list[str]:
     return entries
 
 
+def _build_entry(line: str | CorpusLine, budget: Optional[int]) -> Optional[CorpusEntry]:
+    """Parse and build one corpus line; None for a string with no expression."""
+    if isinstance(line, str):
+        parsed = parse_corpus(line)
+        if not parsed:
+            return None
+        line = parsed[0]
+    try:
+        expr = parse_ring_expr(line.text)
+        label = expr_label(expr)
+    except RingError as exc:
+        return CorpusEntry(line.text, line.text, None, None, str(exc))
+    try:
+        return CorpusEntry(line.text, label, expr, build(expr, budget))
+    except CapacityError as exc:
+        return CorpusEntry(line.text, label, expr, None, str(exc), line.waive_over_budget)
+    except (RingError, ValueError) as exc:  # builders raise ValueError on bad dimensions
+        return CorpusEntry(line.text, label, expr, None, str(exc))
+
+
 def build_corpus(corpus: Iterable[str | CorpusLine],
                  budget: Optional[int] = None) -> list[CorpusEntry]:
-    entries = []
-    for line in corpus:
-        if isinstance(line, str):
-            parsed = parse_corpus(line)
-            if not parsed:
-                continue
-            line = parsed[0]
-        try:
-            expr = parse_ring_expr(line.text)
-            label = expr_label(expr)
-        except RingError as exc:
-            entries.append(CorpusEntry(line.text, line.text, None, None, str(exc)))
-            continue
-        try:
-            ring = build(expr, budget)
-        except CapacityError as exc:
-            entries.append(
-                CorpusEntry(line.text, label, expr, None, str(exc), line.waive_over_budget)
-            )
-            continue
-        except RingError as exc:
-            entries.append(CorpusEntry(line.text, label, expr, None, str(exc)))
-            continue
-        entries.append(CorpusEntry(line.text, label, expr, ring))
-    return entries
+    entries = (_build_entry(line, budget) for line in corpus)
+    return [entry for entry in entries if entry is not None]
 
 
 # --- registry and runner ------------------------------------------------------
@@ -582,12 +579,10 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
     """Evaluate the selected checks on every corpus member.
 
     Returns cells {ring, check_id, outcome, witness?} sorted by (ring, check_id).
-    Build failures become one 'build' cell; they never abort the run.
+    Build failures become one 'build' cell; they never abort the run.  Members
+    are built, checked and dropped one at a time, prepared entries first, so
+    each ring and the sub-rings memoised on it are freed before the next build.
     """
-    raw = list(corpus)
-    prepared = [e for e in raw if isinstance(e, CorpusEntry)]
-    to_build = [e for e in raw if not isinstance(e, CorpusEntry)]
-    entries = prepared + build_corpus(to_build, budget)
     if checks is None:
         selected = REGISTRY
     else:
@@ -596,37 +591,40 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
         if missing:
             raise ValueError(f"unknown check ids: {missing}")
         selected = tuple(known[cid] for cid in checks)
-    cells: list[dict] = []
-    for entry in entries:
-        if entry.ring is None:
-            outcome = "waived" if entry.waived else "error"
-            cells.append(
-                {"ring": entry.label, "check_id": "build", "outcome": outcome,
-                 "witness": entry.error}
-            )
-            continue
-        report = verify_ring_axioms(entry.ring)
-        if not report.passed:
-            name, witness = report.failures()[0]
-            cells.append(
-                {"ring": entry.label, "check_id": "build", "outcome": "error",
-                 "witness": f"axiom {name} fails at {witness}"}
-            )
-            continue
-        for check in selected:
-            if not check.applicable(entry):
-                cells.append(
-                    {"ring": entry.label, "check_id": check.check_id,
-                     "outcome": "not-applicable"}
-                )
-                continue
-            ok, witness = check.run(entry)
-            cell = {"ring": entry.label, "check_id": check.check_id,
-                    "outcome": "pass" if ok else "fail"}
-            if witness is not None:
-                cell["witness"] = witness
-            cells.append(cell)
+    items = sorted(corpus, key=lambda item: not isinstance(item, CorpusEntry))
+    cells = [cell for item in items for cell in _member_cells(item, selected, budget)]
     cells.sort(key=lambda c: (c["ring"], c["check_id"]))
+    return cells
+
+
+def _member_cells(item: str | CorpusLine | CorpusEntry, selected: Sequence[TheoremCheck],
+                  budget: Optional[int]) -> list[dict]:
+    """The cells of one corpus member; a ring built here is dropped on return."""
+    entry = item if isinstance(item, CorpusEntry) else _build_entry(item, budget)
+    if entry is None:
+        return []
+    if entry.ring is None:
+        outcome = "waived" if entry.waived else "error"
+        return [{"ring": entry.label, "check_id": "build", "outcome": outcome,
+                 "witness": entry.error}]
+    report = verify_ring_axioms(entry.ring)
+    if not report.passed:
+        name, witness = report.failures()[0]
+        return [{"ring": entry.label, "check_id": "build", "outcome": "error",
+                 "witness": f"axiom {name} fails at {witness}"}]
+    cells: list[dict] = []
+    for check in selected:
+        if not check.applicable(entry):
+            cells.append(
+                {"ring": entry.label, "check_id": check.check_id, "outcome": "not-applicable"}
+            )
+            continue
+        ok, witness = check.run(entry)
+        cell = {"ring": entry.label, "check_id": check.check_id,
+                "outcome": "pass" if ok else "fail"}
+        if witness is not None:
+            cell["witness"] = witness
+        cells.append(cell)
     return cells
 
 

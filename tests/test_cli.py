@@ -62,6 +62,11 @@ def test_classify_expect(capsys):
     )
     assert code == 1
     assert "expectation failed" in err
+    code, out, _ = run_cli(
+        capsys, "classify", "--ring", "Z(6)", "--kinds", "weak-nil-clean",
+        "--expect", "weak-nil-clean",
+    )
+    assert code == 2 and out == ""
 
 
 def test_element_output(capsys):

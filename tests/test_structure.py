@@ -1,14 +1,21 @@
 """Structure sets, annihilators, ideals and subset utilities."""
 
 import gc
+import weakref
 
 import pytest
 
 import naive
 from wnc.construct import build_text, corner, quotient
+from wnc.decomp import (
+    DecompKind,
+    kind_takes_subset,
+    lifts_idempotents,
+    ring_verdict,
+    zero_one_subset,
+)
 from wnc.errors import CrossRingError
 from wnc.structure import (
-    _structure_memo,
     all_ideals,
     ann_left,
     ann_right,
@@ -19,6 +26,7 @@ from wnc.structure import (
     structure,
     subset,
 )
+from wnc.table import _memo
 
 
 def test_z6_structure_golden(rings):
@@ -42,8 +50,9 @@ def test_z4_radical_golden(rings):
 
 
 def test_structure_agrees_with_naive_oracles(rings):
-    for label in ("Z(6)", "Z(9)", "Z(12)", "M2(Z(2))", "T2(Z(3))", "skew(Z(6),id,2)"):
-        ring = rings[label]
+    for label in ("Z(6)", "Z(9)", "Z(12)", "M2(Z(2))", "T2(Z(3))", "skew(Z(6),id,2)",
+                  "Z(1)", "Z(256)", "M2(Z(4))"):
+        ring = rings[label] if label in rings else build_text(label)
         cache = structure(ring)
         assert cache.inverse == naive.units(ring), label
         assert list(cache.idempotents) == naive.idempotents(ring), label
@@ -55,15 +64,30 @@ def test_structure_is_memoized(rings):
     assert structure(rings["Z(6)"]) is structure(rings["Z(6)"])
 
 
+def _memoise_everything(ring):
+    """Fill the memo of ring and of its corners and quotients; return a weak reference."""
+    structure(ring)
+    ideals = all_ideals(ring)
+    for kind in DecompKind:
+        s = zero_one_subset(ring) if kind_takes_subset(kind) else None
+        ring_verdict(ring, kind, s)
+    for f in structure(ring).idempotents:
+        assert corner(ring, f) is corner(ring, f)
+        structure(corner(ring, f)[0])
+    for members in ideals:
+        ideal = subset(ring, members)
+        structure(quotient(ring, ideal)[0])
+        lifts_idempotents(ring, ideal)
+    return weakref.ref(ring)
+
+
 def test_structure_memo_frees_rings():
     gc.collect()
-    before = len(_structure_memo)
-    for _ in range(20):
-        ring = build_text("T2(Z(3))")
-        structure(ring)
-        del ring
+    before = len(_memo)
+    refs = [_memoise_everything(build_text(label)) for label in ("T2(Z(3))", "Z(12)")]
     gc.collect()
-    assert len(_structure_memo) == before
+    assert all(ref() is None for ref in refs)
+    assert len(_memo) == before
 
 
 def test_annihilator_examples(rings):

@@ -1,11 +1,14 @@
 """Individual theorem checks, the suite runner and the default corpus."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import naive
+import wnc.theorems as theorems
 from wnc.construct import build_text
 from wnc.decomp import DecompKind, ring_verdict, zero_one_subset
 from wnc.structure import ideal_generated_by, structure, subset
@@ -238,11 +241,13 @@ def test_empty_corpus():
 
 
 def test_build_failures_become_error_cells():
-    cells = run_suite(["Z(abc", "Z(30000)", "Z(30000) !waive"])
+    bad_dimensions = ["M0(Z(2))", "T0(Z(3))", "eqdiag1(Z(2))", "skew(Z(2),id,0)"]
+    cells = run_suite(["Z(abc", "Z(30000)", "Z(30000) !waive"] + bad_dimensions)
     by_outcome = {}
     for cell in cells:
         by_outcome.setdefault(cell["outcome"], []).append(cell)
-    assert len(by_outcome["error"]) == 2  # syntax error and unwaived over-budget
+    # syntax error, unwaived over-budget and the four bad dimensions
+    assert len(by_outcome["error"]) == 6
     assert len(by_outcome["waived"]) == 1
     assert all(cell["check_id"] == "build" for cell in cells)
     assert suite_failed(cells)
@@ -271,8 +276,29 @@ def test_corrupted_table_surfaces_as_build_error(rings):
 
 
 def test_unknown_check_id_rejected():
-    with pytest.raises(ValueError):
-        run_suite(["Z(4)"], checks=["no-such-check"])
+    def unread_corpus():
+        raise AssertionError("the corpus was read before the check ids were validated")
+        yield "Z(4)"
+
+    for corpus in (["Z(4)"], unread_corpus()):
+        with pytest.raises(ValueError):
+            run_suite(corpus, checks=["no-such-check"])
+
+
+def test_suite_holds_one_corpus_ring_at_a_time(monkeypatch):
+    built = []
+
+    def build_entry(line, budget):
+        gc.collect()
+        assert all(ref() is None for ref in built), "an earlier corpus ring is still alive"
+        entry = build_one(line, budget)
+        built.append(weakref.ref(entry.ring))
+        return entry
+
+    build_one = theorems._build_entry
+    monkeypatch.setattr(theorems, "_build_entry", build_entry)
+    cells = run_suite(["M2(Z(2))", "prod(Z(2),Z(3))", "idealize(Z(6),self)", "T2(Z(3))"])
+    assert len(built) == 4 and not suite_failed(cells)
 
 
 def test_check_selection():
