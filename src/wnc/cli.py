@@ -15,14 +15,16 @@ import json
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
-from .construct import build_text
+from .construct import Zn, _check_budget, build_text, size_budget
 from .decomp import (
     DecompKind,
+    _json_head,
     find_decomp,
     kind_takes_subset,
     ring_verdict,
-    verdict_to_json,
     zero_one_subset,
 )
 from .errors import RingError
@@ -89,6 +91,25 @@ def _verdict(ring, kind: DecompKind):
     return ring_verdict(ring, kind, s)
 
 
+# One certificate of the classify JSON, at the depth json.dumps(..., indent=2) puts it.
+_CERT_JSON = ('      {\n        "x": %d,\n        "e": %d,\n        "companion": %d,\n'
+              '        "sign": "%s",\n        "commutes": %s\n      }')
+
+
+def _classify_json(ring, verdicts) -> str:
+    """json.dumps([verdict_to_json(ring, v) for v in verdicts], indent=2) + "\n",
+    written from the certificate columns without building certificate objects."""
+    items = []
+    for v in verdicts:
+        head = json.dumps(_json_head(ring, v), indent=2)[:-2].replace("\n", "\n  ")
+        certs = ",\n".join(_CERT_JSON % cert for cert in zip(
+            v.targets.tolist(), v.idempotents.tolist(), v.companions.tolist(),
+            v.signs.tolist(), np.where(v.commutes, "true", "false").tolist()))
+        certs = f"[\n{certs}\n    ]" if certs else "[]"
+        items.append(f'  {head},\n    "certs": {certs}\n  }}')
+    return "[\n" + ",\n".join(items) + "\n]\n"
+
+
 def _banner(args) -> str:
     return "" if args.plain else f"# wnc {__version__}\n"
 
@@ -107,8 +128,7 @@ def cmd_classify(args) -> int:
         expect.append((name, want))
     verdicts = [(kind, _verdict(ring, kind)) for kind in kinds]
     if args.format == "json":
-        _emit(json.dumps([verdict_to_json(ring, v) for _, v in verdicts], indent=2) + "\n",
-              args.output)
+        _emit(_classify_json(ring, [v for _, v in verdicts]), args.output)
     else:
         headers = ["kind", "holds", "witness"]
         rows = [
@@ -181,6 +201,7 @@ def _parse_range(spec: str) -> tuple[int, int]:
 def cmd_sweep(args) -> int:
     start, end = _parse_range(args.zn)
     kinds = _parse_kinds(args.kinds)
+    _check_budget(Zn(end), size_budget())
     headers = ["n"] + [kind.value for kind in kinds]
     rows = []
     for n in range(start, end + 1):
@@ -264,12 +285,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, output=True):
+    def add_output(p):
+        p.add_argument("--output", default="-", help="output path ('-' = stdout)")
+
+    def add_common(p):
         p.add_argument("--format", choices=FORMATS, default="table")
         p.add_argument("--plain", action="store_true",
                        help="suppress the version banner in table output")
-        if output:
-            p.add_argument("--output", default="-", help="output path ('-' = stdout)")
+        add_output(p)
 
     p = sub.add_parser("classify", help="decide ring-level cleanness kinds")
     p.add_argument("--ring", required=True, help="ring expression")
@@ -302,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump", help="dump operation tables or the structure map")
     p.add_argument("--ring", required=True)
     p.add_argument("--what", choices=("tables", "structure"), default="structure")
-    add_common(p)
+    p.add_argument("--format", choices=("csv",), default="csv")
+    add_output(p)
     p.set_defaults(func=cmd_dump)
 
     return parser

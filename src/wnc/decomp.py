@@ -9,6 +9,7 @@ so returned certificates are deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -78,15 +79,29 @@ class DecompCert:
     commutes: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingVerdict:
-    """Ring-level outcome of one decomposition kind, with all certificates."""
+    """Ring-level outcome of one decomposition kind, with all certificates.
+
+    The certificates are kept as columns, one entry per decomposable element in
+    ascending order; ``certs`` builds the certificate objects on first access.
+    """
 
     kind: DecompKind
     holds: bool
     witness: Optional[ElementId]
-    certs: dict[ElementId, DecompCert]
-    s: Optional[tuple[ElementId, ...]] = None
+    s: Optional[tuple[ElementId, ...]]
+    targets: np.ndarray
+    idempotents: np.ndarray
+    companions: np.ndarray
+    signs: np.ndarray  # "+" or "-"
+    commutes: np.ndarray
+
+    @functools.cached_property
+    def certs(self) -> dict[ElementId, DecompCert]:
+        columns = zip(self.targets.tolist(), self.idempotents.tolist(),
+                      self.companions.tolist(), self.signs.tolist(), self.commutes.tolist())
+        return {row[0]: DecompCert(self.kind, *row) for row in columns}
 
 
 def _resolve_s(ring: RingTable, kind: DecompKind,
@@ -109,10 +124,9 @@ def _resolve_s(ring: RingTable, kind: DecompKind,
 
 def _first_rows(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
     """Columns of ok with a True, the first row of each, and the least column without."""
-    cols, rows = np.nonzero(ok.T)
-    cols, first = np.unique(cols, return_index=True)
-    missing = np.flatnonzero(~ok.any(axis=0))
-    return cols, rows[first], int(missing[0]) if missing.size else None
+    found = ok.any(axis=0)
+    cols, missing = np.flatnonzero(found), np.flatnonzero(~found)
+    return cols, ok.argmax(axis=0)[cols], int(missing[0]) if missing.size else None
 
 
 class _Table(NamedTuple):
@@ -133,14 +147,16 @@ def _candidates(ring: RingTable, kind: DecompKind,
     signs = ("+", "-") if both_signs else ("+",)
     idems = np.asarray(cache.idempotents if s_tuple is None else s_tuple, dtype=np.intp)
     idems, signs = np.repeat(idems, len(signs)), signs * len(idems)
-    comp = ring.add[:, np.where(np.array(signs) == "+", ring.neg[idems], idems)].T
+    sign_col = np.array(signs)
+    comp = ring.add[:, np.where(sign_col == "+", ring.neg[idems], idems)].T
     commutes = ring.mul[comp, idems[:, None]] == ring.mul[idems[:, None], comp]
-    ok = np.isin(comp, list(getattr(cache, family))) & (commutes | (not need_commute))
+    pool = np.zeros(ring.order, dtype=bool)
+    pool[list(getattr(cache, family))] = True
+    ok = pool[comp] & (commutes | (not need_commute))
     xs, rows, witness = _first_rows(ok)
-    certs = {x: DecompCert(kind, x, e, c, signs[r], com) for x, r, e, c, com in zip(
-        xs.tolist(), rows.tolist(), idems[rows].tolist(), comp[rows, xs].tolist(),
-        commutes[rows, xs].tolist())}
-    return _Table(idems, signs, ok, RingVerdict(kind, witness is None, witness, certs, s_tuple))
+    verdict = RingVerdict(kind, witness is None, witness, s_tuple, xs, idems[rows], comp[rows, xs],
+                          sign_col[rows], commutes[rows, xs])
+    return _Table(idems, signs, ok, verdict)
 
 
 def iter_decomps(ring: RingTable, x: ElementId, kind: DecompKind,
@@ -157,8 +173,7 @@ def iter_decomps(ring: RingTable, x: ElementId, kind: DecompKind,
 def find_decomp(ring: RingTable, x: ElementId, kind: DecompKind,
                 s: Optional[Iterable[ElementId] | Subset] = None) -> Optional[DecompCert]:
     """First certificate in canonical order, or None when no decomposition exists."""
-    ring.check_element(x)
-    return _candidates(ring, kind, _resolve_s(ring, kind, s)).verdict.certs.get(x)
+    return next(iter_decomps(ring, x, kind, s), None)
 
 
 def cert_is_valid(ring: RingTable, cert: DecompCert,
@@ -192,13 +207,19 @@ def ring_verdict(ring: RingTable, kind: DecompKind,
     return _candidates(ring, kind, _resolve_s(ring, kind, s)).verdict
 
 
-def verdict_to_json(ring: RingTable, verdict: RingVerdict) -> dict:
-    """Documented JSON shape with fixed field order."""
+def _json_head(ring: RingTable, verdict: RingVerdict) -> dict:
+    """The fields of verdict_to_json before "certs", in order."""
     out: dict = {"ring": ring.label, "kind": verdict.kind.value}
     if verdict.s is not None:
         out["s"] = list(verdict.s)
     out["holds"] = verdict.holds
     out["witness"] = verdict.witness
+    return out
+
+
+def verdict_to_json(ring: RingTable, verdict: RingVerdict) -> dict:
+    """Documented JSON shape with fixed field order."""
+    out = _json_head(ring, verdict)
     out["certs"] = [
         {
             "x": x,

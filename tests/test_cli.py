@@ -1,8 +1,24 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import dataclasses
 import json
 
-from wnc.cli import main
+import pytest
+
+import wnc.cli
+from wnc import decomp
+from wnc.cli import _classify_json, main
+from wnc.construct import build_text
+from wnc.decomp import (
+    DecompKind,
+    find_decomp,
+    kind_takes_subset,
+    ring_verdict,
+    verdict_to_json,
+    zero_one_subset,
+)
+
+ALL_KINDS = ",".join(kind.value for kind in DecompKind)
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +137,17 @@ def test_sweep_json(capsys):
     ]
 
 
+def test_sweep_checks_the_budget_before_building(capsys, monkeypatch):
+    def no_build(text):
+        raise AssertionError(f"built {text} past the budget check")
+
+    monkeypatch.delenv("WNC_SIZE_BUDGET", raising=False)
+    monkeypatch.setattr(wnc.cli, "build_text", no_build)
+    code, out, err = run_cli(capsys, "sweep", "--zn", "2..30000", "--kinds", "nil-clean")
+    assert code == 2 and out == ""
+    assert err == "error: Z(30000) needs 30000 elements, over the budget of 20000\n"
+
+
 def test_verify_with_corpus_file(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("# small corpus\nZ(6)\nZ(9)\nZ(30000) !waive\n", encoding="utf-8")
@@ -204,6 +231,16 @@ def test_dump_structure(capsys):
     assert "2,2,false,,false,2,true" in lines
 
 
+def test_dump_takes_only_csv(capsys):
+    default = run_cli(capsys, "dump", "--ring", "Z(4)")
+    assert default[0] == 0
+    assert run_cli(capsys, "dump", "--ring", "Z(4)", "--format", "csv") == default
+    code, out, _ = run_cli(capsys, "dump", "--ring", "Z(4)", "--format", "json")
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "dump", "--ring", "Z(4)", "--plain")
+    assert code == 2 and out == ""
+
+
 def test_dump_structure_names_coordinates(capsys):
     code, out, _ = run_cli(capsys, "dump", "--ring", "M2(Z(2))", "--what", "structure")
     assert code == 0
@@ -243,3 +280,61 @@ def test_output_is_byte_identical_across_runs(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def _verdicts(ring):
+    return [ring_verdict(ring, kind, zero_one_subset(ring) if kind_takes_subset(kind) else None)
+            for kind in DecompKind]
+
+
+@pytest.mark.parametrize("label", [
+    "Z(1)", "Z(6)", "M2(Z(2))", "T2(Z(3))", "idealize(T2(Z(2)),self)",
+    "skew(prod(Z(2),Z(2)),swap(1,2),4)",
+])
+def test_classify_json_matches_verdict_to_json(capsys, label):
+    code, out, _ = run_cli(capsys, "classify", "--ring", label, "--kinds", ALL_KINDS,
+                           "--format", "json")
+    ring = build_text(label)
+    assert code == 0
+    assert out == json.dumps([verdict_to_json(ring, v) for v in _verdicts(ring)], indent=2) + "\n"
+
+
+def test_classify_json_writes_empty_certificates():
+    ring = build_text("Z(6)")
+    verdicts = _verdicts(ring)
+    empty = [dataclasses.replace(v, targets=v.targets[:0], idempotents=v.idempotents[:0],
+                                 companions=v.companions[:0], signs=v.signs[:0],
+                                 commutes=v.commutes[:0]) for v in verdicts[6:8]]
+    mixed = [verdicts[0], *empty, verdicts[-1]]
+    assert all(not v.certs for v in empty) and empty[1].s == (0, 1)
+    assert _classify_json(ring, mixed) == json.dumps(
+        [verdict_to_json(ring, v) for v in mixed], indent=2) + "\n"
+
+
+@pytest.fixture
+def certs_made(monkeypatch):
+    """Every DecompCert the library builds while the test runs."""
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return cert_type(*args)
+
+    cert_type = decomp.DecompCert
+    monkeypatch.setattr(decomp, "DecompCert", counting)
+    return made
+
+
+def test_certificates_are_built_only_when_read(capsys, certs_made):
+    assert run_cli(capsys, "sweep", "--zn", "2..60", "--kinds", ALL_KINDS)[0] == 0
+    for fmt in ("json", "table"):
+        assert run_cli(capsys, "classify", "--ring", "M2(Z(2))", "--kinds", ALL_KINDS,
+                       "--format", fmt)[0] == 0
+    assert certs_made == []
+    ring = build_text("M2(Z(2))")
+    cert = find_decomp(ring, 7, DecompKind.WEAK_NIL_CLEAN)
+    assert certs_made == [(DecompKind.WEAK_NIL_CLEAN, 7, cert.idempotent, cert.companion,
+                           cert.sign, cert.commutes)]
+    verdict = ring_verdict(ring, DecompKind.WEAK_NIL_CLEAN)
+    assert len(certs_made) == 1 and "certs" not in vars(verdict)
+    assert verdict.certs[7] == cert and len(certs_made) == 1 + len(verdict.certs)
