@@ -275,6 +275,28 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
     return x, int(table.idems[r]), law - 1
 
 
+def _decomposable(ring: RingTable, kind: DecompKind) -> np.ndarray:
+    """Mask of the elements that decompose as the kind."""
+    return np.bincount(ring_verdict(ring, kind).targets, minlength=ring.order) > 0
+
+
+def _rigidity_failure(ring: RingTable) -> Optional[tuple[ElementId, ...]]:
+    """The first Idem(R) - {e}, e ascending, over which the ring is S-weak* nil clean.
+
+    The S-table is the weak* nil table cut to S's rows, so Idem(R) - {e} suffices
+    when every element has a serving idempotent and e is never the only one.
+    """
+    table = _candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None)
+    idems = table.idems[::2].tolist()
+    serve = table.ok.reshape(len(idems), 2, ring.order).any(axis=1)
+    spare = np.ones(len(idems), dtype=bool)
+    spare[serve[:, serve.sum(axis=0) == 1].argmax(axis=0)] = False
+    if not serve.any(axis=0).all() or not spare.any():
+        return None
+    drop = int(spare.argmax())
+    return tuple(idems[:drop] + idems[drop + 1:])
+
+
 def is_exchange(ring: RingTable, side: str = "right") -> ExchangeReport:
     """Exchange-ring test: an idempotent e in xR with 1-e in (1-x)R.
 

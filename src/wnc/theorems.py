@@ -26,6 +26,8 @@ from .construct import (
 from .decomp import (
     DecompKind,
     _annihilator_failure,
+    _decomposable,
+    _rigidity_failure,
     is_exchange,
     is_strongly_pi_regular,
     lifts_idempotents,
@@ -34,12 +36,16 @@ from .decomp import (
     zero_one_subset,
 )
 from .errors import CapacityError, RingError
-from .structure import all_ideals, maximal_ideals, structure, subset
+from .structure import Subset, all_ideals, maximal_ideals, structure, subset
 from .table import RingTable, verify_ring_axioms
 
 
 def _holds(ring: RingTable, kind: DecompKind, s=None) -> bool:
     return ring_verdict(ring, kind, s).holds
+
+
+def _first_failure(outcomes: Iterable[tuple[bool, Optional[str]]]) -> tuple[bool, Optional[str]]:
+    return next((outcome for outcome in outcomes if not outcome[0]), (True, None))
 
 
 def _weak_nil_clean(ring: RingTable) -> bool:
@@ -175,20 +181,18 @@ def check_corner_theorem(ring: RingTable, f: int) -> tuple[bool, Optional[str]]:
     """
     corner_ring, embed = corner(ring, f)
     to_corner = {x: i for i, x in enumerate(embed)}
-    parent_certs = ring_verdict(ring, DecompKind.WEAK_STAR_NIL_CLEAN).certs
-    corner_certs = ring_verdict(corner_ring, DecompKind.WEAK_STAR_NIL_CLEAN).certs
+    parent = ring_verdict(ring, DecompKind.WEAK_STAR_NIL_CLEAN)
+    in_parent = _decomposable(ring, DecompKind.WEAK_STAR_NIL_CLEAN)[list(embed)].tolist()
+    in_corner = _decomposable(corner_ring, DecompKind.WEAK_STAR_NIL_CLEAN).tolist()
     corner_cache = structure(corner_ring)
-    mul = ring.mul
-    for ci, x in enumerate(embed):
-        in_parent = x in parent_certs
-        in_corner = ci in corner_certs
-        if in_parent != in_corner:
-            return False, f"f={f}, x={x}: decomposable in R is {in_parent}, in fRf is {in_corner}"
-        if not in_parent:
+    for ci, (x, known, inner) in enumerate(zip(embed, in_parent, in_corner)):
+        if known != inner:
+            return False, f"f={f}, x={x}: decomposable in R is {known}, in fRf is {inner}"
+        if not known:
             continue
-        cert = parent_certs[x]
-        fnf = int(mul[f, mul[cert.companion, f]])
-        fef = int(mul[f, mul[cert.idempotent, f]])
+        r = int(parent.targets.searchsorted(x))
+        fnf = int(ring.mul[f, ring.mul[parent.companions[r], f]])
+        fef = int(ring.mul[f, ring.mul[parent.idempotents[r], f]])
         if fnf not in to_corner or fef not in to_corner:
             return False, f"f={f}, x={x}: conjugated parts leave the corner"
         cn, ce = to_corner[fnf], to_corner[fef]
@@ -198,11 +202,8 @@ def check_corner_theorem(ring: RingTable, f: int) -> tuple[bool, Optional[str]]:
             return False, f"f={f}, x={x}: fef={fef} is not idempotent in the corner"
         if int(corner_ring.mul[cn, ce]) != int(corner_ring.mul[ce, cn]):
             return False, f"f={f}, x={x}: conjugated parts do not commute"
-        if cert.sign == "+":
-            recomposed = int(corner_ring.add[cn, ce])
-        else:
-            recomposed = int(corner_ring.add[cn, corner_ring.neg[ce]])
-        if recomposed != ci:
+        back = ce if parent.signs[r] == "+" else corner_ring.neg[ce]
+        if int(corner_ring.add[cn, back]) != ci:
             return False, f"f={f}, x={x}: conjugated certificate does not recompose"
     return True, None
 
@@ -229,23 +230,24 @@ def check_S_unique_maximal(ring: RingTable) -> tuple[bool, Optional[str]]:
     return True, None
 
 
-def check_S_rigidity(ring: RingTable, s: Iterable[int]) -> tuple[bool, Optional[str]]:
+def _rigidity_outcome(s: Optional[tuple[int, ...]]) -> tuple[bool, Optional[str]]:
+    if s is None:
+        return True, None
+    return False, f"S={list(s)} suffices but is a proper subset of the idempotents"
+
+
+def check_S_rigidity(ring: RingTable, s: Iterable[int] | Subset) -> tuple[bool, Optional[str]]:
     """If the ring is S-weak* nil clean then S is all of Idem(R)."""
-    cache = structure(ring)
-    s_tuple = tuple(sorted(int(x) for x in s))
-    verdict = ring_verdict(ring, DecompKind.S_WEAK_STAR_NIL_CLEAN, s_tuple)
-    if verdict.holds and set(s_tuple) != set(cache.idempotents):
-        return False, f"S={list(s_tuple)} suffices but is a proper subset of the idempotents"
-    return True, None
+    verdict = ring_verdict(ring, DecompKind.S_WEAK_STAR_NIL_CLEAN, s)
+    proper = verdict.holds and len(verdict.s) < len(structure(ring).idempotents)
+    return _rigidity_outcome(verdict.s if proper else None)
 
 
 def check_weakstar_exchange(ring: RingTable) -> tuple[bool, Optional[str]]:
     """Weak* nil clean rings are exchange (both side conventions)."""
-    for side in ("right", "left"):
-        report = is_exchange(ring, side)
-        if not report.holds:
-            return False, f"{side} exchange fails at element {report.failure}"
-    return True, None
+    reports = (is_exchange(ring, side) for side in ("right", "left"))
+    return _first_failure((rep.holds, f"{rep.side} exchange fails at element {rep.failure}")
+                          for rep in reports)
 
 
 def check_strongly_nilclean_equiv(ring: RingTable) -> tuple[bool, Optional[str]]:
@@ -262,19 +264,19 @@ def check_strongly_nilclean_equiv(ring: RingTable) -> tuple[bool, Optional[str]]
 def check_weak_jclean_suite(ring: RingTable) -> tuple[bool, Optional[str]]:
     """Bundle of radical-decomposition facts (see the registry entry)."""
     cache = structure(ring)
-    wsj_certs = ring_verdict(ring, DecompKind.WEAK_STAR_J_CLEAN).certs
     found = _annihilator_failure(ring, DecompKind.WEAK_STAR_J_CLEAN, 2, DecompKind.STRONGLY_CLEAN)
     if found is not None:
         x, e, law = found
         if law < 0:
             return False, f"(a) x={x} is weak* J-clean but not strongly clean"
         return False, f"(b) x={x}, e={e}: {_ANNIHILATOR_LAWS[law]}"
+    in_ring = _decomposable(ring, DecompKind.WEAK_STAR_J_CLEAN)
     for f in cache.idempotents:
         corner_ring, embed = corner(ring, f)
-        corner_certs = ring_verdict(corner_ring, DecompKind.WEAK_STAR_J_CLEAN).certs
-        for ci, x in enumerate(embed):
-            if (x in wsj_certs) != (ci in corner_certs):
-                return False, f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
+        differ = in_ring[list(embed)] != _decomposable(corner_ring, DecompKind.WEAK_STAR_J_CLEAN)
+        if differ.any():
+            x = embed[differ.argmax()]
+            return False, f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
     radical = subset(ring, cache.radical)
     quot, _ = quotient(ring, radical)
     boolean = len(structure(quot).idempotents) == quot.order
@@ -282,7 +284,7 @@ def check_weak_jclean_suite(ring: RingTable) -> tuple[bool, Optional[str]]:
         verdict = ring_verdict(ring, DecompKind.WEAK_J_CLEAN)
         if not verdict.holds:
             return False, f"(d) boolean quotient with weak lifting, element {verdict.witness} fails"
-    if boolean and len(wsj_certs) == ring.order:
+    if boolean and _holds(ring, DecompKind.WEAK_STAR_J_CLEAN):
         verdict = ring_verdict(ring, DecompKind.J_CLEAN)
         if not verdict.holds:
             return False, f"(e) weak* J-clean with boolean quotient, element {verdict.witness} fails"
@@ -396,11 +398,8 @@ def _applicable_weak(entry: CorpusEntry) -> bool:
 
 def _run_quotient_image(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
     ring = entry.ring
-    for members in all_ideals(ring):
-        ok, witness = check_quotient_preservation(ring, subset(ring, members))
-        if not ok:
-            return False, witness
-    return True, None
+    return _first_failure(check_quotient_preservation(ring, subset(ring, members))
+                          for members in all_ideals(ring))
 
 
 # Sub-rings are built under the bound that their whole expression passed: every
@@ -422,34 +421,12 @@ def _run_zn(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
 
 
 def _run_corner(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
-    for f in structure(entry.ring).idempotents:
-        ok, witness = check_corner_theorem(entry.ring, f)
-        if not ok:
-            return False, witness
-    return True, None
-
-
-def _rigidity_subsets(idempotents: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    """Each Idem(R) minus one element, then Idem(R) itself.
-
-    S-weak* nil cleanness is monotone in S, so if some proper subset suffices,
-    one of these m maximal proper subsets does too; checking them covers all
-    2**m - 1 non-empty subsets.
-    """
-    for drop in idempotents:
-        rest = tuple(e for e in idempotents if e != drop)
-        if rest:
-            yield rest
-    yield idempotents
+    return _first_failure(check_corner_theorem(entry.ring, f)
+                          for f in structure(entry.ring).idempotents)
 
 
 def _run_rigidity(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
-    idems = structure(entry.ring).idempotents
-    for s in _rigidity_subsets(idems):
-        ok, witness = check_S_rigidity(entry.ring, s)
-        if not ok:
-            return False, witness
-    return True, None
+    return _rigidity_outcome(_rigidity_failure(entry.ring))
 
 
 def _run_unique_maximal(entry: CorpusEntry) -> tuple[bool, Optional[str]]:

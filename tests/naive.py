@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from wnc import construct
 from wnc.table import AxiomReport, ring_table
 
 
@@ -550,6 +551,100 @@ def annihilator_failure(ring, kind_name, laws, also=None):
                 if not holds[law]:
                     return x, e, law
     return None
+
+
+# --- theorem checks, one subset or corner at a time ---------------------------
+
+# The checks take an optional pools_of(ring), giving the pools argument of all_decomps.
+
+
+def rigidity_subsets(idems):
+    """Each Idem(R) minus one element, then Idem(R) itself.
+
+    S-weak* nil cleanness is monotone in S, so if some proper subset suffices,
+    one of these m maximal proper subsets does too; checking them covers all
+    2**m - 1 non-empty subsets.
+    """
+    for drop in idems:
+        rest = tuple(e for e in idems if e != drop)
+        if rest:
+            yield rest
+    yield idems
+
+
+def s_rigidity(ring, pools_of=None):
+    """(ok, witness) of the S-rigidity check, one S-verdict per subset of rigidity_subsets."""
+    idems = tuple(idempotents(ring))
+    pools = pools_of(ring) if pools_of else {"nil": set(nilpotents(ring))}
+    for s in rigidity_subsets(idems):
+        holds = verdict(all_decomps(ring, "s-weak-star-nil-clean", s, pools))[0]
+        if holds and len(s) < len(idems):
+            return False, f"S={list(s)} suffices but is a proper subset of the idempotents"
+    return True, None
+
+
+def corner_theorem(ring, f, pools_of=None):
+    """(ok, witness) of the weak* nil corner check at f, with certificates from all_decomps.
+
+    The corner ring is the library's, which on tables that are not rings need not
+    be closed; corner() above would fail on those.
+    """
+    sub, embed = construct.corner(ring, f)
+    to_sub = {x: i for i, x in enumerate(embed)}
+    pools = pools_of or (lambda r: {"nil": set(nilpotents(r))})
+    sub_pools = pools(sub)
+    parent = verdict(all_decomps(ring, "weak-star-nil-clean", pools=pools(ring)))[2]
+    inner = verdict(all_decomps(sub, "weak-star-nil-clean", pools=sub_pools))[2]
+    nil = sub_pools["nil"]
+    mul, sadd, smul = ring.mul.tolist(), sub.add.tolist(), sub.mul.tolist()
+    for ci, x in enumerate(embed):
+        if (x in parent) != (ci in inner):
+            return False, (f"f={f}, x={x}: decomposable in R is {x in parent}, "
+                           f"in fRf is {ci in inner}")
+        if x not in parent:
+            continue
+        e, c, sign, _ = parent[x]
+        fnf, fef = mul[f][mul[c][f]], mul[f][mul[e][f]]
+        if fnf not in to_sub or fef not in to_sub:
+            return False, f"f={f}, x={x}: conjugated parts leave the corner"
+        cn, ce = to_sub[fnf], to_sub[fef]
+        if cn not in nil:
+            return False, f"f={f}, x={x}: fnf={fnf} is not nilpotent in the corner"
+        if smul[ce][ce] != ce:
+            return False, f"f={f}, x={x}: fef={fef} is not idempotent in the corner"
+        if smul[cn][ce] != smul[ce][cn]:
+            return False, f"f={f}, x={x}: conjugated parts do not commute"
+        if sadd[cn][ce if sign == "+" else int(sub.neg[ce])] != ci:
+            return False, f"f={f}, x={x}: conjugated certificate does not recompose"
+    return True, None
+
+
+def weak_jclean_corners(ring, pools_of=None):
+    """Witness of part (c) of the weak J-clean bundle, or None: the first f, then x."""
+    pools = pools_of or (lambda r: None)
+    found = verdict(all_decomps(ring, "weak-star-j-clean", pools=pools(ring)))[2]
+    for f in idempotents(ring):
+        sub, embed = construct.corner(ring, f)
+        inner = verdict(all_decomps(sub, "weak-star-j-clean", pools=pools(sub)))[2]
+        for ci, x in enumerate(embed):
+            if (x in found) != (ci in inner):
+                return f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
+    return None
+
+
+def corruptions(ring, names=("add", "mul")):
+    """Every table with one entry of the named operation tables changed."""
+    n = ring.order
+    for name in names:
+        for a in range(n):
+            for b in range(n):
+                for value in range(n):
+                    add, mul = np.array(ring.add), np.array(ring.mul)
+                    table = add if name == "add" else mul
+                    if table[a, b] != value:
+                        table[a, b] = value
+                        yield ring_table(n, add, mul, ring.neg, ring.zero, ring.one,
+                                         f"{ring.label}-{name}[{a},{b}]={value}")
 
 
 # --- ring isomorphism ---------------------------------------------------------

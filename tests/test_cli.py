@@ -330,6 +330,7 @@ def test_certificates_are_built_only_when_read(capsys, certs_made):
     for fmt in ("json", "table"):
         assert run_cli(capsys, "classify", "--ring", "M2(Z(2))", "--kinds", ALL_KINDS,
                        "--format", fmt)[0] == 0
+    assert run_cli(capsys, "verify", "--corpus", "default", "--checks", "all")[0] == 0
     assert certs_made == []
     ring = build_text("M2(Z(2))")
     cert = find_decomp(ring, 7, DecompKind.WEAK_NIL_CLEAN)

@@ -380,21 +380,6 @@ def test_exchange_and_pi_regularity_match_loop_oracle(oracle_rings):
         assert is_strongly_pi_regular(ring) == naive.is_strongly_pi_regular(ring), ring.label
 
 
-def _corruptions(ring, names=("add", "mul")):
-    """Every table with one entry of the named operation tables changed."""
-    n = ring.order
-    for name in names:
-        for a in range(n):
-            for b in range(n):
-                for value in range(n):
-                    add, mul = np.array(ring.add), np.array(ring.mul)
-                    table = add if name == "add" else mul
-                    if table[a, b] != value:
-                        table[a, b] = value
-                        yield ring_table(n, add, mul, ring.neg, ring.zero, ring.one,
-                                         f"{ring.label}-{name}[{a},{b}]={value}")
-
-
 # (kind, laws, also): clean elements break containment, and clean with also = nil
 # clean reaches law -1, so the order of laws and rows is pinned by real failures
 ANNIHILATOR_CASES = (
@@ -418,8 +403,8 @@ def test_exchange_pi_regularity_and_annihilators_on_non_rings(rings):
     # no ring reaches the exchange failure path, and in a ring ann_l(e) = R(1-e),
     # so laws 2 and 3 can only fail first on tables that are not rings
     outcomes, laws_seen = set(), set()
-    z4 = list(_corruptions(rings["Z(4)"]))
-    for bad in z4 + list(_corruptions(rings["T2(Z(2))"], ("mul",))):
+    z4 = list(naive.corruptions(rings["Z(4)"]))
+    for bad in z4 + list(naive.corruptions(rings["T2(Z(2))"], ("mul",))):
         for side in ("right", "left"):
             report = is_exchange(bad, side)
             assert (report.holds, report.witnesses, report.failure) == naive.is_exchange(

@@ -1,6 +1,7 @@
 """Individual theorem checks, the suite runner and the default corpus."""
 
 import gc
+import re
 import weakref
 from pathlib import Path
 
@@ -12,10 +13,9 @@ import wnc.theorems as theorems
 from wnc.construct import build_text
 from wnc.decomp import DecompKind, ring_verdict, zero_one_subset
 from wnc.structure import ideal_generated_by, structure, subset
-from wnc.table import ring_table
+from wnc.table import _memo, ring_table
 from wnc.theorems import (
     CorpusEntry,
-    _rigidity_subsets,
     check_J_subset_Nil,
     check_S_rigidity,
     check_S_unique_maximal,
@@ -143,13 +143,74 @@ def test_s_rigidity(rings):
     z2 = rings["Z(2)"]
     assert check_S_rigidity(z2, (0, 1)) == (True, None)
     assert ring_verdict(z2, DecompKind.S_WEAK_STAR_NIL_CLEAN, (0, 1)).holds
+    # a Subset is accepted wherever ring_verdict accepts one
+    assert check_S_rigidity(z6, zero_one_subset(z6)) == (True, None)
+    assert check_S_rigidity(z2, zero_one_subset(z2)) == (True, None)
 
 
 def test_rigidity_checks_maximal_proper_subsets():
-    assert list(_rigidity_subsets((0, 1, 3, 4))) == [
+    assert list(naive.rigidity_subsets((0, 1, 3, 4))) == [
         (1, 3, 4), (0, 3, 4), (0, 1, 4), (0, 1, 3), (0, 1, 3, 4),
     ]
-    assert list(_rigidity_subsets((0,))) == [(0,)]
+    assert list(naive.rigidity_subsets((0,))) == [(0,)]
+
+
+def _outcome(check, *args):
+    """What check(*args) returns, or the class of the error it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _library_pools(ring):
+    cache = structure(ring)
+    return {"nil": cache.nilpotents, "unit": cache.units, "radical": cache.radical}
+
+
+def _check_against_oracles(ring, messages, pools_of=None):
+    """Rigidity and corner checks give the oracles' outcomes; record failure messages."""
+    rigidity = _outcome(theorems._run_rigidity, CorpusEntry(ring.label, ring.label, None, ring))
+    assert rigidity == _outcome(naive.s_rigidity, ring, pools_of), ring.label
+    messages.add(("rigidity", rigidity))
+    for f in naive.idempotents(ring):
+        corner = _outcome(check_corner_theorem, ring, f)
+        assert corner == _outcome(naive.corner_theorem, ring, f, pools_of), (ring.label, f)
+        messages.add(("corner", corner))
+    bundle = _outcome(check_weak_jclean_suite, ring)
+    if naive.annihilator_failure(ring, "weak-star-j-clean", 2, "strongly-clean") is not None:
+        assert bundle[1].startswith(("(a)", "(b)")), ring.label
+        return
+    part_c = _outcome(naive.weak_jclean_corners, ring, pools_of)
+    if part_c is None:  # the bundle goes on to parts (d) and (e)
+        assert not isinstance(bundle, tuple) or not (bundle[1] or "").startswith("(c)")
+    else:
+        assert bundle == (part_c if isinstance(part_c, type) else (False, part_c)), ring.label
+        messages.add(("corner", bundle))
+
+
+def test_rigidity_and_corner_checks_match_loop_oracles(corpus_entries):
+    messages = set()
+    for entry in corpus_entries:
+        _check_against_oracles(entry.ring, messages)
+    fresh = [(build_text(text), None)
+             for text in ("Z(1)", "M2(Z(4))", "T2(Z(4))", "eqdiag3(Z(4))")]
+    # on tables that are not rings, structure() decides nilpotency by its ring-only
+    # bound on the index, so there the oracles take the companion pools from it
+    for base in ("Z(4)", "Z(6)", "T2(Z(2))"):
+        fresh += [(bad, _library_pools) for bad in naive.corruptions(build_text(base), ("mul",))]
+    for ring, pools_of in fresh:
+        _check_against_oracles(ring, messages, pools_of)
+        # the rigidity check reads the weak* nil table and decides no S-table
+        assert all(DecompKind.S_WEAK_STAR_NIL_CLEAN not in key for key in _memo[ring])
+    failures = {(check, out[1]) for check, out in messages
+                if isinstance(out, tuple) and not out[0]}
+    assert any(check == "rigidity" for check, _ in failures)
+    # witnesses print Python ints and bools, never numpy scalars
+    assert not any("np." in witness for _, witness in failures)
+    shapes = {re.sub(r"\d+|True|False", "#", witness.split(": ", 1)[-1])
+              for check, witness in failures if check == "corner"}
+    assert len(shapes) >= 3, shapes
 
 
 def test_weakstar_exchange(rings):
