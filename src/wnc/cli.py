@@ -339,6 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        size_budget()  # a bad WNC_SIZE_BUDGET stops every subcommand before any output
         return args.func(args)
     except RingError as exc:
         sys.stderr.write(f"error: {exc}\n")

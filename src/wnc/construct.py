@@ -55,7 +55,15 @@ def size_budget(override: Optional[int] = None) -> int:
     if override is not None:
         return override
     raw = os.environ.get(SIZE_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_SIZE_BUDGET
+    if not raw:
+        return DEFAULT_SIZE_BUDGET
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{SIZE_BUDGET_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -367,11 +375,16 @@ Terms = Sequence[Sequence[tuple[int, int, np.ndarray]]]
 def build_zn(n: int) -> RingTable:
     if n < 1:
         raise TableFormatError(f"ring order must be positive, got {n}")
-    idx = np.arange(n)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    idx = np.arange(n, dtype=np.int32)
+    add = np.add.outer(idx, idx)
+    np.subtract(add, n, out=add, where=add >= n)
+    # (n-1)**2 overflows int32 above n = 46 341; the floor-mod of a wrapped
+    # product would still land in [0, n) and pass the range check.
+    wide = idx.astype(np.int64) if (n - 1) ** 2 > np.iinfo(np.int32).max else idx
+    mul = np.multiply.outer(wide, wide)
+    mul -= mul // n * n
     neg = (-idx) % n
-    names = tuple(str(i) for i in range(n))
+    names = tuple(map(str, range(n)))
     return ring_table(n, add, mul, neg, 0, 1 % n, f"Z({n})", names)
 
 

@@ -21,6 +21,10 @@ class StructureCache:
     """Memoized structural sets of one ring.
 
     nilpotency maps x to the smallest k >= 1 with x**k = 0; its key set is Nil(R).
+    It is exact on ring tables only: the powers stop at x**K with
+    K = n.bit_length(), a bound proved for rings.  On a table that is not a
+    ring it can miss nilpotents; Z(6) with mul[4,2] = 3 gives Nil = {0},
+    where the literal definition gives {0, 2}.
     """
 
     units: frozenset[ElementId]
@@ -58,23 +62,28 @@ def _nilpotency_indices(ring: RingTable) -> dict[int, int]:
 
 @_memoised
 def structure(ring: RingTable) -> StructureCache:
-    """Compute (and memoize) units with inverses, Idem(R), Nil(R) and J(R)."""
-    n = ring.order
-    idx = np.arange(n)
+    """Compute (and memoize) units with inverses, Idem(R), Nil(R) and J(R).
+
+    Units, idempotents and the radical follow their definitions on any table;
+    the nilpotency indices are exact on ring tables only (see StructureCache).
+    """
     mul = ring.mul
 
-    idempotents = tuple(int(x) for x in np.flatnonzero(mul[idx, idx] == idx))
+    idempotents = tuple(np.flatnonzero(mul.diagonal() == np.arange(ring.order)).tolist())
 
-    two_sided = (mul == ring.one) & (mul == ring.one).T
+    is_one = mul == ring.one
+    two_sided = is_one & is_one.T
     unit_mask = two_sided.any(axis=1)
-    inverse = {int(a): int(two_sided[a].argmax()) for a in np.flatnonzero(unit_mask)}
+    unit_ids = np.flatnonzero(unit_mask)
+    inverse = dict(zip(unit_ids.tolist(), two_sided[unit_ids].argmax(axis=1).tolist()))
     units = frozenset(inverse)
 
     nilpotency = _nilpotency_indices(ring)
 
-    one_minus = ring.add[ring.one][ring.neg[mul]]
-    radical_mask = unit_mask[one_minus].all(axis=0)
-    radical = frozenset(int(x) for x in np.flatnonzero(radical_mask))
+    # x is in J when 1 - r*x is a unit for every r: the 1-D lookup
+    # y -> [1 - y is a unit], gathered once at mul.
+    one_minus_is_unit = unit_mask[ring.add[ring.one][ring.neg]]
+    radical = frozenset(np.flatnonzero(one_minus_is_unit[mul].all(axis=0)).tolist())
 
     return StructureCache(units, inverse, idempotents, nilpotency, radical)
 

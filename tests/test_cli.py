@@ -148,6 +148,18 @@ def test_sweep_checks_the_budget_before_building(capsys, monkeypatch):
     assert err == "error: Z(30000) needs 30000 elements, over the budget of 20000\n"
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e3", "0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--zn", "2..5", "--kinds", "clean"),
+    ("verify", "--corpus", "default"),
+])
+def test_bad_size_budget_names_the_variable(capsys, monkeypatch, raw, argv):
+    monkeypatch.setenv("WNC_SIZE_BUDGET", raw)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: WNC_SIZE_BUDGET must be a positive integer, got '{raw}'\n"
+
+
 def test_verify_with_corpus_file(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("# small corpus\nZ(6)\nZ(9)\nZ(30000) !waive\n", encoding="utf-8")

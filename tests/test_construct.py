@@ -128,6 +128,18 @@ def test_build_zn_golden():
     assert sorted(cache.nilpotency) == [0]
 
 
+def test_build_zn_matches_closed_forms():
+    for n in [*range(1, 65), 255, 256, 257, 1000]:
+        ring = build_zn(n)
+        i, j = np.ogrid[:n, :n]
+        assert np.array_equal(ring.add, (i + j) % n), n
+        assert np.array_equal(ring.mul, (i * j) % n), n
+        assert np.array_equal(ring.neg, -np.arange(n) % n), n
+        assert ring.zero == 0 and ring.one == 1 % n
+        for table in (ring.add, ring.mul, ring.neg):
+            assert table.dtype == np.int32 and not table.flags.writeable, n
+
+
 def test_product_matches_crt_relabeling():
     prod = build_text("prod(Z(4),Z(9))")
     z36 = build_text("Z(36)")
