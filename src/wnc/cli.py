@@ -15,13 +15,11 @@ import json
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .construct import Zn, _check_budget, build_text, size_budget
 from .decomp import (
     DecompKind,
-    _json_head,
+    _verdicts_json,
     find_decomp,
     kind_takes_subset,
     ring_verdict,
@@ -84,34 +82,24 @@ def _parse_kinds(spec: str) -> list[DecompKind]:
     return kinds
 
 
-def _verdict(ring, kind: DecompKind):
+def _default_s(ring, kind: DecompKind):
     # The S variants have no set syntax on the CLI; they use the distinguished
     # subset {0, 1}.
-    s = zero_one_subset(ring) if kind_takes_subset(kind) else None
-    return ring_verdict(ring, kind, s)
-
-
-# One certificate of the classify JSON, at the depth json.dumps(..., indent=2) puts it.
-_CERT_JSON = ('      {\n        "x": %d,\n        "e": %d,\n        "companion": %d,\n'
-              '        "sign": "%s",\n        "commutes": %s\n      }')
-
-
-def _classify_json(ring, verdicts) -> str:
-    """json.dumps([verdict_to_json(ring, v) for v in verdicts], indent=2) + "\n",
-    written from the certificate columns without building certificate objects."""
-    items = []
-    for v in verdicts:
-        head = json.dumps(_json_head(ring, v), indent=2)[:-2].replace("\n", "\n  ")
-        certs = ",\n".join(_CERT_JSON % cert for cert in zip(
-            v.targets.tolist(), v.idempotents.tolist(), v.companions.tolist(),
-            v.signs.tolist(), np.where(v.commutes, "true", "false").tolist()))
-        certs = f"[\n{certs}\n    ]" if certs else "[]"
-        items.append(f'  {head},\n    "certs": {certs}\n  }}')
-    return "[\n" + ",\n".join(items) + "\n]\n"
+    return zero_one_subset(ring) if kind_takes_subset(kind) else None
 
 
 def _banner(args) -> str:
     return "" if args.plain else f"# wnc {__version__}\n"
+
+
+def _write(args, headers: Sequence[str], rows: Sequence[Sequence[str]], json_text) -> None:
+    """Emit the report in args.format; json_text() builds the JSON only when it is asked for."""
+    if args.format == "json":
+        _emit(json_text(), args.output)
+    elif args.format == "csv":
+        _emit(_render_csv(headers, rows), args.output)
+    else:
+        _emit(_banner(args) + _render_table(headers, rows), args.output)
 
 
 def cmd_classify(args) -> int:
@@ -126,20 +114,11 @@ def cmd_classify(args) -> int:
         if name not in {kind.value for kind in kinds}:
             raise ValueError(f"--expect names unclassified kind {name!r}")
         expect.append((name, want))
-    verdicts = [(kind, _verdict(ring, kind)) for kind in kinds]
-    if args.format == "json":
-        _emit(_classify_json(ring, [v for _, v in verdicts]), args.output)
-    else:
-        headers = ["kind", "holds", "witness"]
-        rows = [
-            [kind.value, _bool_text(v.holds), "" if v.witness is None else str(v.witness)]
-            for kind, v in verdicts
-        ]
-        if args.format == "csv":
-            _emit(_render_csv(headers, rows), args.output)
-        else:
-            _emit(_banner(args) + _render_table(headers, rows), args.output)
-    got = {kind.value: v.holds for kind, v in verdicts}
+    verdicts = [ring_verdict(ring, kind, _default_s(ring, kind)) for kind in kinds]
+    rows = [[v.kind.value, _bool_text(v.holds), "" if v.witness is None else str(v.witness)]
+            for v in verdicts]
+    _write(args, ["kind", "holds", "witness"], rows, lambda: _verdicts_json(ring, verdicts))
+    got = {v.kind.value: v.holds for v in verdicts}
     failures = [f"{name}: expected {want}, got {_bool_text(got[name])}"
                 for name, want in expect if got[name] != (want == "true")]
     for failure in failures:
@@ -150,41 +129,18 @@ def cmd_classify(args) -> int:
 def cmd_element(args) -> int:
     ring = build_text(args.ring)
     ring.check_element(args.element)
-    kinds = _parse_kinds(args.kinds)
-    results = []
-    for kind in kinds:
-        s = zero_one_subset(ring) if kind_takes_subset(kind) else None
-        results.append((kind, find_decomp(ring, args.element, kind, s)))
-    if args.format == "json":
-        payload = []
-        for kind, cert in results:
-            item = {"ring": ring.label, "kind": kind.value, "x": args.element}
-            if cert is None:
-                item["cert"] = None
-            else:
-                item["cert"] = {
-                    "e": cert.idempotent,
-                    "companion": cert.companion,
-                    "sign": cert.sign,
-                    "commutes": cert.commutes,
-                }
-            payload.append(item)
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
+    results = [(kind, find_decomp(ring, args.element, kind, _default_s(ring, kind)))
+               for kind in _parse_kinds(args.kinds)]
     headers = ["kind", "found", "idempotent", "companion", "sign", "commutes"]
-    rows = []
-    for kind, cert in results:
-        if cert is None:
-            rows.append([kind.value, "false", "", "", "", ""])
-        else:
-            rows.append(
-                [kind.value, "true", str(cert.idempotent), str(cert.companion),
-                 cert.sign, _bool_text(cert.commutes)]
-            )
-    if args.format == "csv":
-        _emit(_render_csv(headers, rows), args.output)
-    else:
-        _emit(_banner(args) + _render_table(headers, rows), args.output)
+    rows = [[kind.value, "false", "", "", "", ""] if cert is None else
+            [kind.value, "true", str(cert.idempotent), str(cert.companion), cert.sign,
+             _bool_text(cert.commutes)]
+            for kind, cert in results]
+    _write(args, headers, rows, lambda: json.dumps([
+        {"ring": ring.label, "kind": kind.value, "x": args.element,
+         "cert": None if cert is None else {"e": cert.idempotent, "companion": cert.companion,
+                                            "sign": cert.sign, "commutes": cert.commutes}}
+        for kind, cert in results], indent=2) + "\n")
     return 0
 
 
@@ -202,22 +158,15 @@ def cmd_sweep(args) -> int:
     start, end = _parse_range(args.zn)
     kinds = _parse_kinds(args.kinds)
     _check_budget(Zn(end), size_budget())
-    headers = ["n"] + [kind.value for kind in kinds]
-    rows = []
+    names = [kind.value for kind in kinds]
+    holds = []
     for n in range(start, end + 1):
         ring = build_text(f"Z({n})")
-        rows.append([str(n)] + [_bool_text(_verdict(ring, kind).holds) for kind in kinds])
-    if args.format == "json":
-        payload = [
-            {"n": int(row[0]), **{kind.value: cell == "true"
-                                  for kind, cell in zip(kinds, row[1:])}}
-            for row in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        _emit(_render_csv(headers, rows), args.output)
-    else:
-        _emit(_banner(args) + _render_table(headers, rows), args.output)
+        holds.append([ring_verdict(ring, kind, _default_s(ring, kind)).holds for kind in kinds])
+    rows = [[str(n)] + [_bool_text(h) for h in row] for n, row in enumerate(holds, start)]
+    _write(args, ["n"] + names, rows, lambda: json.dumps(
+        [{"n": n, **dict(zip(names, row))} for n, row in enumerate(holds, start)],
+        indent=2) + "\n")
     return 0
 
 
@@ -229,18 +178,9 @@ def cmd_verify(args) -> int:
             corpus = parse_corpus(fh.read())
     selected = None if args.checks == "all" else [c.strip() for c in args.checks.split(",")]
     cells = run_suite(corpus, selected)
-    if args.format == "json":
-        _emit(report_to_json(cells), args.output)
-    else:
-        headers = ["ring", "check_id", "outcome", "witness"]
-        rows = [
-            [cell["ring"], cell["check_id"], cell["outcome"], cell.get("witness", "")]
-            for cell in cells
-        ]
-        if args.format == "csv":
-            _emit(_render_csv(headers, rows), args.output)
-        else:
-            _emit(_banner(args) + _render_table(headers, rows), args.output)
+    rows = [[cell["ring"], cell["check_id"], cell["outcome"], cell.get("witness", "")]
+            for cell in cells]
+    _write(args, ["ring", "check_id", "outcome", "witness"], rows, lambda: report_to_json(cells))
     return 1 if suite_failed(cells) else 0
 
 

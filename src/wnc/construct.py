@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import string
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -229,14 +230,14 @@ class _Tokens:
         if start >= len(self.text):
             return ("end", "", start)
         ch = self.text[start]
-        if ch.isalpha():
+        if ch in string.ascii_letters:
             end = start
-            while end < len(self.text) and self.text[end].isalpha():
+            while end < len(self.text) and self.text[end] in string.ascii_letters:
                 end += 1
             return ("name", self.text[start:end].lower(), start)
-        if ch.isdigit():
+        if ch in string.digits:  # ASCII only: str.isdigit also takes '²' and '𝟓'
             end = start
-            while end < len(self.text) and self.text[end].isdigit():
+            while end < len(self.text) and self.text[end] in string.digits:
                 end += 1
             return ("int", self.text[start:end], start)
         if ch in "()[],":

@@ -10,6 +10,7 @@ so returned certificates are deterministic.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -207,30 +208,32 @@ def ring_verdict(ring: RingTable, kind: DecompKind,
     return _candidates(ring, kind, _resolve_s(ring, kind, s)).verdict
 
 
-def _json_head(ring: RingTable, verdict: RingVerdict) -> dict:
-    """The fields of verdict_to_json before "certs", in order."""
-    out: dict = {"ring": ring.label, "kind": verdict.kind.value}
-    if verdict.s is not None:
-        out["s"] = list(verdict.s)
-    out["holds"] = verdict.holds
-    out["witness"] = verdict.witness
-    return out
+# One certificate of the verdict JSON, at the depth json.dumps([...], indent=2) puts it.
+_CERT_JSON = ('      {\n        "x": %d,\n        "e": %d,\n        "companion": %d,\n'
+              '        "sign": "%s",\n        "commutes": %s\n      }')
+
+
+def _verdicts_json(ring: RingTable, verdicts: Iterable[RingVerdict]) -> str:
+    """json.dumps([verdict_to_json(ring, v) for v in verdicts], indent=2) + "\n",
+    written from the certificate columns without building certificate objects."""
+    items = []
+    for v in verdicts:
+        head: dict = {"ring": ring.label, "kind": v.kind.value}
+        if v.s is not None:
+            head["s"] = list(v.s)
+        head.update(holds=v.holds, witness=v.witness)
+        head_text = json.dumps(head, indent=2)[:-2].replace("\n", "\n  ")
+        certs = ",\n".join(_CERT_JSON % cert for cert in zip(
+            v.targets.tolist(), v.idempotents.tolist(), v.companions.tolist(),
+            v.signs.tolist(), np.where(v.commutes, "true", "false").tolist()))
+        certs = f"[\n{certs}\n    ]" if certs else "[]"
+        items.append(f'  {head_text},\n    "certs": {certs}\n  }}')
+    return "[\n" + ",\n".join(items) + "\n]\n"
 
 
 def verdict_to_json(ring: RingTable, verdict: RingVerdict) -> dict:
-    """Documented JSON shape with fixed field order."""
-    out = _json_head(ring, verdict)
-    out["certs"] = [
-        {
-            "x": x,
-            "e": cert.idempotent,
-            "companion": cert.companion,
-            "sign": cert.sign,
-            "commutes": cert.commutes,
-        }
-        for x, cert in sorted(verdict.certs.items())
-    ]
-    return out
+    """Documented JSON shape with fixed field order, parsed from the one JSON writer."""
+    return json.loads(_verdicts_json(ring, [verdict]))[0]
 
 
 @dataclass(frozen=True)

@@ -193,8 +193,6 @@ def check_corner_theorem(ring: RingTable, f: int) -> tuple[bool, Optional[str]]:
         r = int(parent.targets.searchsorted(x))
         fnf = int(ring.mul[f, ring.mul[parent.companions[r], f]])
         fef = int(ring.mul[f, ring.mul[parent.idempotents[r], f]])
-        if fnf not in to_corner or fef not in to_corner:
-            return False, f"f={f}, x={x}: conjugated parts leave the corner"
         cn, ce = to_corner[fnf], to_corner[fef]
         if cn not in corner_cache.nilpotency:
             return False, f"f={f}, x={x}: fnf={fnf} is not nilpotent in the corner"

@@ -7,10 +7,11 @@ import pytest
 
 import wnc.cli
 from wnc import decomp
-from wnc.cli import _classify_json, main
+from wnc.cli import main
 from wnc.construct import build_text
 from wnc.decomp import (
     DecompKind,
+    _verdicts_json,
     find_decomp,
     kind_takes_subset,
     ring_verdict,
@@ -196,6 +197,19 @@ def test_verify_reports_failure_exit(capsys, tmp_path):
     assert cells[0]["outcome"] == "error"
 
 
+def test_verify_reports_non_ascii_digits_as_one_error_cell(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("Z(4)\nZ(²)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus), "--format", "json")
+    assert code == 1 and err == ""
+    cells = json.loads(out)
+    assert {c["ring"] for c in cells} == {"Z(4)", "Z(²)"}
+    assert all(c["outcome"] in ("pass", "not-applicable") for c in cells if c["ring"] == "Z(4)")
+    bad = [c for c in cells if c["ring"] == "Z(²)"]
+    assert [(c["check_id"], c["outcome"]) for c in bad] == [("build", "error")]
+    assert "unexpected character '²' (at position 2)" in bad[0]["witness"]
+
+
 def test_verify_check_selection(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("Z(4)\n", encoding="utf-8")
@@ -299,6 +313,21 @@ def _verdicts(ring):
             for kind in DecompKind]
 
 
+def _reference_json(ring, verdict):
+    """The verdict JSON built field by field from the certificate objects."""
+    out = {"ring": ring.label, "kind": verdict.kind.value}
+    if verdict.s is not None:
+        out["s"] = list(verdict.s)
+    out["holds"] = verdict.holds
+    out["witness"] = verdict.witness
+    out["certs"] = [
+        {"x": x, "e": cert.idempotent, "companion": cert.companion, "sign": cert.sign,
+         "commutes": cert.commutes}
+        for x, cert in sorted(verdict.certs.items())
+    ]
+    return out
+
+
 @pytest.mark.parametrize("label", [
     "Z(1)", "Z(6)", "M2(Z(2))", "T2(Z(3))", "idealize(T2(Z(2)),self)",
     "skew(prod(Z(2),Z(2)),swap(1,2),4)",
@@ -308,7 +337,11 @@ def test_classify_json_matches_verdict_to_json(capsys, label):
                            "--format", "json")
     ring = build_text(label)
     assert code == 0
-    assert out == json.dumps([verdict_to_json(ring, v) for v in _verdicts(ring)], indent=2) + "\n"
+    verdicts = _verdicts(ring)
+    # strings, not parsed values, so that true versus 1 would show
+    reference = json.dumps([_reference_json(ring, v) for v in verdicts], indent=2)
+    assert out == reference + "\n"
+    assert json.dumps([verdict_to_json(ring, v) for v in verdicts], indent=2) == reference
 
 
 def test_classify_json_writes_empty_certificates():
@@ -319,8 +352,8 @@ def test_classify_json_writes_empty_certificates():
                                  commutes=v.commutes[:0]) for v in verdicts[6:8]]
     mixed = [verdicts[0], *empty, verdicts[-1]]
     assert all(not v.certs for v in empty) and empty[1].s == (0, 1)
-    assert _classify_json(ring, mixed) == json.dumps(
-        [verdict_to_json(ring, v) for v in mixed], indent=2) + "\n"
+    assert _verdicts_json(ring, mixed) == json.dumps(
+        [_reference_json(ring, v) for v in mixed], indent=2) + "\n"
 
 
 @pytest.fixture
@@ -345,6 +378,8 @@ def test_certificates_are_built_only_when_read(capsys, certs_made):
     assert run_cli(capsys, "verify", "--corpus", "default", "--checks", "all")[0] == 0
     assert certs_made == []
     ring = build_text("M2(Z(2))")
+    assert verdict_to_json(ring, ring_verdict(ring, DecompKind.WEAK_NIL_CLEAN))["certs"]
+    assert certs_made == []
     cert = find_decomp(ring, 7, DecompKind.WEAK_NIL_CLEAN)
     assert certs_made == [(DecompKind.WEAK_NIL_CLEAN, 7, cert.idempotent, cert.companion,
                            cert.sign, cert.commutes)]

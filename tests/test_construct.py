@@ -77,7 +77,8 @@ def test_parse_is_case_and_whitespace_insensitive():
 @pytest.mark.parametrize(
     "text",
     ["", "Z", "Z(", "Z(6", "Z(6))", "prod()", "frob(Z(2))", "quot(Z(4),6)",
-     "idealize(Z(6),Z(3)", "skew(Z(6),flip,2)", "Z(x)", "corner(Z(4),)"],
+     "idealize(Z(6),Z(3)", "skew(Z(6),flip,2)", "Z(x)", "corner(Z(4),)",
+     "Z(²)", "Z(𝟓)", "M２(Z(3))"],
 )
 def test_parse_errors_carry_position(text):
     with pytest.raises(ExprSyntaxError) as err:

@@ -303,12 +303,12 @@ def test_empty_corpus():
 
 def test_build_failures_become_error_cells():
     bad_dimensions = ["M0(Z(2))", "T0(Z(3))", "eqdiag1(Z(2))", "skew(Z(2),id,0)"]
-    cells = run_suite(["Z(abc", "Z(30000)", "Z(30000) !waive"] + bad_dimensions)
+    cells = run_suite(["Z(abc", "Z(²)", "Z(30000)", "Z(30000) !waive"] + bad_dimensions)
     by_outcome = {}
     for cell in cells:
         by_outcome.setdefault(cell["outcome"], []).append(cell)
-    # syntax error, unwaived over-budget and the four bad dimensions
-    assert len(by_outcome["error"]) == 6
+    # two syntax errors, unwaived over-budget and the four bad dimensions
+    assert len(by_outcome["error"]) == 7
     assert len(by_outcome["waived"]) == 1
     assert all(cell["check_id"] == "build" for cell in cells)
     assert suite_failed(cells)
