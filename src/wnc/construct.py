@@ -185,29 +185,42 @@ def expr_label(expr: RingExpr) -> str:
     raise TypeError(f"not a ring expression: {expr!r}")
 
 
+# 4 301 digits, one more than Python prints: order bounds saturate just above.
+_TEN_4300 = 10 ** 4300
+ORDER_BOUND_CAP = _TEN_4300 + 1
+
+
+def _capped_power(base: int, exp: int) -> int:
+    """min(base**exp, ORDER_BOUND_CAP), with no power computed far past the cap."""
+    if base >= 2 and (base.bit_length() - 1) * exp >= ORDER_BOUND_CAP.bit_length():
+        return ORDER_BOUND_CAP  # base**exp >= 2**((bits - 1) * exp) > the cap
+    return min(base ** exp, ORDER_BOUND_CAP)
+
+
 def order_bound(expr: RingExpr) -> int:
-    """Upper bound on the element count of the built ring."""
+    """Upper bound on the element count of the built ring, saturating at
+    ORDER_BOUND_CAP: a bound of ORDER_BOUND_CAP means more than 10**4300."""
     if isinstance(expr, Zn):
-        return expr.n
+        return min(expr.n, ORDER_BOUND_CAP)
     if isinstance(expr, Prod):
         total = 1
         for f in expr.factors:
-            total *= order_bound(f)
+            total = min(total * order_bound(f), ORDER_BOUND_CAP)
         return total
     if isinstance(expr, Mat):
-        return order_bound(expr.inner) ** (expr.k * expr.k)
+        return _capped_power(order_bound(expr.inner), expr.k * expr.k)
     if isinstance(expr, Tri):
-        return order_bound(expr.inner) ** (expr.k * (expr.k + 1) // 2)
+        return _capped_power(order_bound(expr.inner), expr.k * (expr.k + 1) // 2)
     if isinstance(expr, EqDiag):
-        return order_bound(expr.inner) ** (1 + expr.k * (expr.k - 1) // 2)
+        return _capped_power(order_bound(expr.inner), 1 + expr.k * (expr.k - 1) // 2)
     if isinstance(expr, Idealize):
         base = order_bound(expr.inner)
         msize = base if isinstance(expr.module, SelfModule) else expr.module.m
-        return base * msize
+        return min(base * msize, ORDER_BOUND_CAP)
     if isinstance(expr, (Corner, Quot)):
         return order_bound(expr.inner)
     if isinstance(expr, SkewPolyQuot):
-        return order_bound(expr.inner) ** expr.n
+        return _capped_power(order_bound(expr.inner), expr.n)
     raise TypeError(f"not a ring expression: {expr!r}")
 
 
@@ -220,7 +233,8 @@ class _Tokens:
         self.pos = 0
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        # ASCII only: str.isspace also takes '\u00a0' and '\x1c'
+        while self.pos < len(self.text) and self.text[self.pos] in string.whitespace:
             self.pos += 1
 
     def peek(self) -> tuple[str, str, int]:
@@ -258,7 +272,10 @@ class _Tokens:
         kind, value, pos = self.take()
         if kind != "int":
             raise ExprSyntaxError(f"expected an integer, found {value!r}", pos)
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # more digits than Python converts
+            raise ExprSyntaxError(f"integer of {len(value)} digits is too long", pos) from None
 
     def expect_name(self) -> tuple[str, int]:
         kind, value, pos = self.take()
@@ -424,7 +441,7 @@ def _coordinate_ring(parts: Sequence[RingTable], terms: Terms, one: Sequence[int
     zero = int(np.ravel_multi_index([p.zero for p in parts], sizes))
     names = tuple(name(v) for v in zip(*(d.tolist() for d in digits)))
     return ring_table(order, add, mul, neg, zero, int(np.ravel_multi_index(one, sizes)),
-                      label, names)
+                      label, names, parts)
 
 
 def build_product(factors: Sequence[RingTable], label: str) -> RingTable:
@@ -622,15 +639,18 @@ def _resolve_factor_swap(endo: FactorPermutation, factors: Sequence[RingTable]) 
 def _check_budget(expr: RingExpr, limit: int) -> None:
     bound = order_bound(expr)
     if bound > limit:
+        if bound < _TEN_4300:
+            count = str(bound)
+        else:
+            count = "10**4300" if bound == _TEN_4300 else "more than 10**4300"
         raise CapacityError(
-            f"{expr_label(expr)} needs {bound} elements, over the budget of {limit}"
+            f"{expr_label(expr)} needs {count} elements, over the budget of {limit}"
         )
 
 
 def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
     """Elaborate a ring expression into a verified-encodable RingTable."""
-    limit = size_budget(budget)
-    _check_budget(expr, limit)
+    _check_budget(expr, size_budget(budget))
     if isinstance(expr, Zn):
         return build_zn(expr.n)
     if isinstance(expr, Prod):
@@ -663,19 +683,14 @@ def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
         ring, _ = quotient(inner, ideal, expr_label(expr))
         return ring
     if isinstance(expr, SkewPolyQuot):
+        inner = build(expr.inner, budget)
         sigma = None
-        if isinstance(expr.endo, FactorPermutation) and isinstance(expr.inner, Prod):
-            # the swap needs the factors, so assemble the product from them
-            _check_budget(expr.inner, limit)
-            factors = [build(f, budget) for f in expr.inner.factors]
-            inner = build_product(factors, expr_label(expr.inner))
-            sigma = _resolve_factor_swap(expr.endo, factors)
-        else:
-            inner = build(expr.inner, budget)
-            if isinstance(expr.endo, FactorPermutation):
+        if isinstance(expr.endo, FactorPermutation):
+            if not isinstance(expr.inner, Prod):
                 raise InvalidEndomorphismError(
                     "factor swaps are only defined on product rings"
                 )
+            sigma = _resolve_factor_swap(expr.endo, inner.components)
         return skew_poly_quot(inner, sigma, expr.n, expr_label(expr))
     raise TypeError(f"not a ring expression: {expr!r}")
 

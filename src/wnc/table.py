@@ -31,6 +31,8 @@ class RingTable:
     one: ElementId
     label: str
     element_names: Optional[tuple[str, ...]] = field(default=None, repr=False)
+    # the rings the digits of a coordinate-built ring range over, in digit order
+    components: tuple["RingTable", ...] = field(default=(), repr=False)
 
     def elements(self) -> range:
         return range(self.order)
@@ -91,6 +93,7 @@ def ring_table(
     one: int,
     label: str,
     element_names: Optional[Sequence[str]] = None,
+    components: Sequence[RingTable] = (),
 ) -> RingTable:
     """Validate raw tables and freeze them into a RingTable.
 
@@ -118,7 +121,8 @@ def ring_table(
         raise TableFormatError("element_names length must equal ring order")
     for arr in (add_arr, mul_arr, neg_arr):
         arr.setflags(write=False)
-    return RingTable(order, add_arr, mul_arr, neg_arr, int(zero), int(one), label, names)
+    return RingTable(order, add_arr, mul_arr, neg_arr, int(zero), int(one), label, names,
+                     tuple(components))
 
 
 AXIOM_NAMES = (

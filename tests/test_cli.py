@@ -149,6 +149,25 @@ def test_sweep_checks_the_budget_before_building(capsys, monkeypatch):
     assert err == "error: Z(30000) needs 30000 elements, over the budget of 20000\n"
 
 
+def test_huge_bound_exits_two_with_saturated_message(capsys):
+    code, out, err = run_cli(capsys, "classify", "--ring", "M72(Z(7))", "--kinds", "clean")
+    assert code == 2 and out == ""
+    assert err == ("error: M72(Z(7)) needs more than 10**4300 elements, "
+                   "over the budget of 20000\n")
+
+
+def test_verify_survives_hostile_lines(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("Z(4)\nZ(\u00a06)\nZ(" + "9" * 5000 + ")\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--format", "csv")
+    assert code == 1
+    rows = out.splitlines()[1:]
+    assert sum(row.startswith("Z(4),") for row in rows) == 14
+    assert sum(row.endswith("too long (at position 2)") for row in rows) == 1
+    corpus.write_text("Z(4)\nM72(Z(7)) !waive\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", "--corpus", str(corpus))[0] == 0
+
+
 @pytest.mark.parametrize("raw", ["abc", "1e3", "0", "-5"])
 @pytest.mark.parametrize("argv", [
     ("sweep", "--zn", "2..5", "--kinds", "clean"),

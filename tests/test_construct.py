@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import naive
 from wnc.construct import (
+    ORDER_BOUND_CAP,
     Corner,
     CyclicModule,
     EqDiag,
@@ -78,7 +79,8 @@ def test_parse_is_case_and_whitespace_insensitive():
     "text",
     ["", "Z", "Z(", "Z(6", "Z(6))", "prod()", "frob(Z(2))", "quot(Z(4),6)",
      "idealize(Z(6),Z(3)", "skew(Z(6),flip,2)", "Z(x)", "corner(Z(4),)",
-     "Z(²)", "Z(𝟓)", "M２(Z(3))"],
+     "Z(²)", "Z(𝟓)", "M２(Z(3))",
+     pytest.param("Z(" + "9" * 5000 + ")", id="Z(<5000 nines>)"), "Z(\u00a06)", "Z(6\u3000)", "\u2003Z(6)", "Z(6)\x1c"],
 )
 def test_parse_errors_carry_position(text):
     with pytest.raises(ExprSyntaxError) as err:
@@ -458,6 +460,26 @@ def test_skew_constant_projection_on_twisted_ring():
             assert proj[int(ring.mul[a, b])] == int(base.mul[proj[a], proj[b]])
 
 
+def test_coordinate_rings_keep_their_components():
+    def labels(text):
+        return tuple(part.label for part in build_text(text).components)
+
+    assert labels("prod(Z(4),Z(9))") == ("Z(4)", "Z(9)")
+    assert labels("idealize(Z(6),Z(3))") == ("Z(6)", "Z(3)")
+    assert labels("idealize(Z(6),self)") == ("Z(6)", "Z(6)")
+    assert labels("T2(Z(3))") == ("Z(3)",) * 3
+    assert labels("eqdiag3(Z(2))") == ("Z(2)",) * 4
+    mat = build_text("M2(Z(2))")
+    assert len(mat.components) == 4
+    assert all(part is mat.components[0] for part in mat.components)
+    skew = build_text("skew(prod(Z(3),Z(3)),swap(1,2),2)")
+    inner = skew.components[0]
+    assert skew.components == (inner, inner) and inner.label == "prod(Z(3),Z(3))"
+    assert tuple(part.label for part in inner.components) == ("Z(3)", "Z(3)")
+    for text in ("Z(6)", "corner(M2(Z(2)),1)", "quot(Z(36),[6])"):
+        assert build_text(text).components == ()
+
+
 # --- budget -------------------------------------------------------------------
 
 
@@ -471,6 +493,26 @@ def test_size_budget_enforced(monkeypatch):
         build_text("Z(100)")
     assert build_text("Z(100)", budget=200).order == 100
     assert order_bound(parse_ring_expr("M3(Z(4))")) == 4**9
+
+
+@pytest.mark.parametrize("text", ["M72(Z(7))", "M100000000(Z(2))", "M10000(Z(7))",
+                                  "prod(M72(Z(7)),M72(Z(7)))", "skew(M72(Z(7)),id,9)"])
+def test_huge_bounds_saturate(text, monkeypatch):
+    monkeypatch.delenv("WNC_SIZE_BUDGET", raising=False)
+    assert order_bound(parse_ring_expr(text)) == ORDER_BOUND_CAP
+    with pytest.raises(CapacityError) as err:
+        build_text(text)
+    assert str(err.value) == (f"{text} needs more than 10**4300 elements, "
+                              "over the budget of 20000")
+
+
+def test_printable_bounds_stay_exact():
+    assert order_bound(parse_ring_expr("M71(Z(7))")) == 7 ** (71 * 71)
+    with pytest.raises(CapacityError, match=f"^M71\\(Z\\(7\\)\\) needs {7 ** (71 * 71)} "):
+        build_text("M71(Z(7))")
+    # exactly 10**4300: 4 301 digits, one more than Python prints
+    with pytest.raises(CapacityError, match=r"needs 10\*\*4300 elements"):
+        build_text("skew(Z(10),id,4300)")
 
 
 def test_degenerate_dimensions_rejected():

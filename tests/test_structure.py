@@ -78,7 +78,9 @@ def test_structure_is_memoized(rings):
 
 
 def _memoise_everything(ring):
-    """Fill the memo of ring and of its corners and quotients; return a weak reference."""
+    """Fill the memo of ring, its components, corners and quotients; return a weak reference."""
+    for part in ring.components:
+        structure(part)
     structure(ring)
     ideals = all_ideals(ring)
     for kind in DecompKind:
@@ -97,7 +99,8 @@ def _memoise_everything(ring):
 def test_structure_memo_frees_rings():
     gc.collect()
     before = len(_memo)
-    refs = [_memoise_everything(build_text(label)) for label in ("T2(Z(3))", "Z(12)")]
+    refs = [_memoise_everything(build_text(label))
+            for label in ("T2(Z(3))", "Z(12)", "prod(Z(2),Z(3))")]
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert len(_memo) == before

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import naive
+import wnc.construct as construct
 import wnc.theorems as theorems
 from wnc.construct import build_text
 from wnc.decomp import DecompKind, ring_verdict, zero_one_subset
@@ -274,6 +275,13 @@ def test_corpus_file_parsing():
     ]
 
 
+def test_corpus_lines_strip_ascii_whitespace_only():
+    lines = parse_corpus("\t Z(6) \x0b\n\u2003Z(6)\nZ(6\u3000) !waive\n")
+    assert [line.text for line in lines] == ["Z(6)", "\u2003Z(6)", "Z(6\u3000)"]
+    cells = run_suite(lines)
+    assert [cell["outcome"] for cell in cells if cell["check_id"] == "build"] == ["error"] * 2
+
+
 def test_suite_outcomes_for_key_cells(suite_cells):
     assert _cell(suite_cells, "T2(Z(3))", "prop-J-subset-Nil")["outcome"] == "not-applicable"
     assert _cell(suite_cells, "Z(9)", "prop-J-subset-Nil")["outcome"] == "pass"
@@ -303,13 +311,17 @@ def test_empty_corpus():
 
 def test_build_failures_become_error_cells():
     bad_dimensions = ["M0(Z(2))", "T0(Z(3))", "eqdiag1(Z(2))", "skew(Z(2),id,0)"]
-    cells = run_suite(["Z(abc", "Z(²)", "Z(30000)", "Z(30000) !waive"] + bad_dimensions)
+    too_long = "Z(" + "9" * 5000 + ")"
+    cells = run_suite(["Z(abc", "Z(²)", too_long, "Z(30000)", "Z(30000) !waive",
+                       "M72(Z(7)) !waive"] + bad_dimensions)
     by_outcome = {}
     for cell in cells:
         by_outcome.setdefault(cell["outcome"], []).append(cell)
-    # two syntax errors, unwaived over-budget and the four bad dimensions
-    assert len(by_outcome["error"]) == 7
-    assert len(by_outcome["waived"]) == 1
+    # three syntax errors, unwaived over-budget and the four bad dimensions
+    assert len(by_outcome["error"]) == 8
+    assert len(by_outcome["waived"]) == 2
+    waived = {cell["ring"]: cell["witness"] for cell in by_outcome["waived"]}
+    assert waived["M72(Z(7))"].startswith("M72(Z(7)) needs more than 10**4300 elements")
     assert all(cell["check_id"] == "build" for cell in cells)
     assert suite_failed(cells)
 
@@ -360,6 +372,56 @@ def test_suite_holds_one_corpus_ring_at_a_time(monkeypatch):
     monkeypatch.setattr(theorems, "_build_entry", build_entry)
     cells = run_suite(["M2(Z(2))", "prod(Z(2),Z(3))", "idealize(Z(6),self)", "T2(Z(3))"])
     assert len(built) == 4 and not suite_failed(cells)
+
+
+def test_runner_builds_each_line_once(monkeypatch):
+    counts = []
+
+    def build_entry(line, budget):
+        counts.append(0)
+        return build_one(line, budget)
+
+    def counting_build(expr, budget=None):
+        counts[-1] += 1
+        return build_all(expr, budget)
+
+    build_one, build_all = theorems._build_entry, construct.build
+    monkeypatch.setattr(theorems, "_build_entry", build_entry)
+    monkeypatch.setattr(construct, "build", counting_build)
+    monkeypatch.setattr(theorems, "build", counting_build)
+    cells = run_suite(["prod(Z(4),Z(9))", "idealize(Z(6),Z(3))",
+                       "skew(prod(Z(3),Z(3)),swap(1,2),2)"])
+    # one call per sub-expression: the checks read the factors and the base
+    # from the ring's components, and the swap reads the product's
+    assert counts == [3, 2, 4] and not suite_failed(cells)
+
+
+def test_quotient_image_hands_on_found_ideals(monkeypatch):
+    def no_subset(ring, members):
+        raise AssertionError("an ideal found by all_ideals was tested again")
+
+    monkeypatch.setattr(theorems, "subset", no_subset)
+    cells = run_suite(["Z(12)", "Z(36)", "prod(Z(4),Z(9))", "idealize(Z(6),self)"],
+                      checks=["thm-quotient-image"])
+    assert [cell["outcome"] for cell in cells] == ["pass"] * 4
+
+
+def test_corner_and_quotient_lines_free_their_base(monkeypatch):
+    bases = []
+
+    def keep_ref(fn):
+        def wrapper(ring, *args):
+            bases.append(weakref.ref(ring))
+            return fn(ring, *args)
+        return wrapper
+
+    monkeypatch.setattr(construct, "corner", keep_ref(construct.corner))
+    monkeypatch.setattr(construct, "quotient", keep_ref(construct.quotient))
+    for text in ("corner(M2(Z(3)),19)", "quot(Z(36),[6])"):
+        ring = build_text(text)
+        gc.collect()
+        assert bases[-1]() is None, f"{text} keeps its base alive"
+        assert ring.components == ()
 
 
 def test_check_selection():
