@@ -207,21 +207,37 @@ def order_bound(expr: RingExpr) -> int:
         for f in expr.factors:
             total = min(total * order_bound(f), ORDER_BOUND_CAP)
         return total
-    if isinstance(expr, Mat):
-        return _capped_power(order_bound(expr.inner), expr.k * expr.k)
-    if isinstance(expr, Tri):
-        return _capped_power(order_bound(expr.inner), expr.k * (expr.k + 1) // 2)
-    if isinstance(expr, EqDiag):
-        return _capped_power(order_bound(expr.inner), 1 + expr.k * (expr.k - 1) // 2)
+    if isinstance(expr, (Mat, Tri, EqDiag, SkewPolyQuot)):
+        return _capped_power(order_bound(expr.inner), _coordinates(expr))
     if isinstance(expr, Idealize):
         base = order_bound(expr.inner)
         msize = base if isinstance(expr.module, SelfModule) else expr.module.m
         return min(base * msize, ORDER_BOUND_CAP)
     if isinstance(expr, (Corner, Quot)):
         return order_bound(expr.inner)
-    if isinstance(expr, SkewPolyQuot):
-        return _capped_power(order_bound(expr.inner), expr.n)
     raise TypeError(f"not a ring expression: {expr!r}")
+
+
+# numpy indexes at most 64 dimensions; c coordinates of order >= 2 already make
+# 2**c elements, so only rings over Z(1) reach this limit within the budget
+_MAX_COORDINATES = 63
+
+
+def _coordinates(expr: RingExpr) -> int:
+    """The number of digits the node's own build puts on its inner rings."""
+    if isinstance(expr, Zn):
+        return 0
+    if isinstance(expr, Prod):
+        return len(expr.factors)
+    if isinstance(expr, Mat):
+        return expr.k * expr.k
+    if isinstance(expr, Tri):
+        return expr.k * (expr.k + 1) // 2
+    if isinstance(expr, EqDiag):
+        return 1 + expr.k * (expr.k - 1) // 2
+    if isinstance(expr, SkewPolyQuot):
+        return expr.n
+    return 2 if isinstance(expr, Idealize) else 0
 
 
 # --- parser ------------------------------------------------------------------
@@ -636,16 +652,23 @@ def _resolve_factor_swap(endo: FactorPermutation, factors: Sequence[RingTable]) 
     return np.ravel_multi_index(digits, sizes)
 
 
+def _count_text(count: int) -> str:
+    """The count as Python prints it, saturated past 10**4300."""
+    if count < _TEN_4300:
+        return str(count)
+    return "10**4300" if count == _TEN_4300 else "more than 10**4300"
+
+
 def _check_budget(expr: RingExpr, limit: int) -> None:
     bound = order_bound(expr)
     if bound > limit:
-        if bound < _TEN_4300:
-            count = str(bound)
-        else:
-            count = "10**4300" if bound == _TEN_4300 else "more than 10**4300"
         raise CapacityError(
-            f"{expr_label(expr)} needs {count} elements, over the budget of {limit}"
+            f"{expr_label(expr)} needs {_count_text(bound)} elements, over the budget of {limit}"
         )
+    coordinates = _coordinates(expr)
+    if coordinates > _MAX_COORDINATES:
+        raise CapacityError(f"{expr_label(expr)} needs {_count_text(coordinates)} coordinates, "
+                            f"over the limit of {_MAX_COORDINATES}")
 
 
 def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:

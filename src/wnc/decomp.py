@@ -20,7 +20,7 @@ import numpy as np
 from .construct import quotient
 from .errors import InvalidSubsetError
 from .structure import Subset, structure, subset
-from .table import ElementId, RingTable, _memoised
+from .table import ElementId, RingTable, _first_true, _memoised
 
 
 class DecompKind(Enum):
@@ -271,10 +271,10 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
     for k, bound in enumerate(bounds):
         escapes = [(sets[k % 2] & outside).any(axis=1) for outside in np.packbits(~bound, axis=1)]
         fails.append(table.ok & np.reshape(escapes, table.ok.shape))
-    hits = np.argwhere(np.stack(fails).transpose(2, 1, 0))
-    if not len(hits):
+    hit = _first_true(np.stack(fails).transpose(2, 1, 0))
+    if hit is None:
         return None
-    x, r, law = hits[0].tolist()
+    x, r, law = hit
     return x, int(table.idems[r]), law - 1
 
 

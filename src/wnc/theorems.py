@@ -318,7 +318,8 @@ class CorpusEntry:
 def parse_corpus(text: str) -> list[CorpusLine]:
     """One expression per line; '#' starts a comment; '!waive' marks a size waiver."""
     lines = []
-    for raw in text.splitlines():
+    # the line ends text-mode open() translates; str.splitlines also breaks at '\x1c'
+    for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         # the parser's ASCII whitespace, so a line reads as it would through --ring
         stripped = raw.split("#", 1)[0].strip(string.whitespace)
         if not stripped:

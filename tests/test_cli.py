@@ -229,6 +229,23 @@ def test_verify_reports_non_ascii_digits_as_one_error_cell(capsys, tmp_path):
     assert "unexpected character '²' (at position 2)" in bad[0]["witness"]
 
 
+def test_verify_reads_a_file_separator_as_part_of_its_line(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("Z(6)\x1cZ(4)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus), "--format", "json")
+    assert code == 1 and err == ""
+    cells = json.loads(out)
+    assert [(c["ring"], c["check_id"], c["outcome"]) for c in cells] == [
+        ("Z(6)\x1cZ(4)", "build", "error")]
+    assert cells[0]["witness"].endswith("unexpected character '\\x1c' (at position 4)")
+
+
+def test_coordinate_limit_exits_two(capsys):
+    code, out, err = run_cli(capsys, "classify", "--ring", "M600(Z(1))", "--kinds", "clean")
+    assert code == 2 and out == ""
+    assert err == "error: M600(Z(1)) needs 360000 coordinates, over the limit of 63\n"
+
+
 def test_verify_check_selection(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("Z(4)\n", encoding="utf-8")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive
+import wnc.construct
 from wnc.construct import (
     ORDER_BOUND_CAP,
     Corner,
@@ -46,6 +47,7 @@ from wnc.errors import (
 )
 from wnc.structure import ideal_generated_by, structure, subset
 from wnc.table import ring_table, verify_ring_axioms
+from wnc.theorems import parse_corpus, run_suite
 
 
 # --- parsing ------------------------------------------------------------------
@@ -513,6 +515,32 @@ def test_printable_bounds_stay_exact():
     # exactly 10**4300: 4 301 digits, one more than Python prints
     with pytest.raises(CapacityError, match=r"needs 10\*\*4300 elements"):
         build_text("skew(Z(10),id,4300)")
+
+
+@pytest.mark.parametrize("text,coordinates", [
+    ("M300(Z(1))", 90000), ("M600(Z(1))", 360000), ("skew(Z(1),id,20000)", 20000),
+    ("M8(Z(1))", 64), ("prod(" + ",".join(["Z(1)"] * 64) + ")", 64),
+])
+def test_coordinate_limit_refuses_before_building(text, coordinates, monkeypatch):
+    def no_build(*args):
+        raise AssertionError(f"built {text} past the coordinate check")
+
+    monkeypatch.setattr(wnc.construct, "_coordinate_ring", no_build)
+    with pytest.raises(CapacityError) as err:
+        build_text(text)
+    assert str(err.value) == f"{text} needs {coordinates} coordinates, over the limit of 63"
+
+
+def test_rings_of_63_coordinates_still_build():
+    for text, coordinates in (("prod(" + ",".join(["Z(1)"] * 63) + ")", 63), ("T10(Z(1))", 55)):
+        ring = build_text(text)
+        assert ring.order == 1 and len(ring.components) == coordinates
+        assert verify_ring_axioms(ring).passed
+
+
+def test_coordinate_limit_is_waivable():
+    cells = run_suite(parse_corpus("M600(Z(1)) !waive\n"))
+    assert [(c["check_id"], c["outcome"]) for c in cells] == [("build", "waived")]
 
 
 def test_degenerate_dimensions_rejected():

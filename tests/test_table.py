@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive
-from wnc.construct import build_zn
+import wnc.table
+from wnc.construct import build_text, build_zn
 from wnc.errors import CrossRingError, TableFormatError
 from wnc.table import AXIOM_NAMES, ring_table, tables_to_csv, verify_ring_axioms
 
@@ -147,6 +148,23 @@ def test_stealthy_corruption_gets_the_full_scan_report(corpus_entries, data):
     small = [entry.ring for entry in corpus_entries if 3 <= entry.ring.order <= 36]
     bad = _stealthy_corruption(data, small)
     assert verify_ring_axioms(bad) == naive.axiom_report(bad)
+
+
+def test_single_entry_corruptions_get_the_full_scan_report(rings):
+    # one changed entry can break an O(n^2) law and a cubic law together
+    for ring in (rings["Z(4)"], rings["Z(6)"]):
+        for bad in naive.corruptions(ring):
+            assert verify_ring_axioms(bad) == naive.axiom_report(bad), bad.label
+
+
+def test_rings_never_reach_the_cubic_scan(corpus_entries, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a ring reached the O(n^3) scan")
+
+    monkeypatch.setattr(wnc.table, "_cubic_witness", no_scan)
+    extra = [build_text(text) for text in ("M2(Z(4))", "T2(Z(4))", "eqdiag3(Z(4))")]
+    for ring in [entry.ring for entry in corpus_entries] + extra:
+        assert verify_ring_axioms(ring).passed, ring.label
 
 
 def _algebra(p, k, consts):

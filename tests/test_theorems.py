@@ -282,6 +282,15 @@ def test_corpus_lines_strip_ascii_whitespace_only():
     assert [cell["outcome"] for cell in cells if cell["check_id"] == "build"] == ["error"] * 2
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_corpus_lines_end_only_where_open_ends_them(sep):
+    lines = parse_corpus(f"Z(2)\r\nZ(3)\rZ(6){sep}Z(4)\nZ(5)")
+    assert [line.text for line in lines] == ["Z(2)", "Z(3)", f"Z(6){sep}Z(4)", "Z(5)"]
+    cells = run_suite(lines[2:3])
+    assert [(c["check_id"], c["outcome"]) for c in cells] == [("build", "error")]
+
+
 def test_suite_outcomes_for_key_cells(suite_cells):
     assert _cell(suite_cells, "T2(Z(3))", "prop-J-subset-Nil")["outcome"] == "not-applicable"
     assert _cell(suite_cells, "Z(9)", "prop-J-subset-Nil")["outcome"] == "pass"
