@@ -12,11 +12,12 @@ import argparse
 import csv
 import io
 import json
+import string
 import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .construct import Zn, _check_budget, build_text, size_budget
+from .construct import Zn, _check_budget, build, build_text, size_budget
 from .decomp import (
     DecompKind,
     _verdicts_json,
@@ -144,11 +145,28 @@ def cmd_element(args) -> int:
     return 0
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII digits after an optional '-', with ASCII whitespace around;
+    the non-ASCII digits and underscores int() also reads are refused, as the ring
+    grammar refuses them."""
+    digits = text.strip(string.whitespace).removeprefix("-")
+    if not digits or digits.strip(string.digits):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _element_arg(text: str) -> int:
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_range(spec: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition("..")
     if not sep:
         raise ValueError(f"range must look like 2..100, got {spec!r}")
-    start, end = int(lo), int(hi)
+    start, end = _ascii_int(lo), _ascii_int(hi)
     if start < 1 or end < start:
         raise ValueError(f"empty or invalid range {spec!r}")
     return start, end
@@ -160,9 +178,13 @@ def cmd_sweep(args) -> int:
     _check_budget(Zn(end), size_budget())
     names = [kind.value for kind in kinds]
     holds = []
-    for n in range(start, end + 1):
-        ring = build_text(f"Z({n})")
+    # Largest ring first: glibc raises its mmap threshold to each freed block's
+    # size, so the smaller rings after it reuse heap pages instead of faulting
+    # fresh ones in.
+    for n in range(end, start - 1, -1):
+        ring = build(Zn(n))
         holds.append([ring_verdict(ring, kind, _default_s(ring, kind)).holds for kind in kinds])
+    holds.reverse()
     rows = [[str(n)] + [_bool_text(h) for h in row] for n, row in enumerate(holds, start)]
     _write(args, ["n"] + names, rows, lambda: json.dumps(
         [{"n": n, **dict(zip(names, row))} for n, row in enumerate(holds, start)],
@@ -244,13 +266,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("element", help="find decompositions of one element")
     p.add_argument("--ring", required=True)
-    p.add_argument("--element", required=True, type=int)
+    p.add_argument("--element", required=True, type=_element_arg)
     p.add_argument("--kinds", required=True)
     add_common(p)
     p.set_defaults(func=cmd_element)
 
     p = sub.add_parser("sweep", help="classify Z_n over a range")
-    p.add_argument("--zn", required=True, help="range, e.g. 2..100")
+    p.add_argument("--zn", required=True, help="range of ASCII integers, e.g. 2..100")
     p.add_argument("--kinds", required=True)
     add_common(p)
     p.set_defaults(func=cmd_sweep)

@@ -46,7 +46,7 @@ from .errors import (
     TableFormatError,
 )
 from .structure import Subset, ideal_generated_by
-from .table import RingTable, _memoised, ring_table
+from .table import ROW_BLOCK_ENTRIES, RingTable, _memoised, ring_table
 
 DEFAULT_SIZE_BUDGET = 20_000
 SIZE_BUDGET_ENV = "WNC_SIZE_BUDGET"
@@ -399,10 +399,6 @@ def parse_ring_expr(text: str) -> RingExpr:
 
 # --- builders ----------------------------------------------------------------
 
-# Table entries per block of rows in a coordinate-ring build: bounds the
-# temporaries at a few MB whatever the ring order.
-ROW_BLOCK_ENTRIES = 1 << 16
-
 Terms = Sequence[Sequence[tuple[int, int, np.ndarray]]]
 
 
@@ -410,8 +406,8 @@ def build_zn(n: int) -> RingTable:
     if n < 1:
         raise TableFormatError(f"ring order must be positive, got {n}")
     idx = np.arange(n, dtype=np.int32)
-    add = np.add.outer(idx, idx)
-    np.subtract(add, n, out=add, where=add >= n)
+    # row a of add is idx rotated left by a: one copy of n windows of idx twice over
+    add = np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), n)[:n].copy()
     # (n-1)**2 overflows int32 above n = 46 341; the floor-mod of a wrapped
     # product would still land in [0, n) and pass the range check.
     wide = idx.astype(np.int64) if (n - 1) ** 2 > np.iinfo(np.int32).max else idx

@@ -150,13 +150,15 @@ def _candidates(ring: RingTable, kind: DecompKind,
     idems, signs = np.repeat(idems, len(signs)), signs * len(idems)
     sign_col = np.array(signs)
     comp = ring.add[:, np.where(sign_col == "+", ring.neg[idems], idems)].T
-    commutes = ring.mul[comp, idems[:, None]] == ring.mul[idems[:, None], comp]
     pool = np.zeros(ring.order, dtype=bool)
     pool[list(getattr(cache, family))] = True
-    ok = pool[comp] & (commutes | (not need_commute))
+    ok = pool[comp]
+    if need_commute:
+        ok &= ring.mul[comp, idems[:, None]] == ring.mul[idems[:, None], comp]
     xs, rows, witness = _first_rows(ok)
-    verdict = RingVerdict(kind, witness is None, witness, s_tuple, xs, idems[rows], comp[rows, xs],
-                          sign_col[rows], commutes[rows, xs])
+    es, cs = idems[rows], comp[rows, xs]
+    verdict = RingVerdict(kind, witness is None, witness, s_tuple, xs, es, cs,
+                          sign_col[rows], ring.mul[cs, es] == ring.mul[es, cs])
     return _Table(idems, signs, ok, verdict)
 
 

@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CrossRingError
-from .table import ElementId, RingTable, _additive_closure, _memoised
+from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _additive_closure, _memoised
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +71,8 @@ def structure(ring: RingTable) -> StructureCache:
 
     idempotents = tuple(np.flatnonzero(mul.diagonal() == np.arange(ring.order)).tolist())
 
-    is_one = mul == ring.one
-    two_sided = is_one & is_one.T
+    two_sided = mul == ring.one
+    two_sided &= two_sided.T  # in place, so that only one n x n mask outlives this line
     unit_mask = two_sided.any(axis=1)
     unit_ids = np.flatnonzero(unit_mask)
     inverse = dict(zip(unit_ids.tolist(), two_sided[unit_ids].argmax(axis=1).tolist()))
@@ -81,9 +81,16 @@ def structure(ring: RingTable) -> StructureCache:
     nilpotency = _nilpotency_indices(ring)
 
     # x is in J when 1 - r*x is a unit for every r: the 1-D lookup
-    # y -> [1 - y is a unit], gathered once at mul.
+    # y -> [1 - y is a unit], gathered at mul by take in row blocks.  take
+    # copies its index to intp, so a block holds ROW_BLOCK_ENTRIES // 8
+    # entries: the copy stays at 64 KB, under glibc's default mmap threshold,
+    # and is reused from the heap (512 KB copies raised classify's peak RSS).
     one_minus_is_unit = unit_mask[ring.add[ring.one][ring.neg]]
-    radical = frozenset(np.flatnonzero(one_minus_is_unit[mul].all(axis=0)).tolist())
+    in_radical = np.ones(ring.order, dtype=bool)
+    rows = max(1, ROW_BLOCK_ENTRIES // 8 // ring.order)
+    for r0 in range(0, ring.order, rows):
+        in_radical &= one_minus_is_unit.take(mul[r0:r0 + rows]).all(axis=0)
+    radical = frozenset(np.flatnonzero(in_radical).tolist())
 
     return StructureCache(units, inverse, idempotents, nilpotency, radical)
 

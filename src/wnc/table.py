@@ -18,6 +18,10 @@ from .errors import CrossRingError, TableFormatError
 
 ElementId = int
 
+# Table entries per block of rows in a row-blocked pass (coordinate-ring builds,
+# the radical): bounds the temporaries at a few MB whatever the ring order.
+ROW_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class RingTable:
@@ -112,7 +116,8 @@ def ring_table(
     if neg_arr.shape != (order,):
         raise TableFormatError(f"neg table has shape {neg_arr.shape}, want {(order,)}")
     for name, arr in (("add", add_arr), ("mul", mul_arr), ("neg", neg_arr)):
-        if arr.size and (arr.min() < 0 or arr.max() >= order):
+        # a negative int32 reads as >= 2**31 in the uint32 view, so one max tests both ends
+        if arr.size and arr.view(np.uint32).max() >= order:
             raise TableFormatError(f"{name} table contains out-of-range element ids")
     if not 0 <= zero < order or not 0 <= one < order:
         raise TableFormatError("zero/one must be valid element ids")

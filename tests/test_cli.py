@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import naive
 import wnc.cli
 from wnc import decomp
 from wnc.cli import main
@@ -139,14 +140,57 @@ def test_sweep_json(capsys):
 
 
 def test_sweep_checks_the_budget_before_building(capsys, monkeypatch):
-    def no_build(text):
-        raise AssertionError(f"built {text} past the budget check")
+    def no_build(ring, budget=None):
+        raise AssertionError(f"built {ring} past the budget check")
 
     monkeypatch.delenv("WNC_SIZE_BUDGET", raising=False)
     monkeypatch.setattr(wnc.cli, "build_text", no_build)
+    monkeypatch.setattr(wnc.cli, "build", no_build)
     code, out, err = run_cli(capsys, "sweep", "--zn", "2..30000", "--kinds", "nil-clean")
     assert code == 2 and out == ""
     assert err == "error: Z(30000) needs 30000 elements, over the budget of 20000\n"
+
+
+def test_sweep_matches_loop_oracle_on_every_kind(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--zn", "1..48", "--kinds", ALL_KINDS,
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == list(range(1, 49))
+    for row in rows:
+        ring = build_text(f"Z({row['n']})")
+        for kind in DecompKind:
+            s = {ring.zero, ring.one} if kind_takes_subset(kind) else None
+            holds, _, _ = naive.verdict(naive.all_decomps(ring, kind.value, s))
+            assert row[kind.value] is holds, (row["n"], kind.value)
+
+
+@pytest.mark.parametrize("spec", ["a..b", "２..５", "2..٥", "1_0..1_2", "+2..5", "2..5\u00a0",
+                                  "\u20032..5", "2..", "- 2..5"])
+def test_sweep_bounds_are_ascii_integers(capsys, spec):
+    code, out, err = run_cli(capsys, "sweep", "--zn", spec, "--kinds", "clean")
+    lo, _, hi = spec.partition("..")
+    bad = next(bound for bound in (lo, hi) if bound not in ("2", "5"))
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid literal for int() with base 10: {bad!r}\n"
+
+
+def test_integer_arguments_take_ascii_whitespace(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--zn", " 2\t..\n5 ", "--kinds", "clean",
+                           "--format", "csv")
+    assert code == 0 and [line[0] for line in out.splitlines()[1:]] == list("2345")
+    code, out, _ = run_cli(capsys, "element", "--ring", "Z(6)", "--element", " 5\t",
+                           "--kinds", "nil-clean", "--format", "csv")
+    assert code == 0 and out.splitlines()[1] == "nil-clean,false,,,,"
+
+
+@pytest.mark.parametrize("element", ["x", "٣", "３", "1_0", "+3", "3\u00a0", ""])
+def test_element_is_an_ascii_integer(capsys, element):
+    code, out, err = run_cli(capsys, "element", "--ring", "Z(6)", "--element", element,
+                             "--kinds", "nil-clean")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"wnc element: error: argument --element: invalid int value: {element!r}")
 
 
 def test_huge_bound_exits_two_with_saturated_message(capsys):

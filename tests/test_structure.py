@@ -1,6 +1,8 @@
 """Structure sets, annihilators, ideals and subset utilities."""
 
 import gc
+import importlib
+import tracemalloc
 import weakref
 
 import pytest
@@ -71,6 +73,29 @@ def test_structure_agrees_with_naive_oracles(rings):
         assert list(cache.idempotents) == naive.idempotents(ring), label
         assert cache.nilpotency == naive.nilpotents(ring), label
         assert set(cache.radical) == naive.radical(ring), label
+
+
+def test_radical_does_not_depend_on_the_row_blocks(monkeypatch):
+    module = importlib.import_module("wnc.structure")  # the package exports the function
+    labels = ("Z(12)", "M2(Z(2))", "T2(Z(3))", "skew(Z(6),id,2)")
+    for entries in (8, 8 * 40, 8 * 200):  # 1 row, then 40 and 200 entries a block
+        monkeypatch.setattr(module, "ROW_BLOCK_ENTRIES", entries)
+        for ring in [*map(build_text, labels), *naive.corruptions(build_text("Z(4)"))]:
+            assert structure(ring).radical == naive.radical(ring), (entries, ring.label)
+
+
+@pytest.mark.parametrize("label, radical_size", [("M2(Z(5))", 1), ("Z(2000)", 200)])
+def test_structure_peak_memory_per_table_entry(label, radical_size):
+    # the row-blocked radical copies ROW_BLOCK_ENTRIES // 8 indices at a time
+    ring = build_text(label)
+    tracemalloc.start()
+    try:
+        cache = structure(ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache.radical) == radical_size
+    assert peak < 5 * ring.order ** 2
 
 
 def test_structure_is_memoized(rings):

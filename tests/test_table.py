@@ -64,6 +64,17 @@ def test_malformed_tables_rejected():
         ring_table(2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], [0, 1], 0, 3, "bad")
 
 
+@pytest.mark.parametrize("value", [-1, -2**31, 3, 2**31 - 1])
+@pytest.mark.parametrize("name", ["add", "mul", "neg"])
+def test_out_of_range_entries_rejected_at_either_end(name, value):
+    z3 = build_zn(3)
+    tables = {"add": z3.add.copy(), "mul": z3.mul.copy(), "neg": z3.neg.copy()}
+    tables[name].flat[-1] = value
+    with pytest.raises(TableFormatError, match=f"{name} table contains out-of-range"):
+        ring_table(3, tables["add"], tables["mul"], tables["neg"], 0, 1, "bad")
+    ring_table(3, z3.add.T, z3.mul.T, z3.neg, 0, 1, "transposed")  # strided int32 views pass
+
+
 def test_zero_one_collision_detected():
     z2 = build_zn(2)
     bad = ring_table(2, z2.add, z2.mul, z2.neg, 0, 0, "bad-one")
