@@ -77,7 +77,10 @@ def _parse_kinds(spec: str) -> list[DecompKind]:
     for name in spec.split(","):
         name = name.strip()
         if name:
-            kinds.append(DecompKind.from_name(name))
+            kind = DecompKind.from_name(name)
+            if kind in kinds:
+                raise ValueError(f"kind {name!r} is given twice")
+            kinds.append(kind)
     if not kinds:
         raise ValueError("no decomposition kinds given")
     return kinds
@@ -106,7 +109,7 @@ def _write(args, headers: Sequence[str], rows: Sequence[Sequence[str]], json_tex
 def cmd_classify(args) -> int:
     ring = build_text(args.ring)
     kinds = _parse_kinds(args.kinds)
-    expect = []
+    expect = {}
     for clause in args.expect.split(",") if args.expect else []:
         name, _, want = clause.partition("=")
         name, want = name.strip(), want.strip().lower()
@@ -114,14 +117,16 @@ def cmd_classify(args) -> int:
             raise ValueError(f"--expect wants true/false, got {want!r}")
         if name not in {kind.value for kind in kinds}:
             raise ValueError(f"--expect names unclassified kind {name!r}")
-        expect.append((name, want))
+        if name in expect:
+            raise ValueError(f"--expect names kind {name!r} twice")
+        expect[name] = want
     verdicts = [ring_verdict(ring, kind, _default_s(ring, kind)) for kind in kinds]
     rows = [[v.kind.value, _bool_text(v.holds), "" if v.witness is None else str(v.witness)]
             for v in verdicts]
     _write(args, ["kind", "holds", "witness"], rows, lambda: _verdicts_json(ring, verdicts))
     got = {v.kind.value: v.holds for v in verdicts}
     failures = [f"{name}: expected {want}, got {_bool_text(got[name])}"
-                for name, want in expect if got[name] != (want == "true")]
+                for name, want in expect.items() if got[name] != (want == "true")]
     for failure in failures:
         sys.stderr.write(f"expectation failed: {failure}\n")
     return 1 if failures else 0

@@ -417,10 +417,6 @@ def _run_rigidity(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
     return _rigidity_outcome(_rigidity_failure(entry.ring))
 
 
-def _run_unique_maximal(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
-    return check_S_unique_maximal(entry.ring)
-
-
 def _applicable_zero_one_weak(entry: CorpusEntry) -> bool:
     if entry.ring.order == 1:
         return False  # no proper ideals exist; the statement presumes 0 != 1
@@ -434,10 +430,6 @@ def _applicable_weak_star(entry: CorpusEntry) -> bool:
 def _applicable_weak_star_two_nil(entry: CorpusEntry) -> bool:
     two = int(entry.ring.add[entry.ring.one, entry.ring.one])
     return _applicable_weak_star(entry) and two in structure(entry.ring).nilpotency
-
-
-def _applicable_commutative(entry: CorpusEntry) -> bool:
-    return entry.ring.is_commutative()
 
 
 REGISTRY: tuple[TheoremCheck, ...] = (
@@ -462,7 +454,7 @@ REGISTRY: tuple[TheoremCheck, ...] = (
     TheoremCheck(
         "prop-nilradical-quotient",
         ("nilradical-quotient-transfer",),
-        _applicable_commutative,
+        lambda entry: entry.ring.is_commutative(),
         lambda entry: check_nilradical_quotient(entry.ring),
     ),
     TheoremCheck(
@@ -493,7 +485,7 @@ REGISTRY: tuple[TheoremCheck, ...] = (
         "prop-01-unique-maximal",
         ("zero-one-weak-unique-maximal-ideal",),
         _applicable_zero_one_weak,
-        _run_unique_maximal,
+        lambda entry: check_S_unique_maximal(entry.ring),
     ),
     TheoremCheck(
         "thm-s-rigidity",
@@ -555,6 +547,9 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
         missing = [cid for cid in checks if cid not in known]
         if missing:
             raise ValueError(f"unknown check ids: {missing}")
+        repeated = list(dict.fromkeys(cid for cid in checks if checks.count(cid) > 1))
+        if repeated:
+            raise ValueError(f"check ids given twice: {repeated}")
         selected = tuple(known[cid] for cid in checks)
     items = sorted(corpus, key=lambda item: not isinstance(item, CorpusEntry))
     cells = [cell for item in items for cell in _member_cells(item, selected, budget)]

@@ -98,6 +98,26 @@ def test_element_output(capsys):
         "weak-nil-clean,true,1,0,-,true",
         "nil-clean,false,,,,",
     ]
+    code, out, _ = run_cli(
+        capsys, "element", "--ring", "Z(6)", "--element", "5",
+        "--kinds", "weak-nil-clean", "--format", "json",
+    )
+    assert code == 0
+    assert out == (
+        '[\n'
+        '  {\n'
+        '    "ring": "Z(6)",\n'
+        '    "kind": "weak-nil-clean",\n'
+        '    "x": 5,\n'
+        '    "cert": {\n'
+        '      "e": 1,\n'
+        '      "companion": 0,\n'
+        '      "sign": "-",\n'
+        '      "commutes": true\n'
+        '    }\n'
+        '  }\n'
+        ']\n'
+    )
 
 
 def test_sweep_csv(capsys):
@@ -115,6 +135,9 @@ def test_sweep_csv(capsys):
         if line.split(",")[1] == "true" and line.split(",")[2] == "false"
     ]
     assert weak_not_nil == [3, 6, 9, 12]
+    code, out, _ = run_cli(capsys, "sweep", "--zn", "7..7", "--kinds", "clean",
+                           "--format", "csv")
+    assert (code, out) == (0, "n,clean\n7,true\n")
 
 
 def test_sweep_to_100_matches_classification(capsys):
@@ -126,6 +149,37 @@ def test_sweep_to_100_matches_classification(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     weak_not_nil = [int(r[0]) for r in rows if r[1] == "true" and r[2] == "false"]
     assert weak_not_nil == [3, 6, 9, 12, 18, 24, 27, 36, 48, 54, 72, 81, 96]
+
+
+SWEEP_KINDS = ("clean", "nil-clean", "j-clean", "weak-nil-clean", "weak-j-clean")
+
+
+def _zn_closed_forms(n):
+    """The paper's verdicts for Z(n): clean always, nil and j clean iff n = 2^r,
+    weak nil and weak j clean iff n = 2^r·3^t."""
+    m = n
+    while m % 2 == 0:
+        m //= 2
+    power_of_two = m == 1
+    while m % 3 == 0:
+        m //= 3
+    return {"clean": True, "nil-clean": power_of_two, "j-clean": power_of_two,
+            "weak-nil-clean": m == 1, "weak-j-clean": m == 1}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_to_400_matches_closed_forms(capsys, fmt):
+    code, out, _ = run_cli(capsys, "sweep", "--zn", "1..400", "--kinds", ",".join(SWEEP_KINDS),
+                           "--format", fmt)
+    assert code == 0
+    rows = [{"n": n, **_zn_closed_forms(n)} for n in range(1, 401)]
+    # the whole text, so that row order and true versus 1 would show
+    if fmt == "json":
+        assert out == json.dumps(rows, indent=2) + "\n"
+    else:
+        assert out.splitlines() == [",".join(["n", *SWEEP_KINDS])] + [
+            ",".join([str(row["n"])] + ["true" if row[k] else "false" for k in SWEEP_KINDS])
+            for row in rows]
 
 
 def test_sweep_json(capsys):
@@ -194,10 +248,11 @@ def test_element_is_an_ascii_integer(capsys, element):
 
 
 def test_huge_bound_exits_two_with_saturated_message(capsys):
-    code, out, err = run_cli(capsys, "classify", "--ring", "M72(Z(7))", "--kinds", "clean")
-    assert code == 2 and out == ""
-    assert err == ("error: M72(Z(7)) needs more than 10**4300 elements, "
-                   "over the budget of 20000\n")
+    for label in ("M72(Z(7))", "M10000(Z(7))"):
+        code, out, err = run_cli(capsys, "classify", "--ring", label, "--kinds", "clean")
+        assert code == 2 and out == ""
+        assert err == (f"error: {label} needs more than 10**4300 elements, "
+                       "over the budget of 20000\n")
 
 
 def test_verify_survives_hostile_lines(capsys, tmp_path):
@@ -302,6 +357,17 @@ def test_verify_check_selection(capsys, tmp_path):
         "ring,check_id,outcome,witness",
         "Z(4),thm-zn-classification,pass,",
     ]
+    # non-commutative rings of order 256
+    corpus.write_text("M2(Z(4))\nT2(Z(4))\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "verify", "--corpus", str(corpus),
+        "--checks", "thm-s-rigidity,thm-weakstar-corner,thm-weak-jclean-bundle", "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == ["ring,check_id,outcome,witness"] + [
+        f"{ring},{check},pass,"
+        for ring in ("M2(Z(4))", "T2(Z(4))")
+        for check in ("thm-s-rigidity", "thm-weak-jclean-bundle", "thm-weakstar-corner")]
 
 
 def test_verify_output_file(capsys, tmp_path):
@@ -361,6 +427,26 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "element", "--ring", "Z(6)", "--element", "9",
                    "--kinds", "nil-clean")[0] == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("sweep", "--zn", "2..3", "--kinds", "clean,nil-clean,clean"),
+     "kind 'clean' is given twice"),
+    (("sweep", "--zn", "2..3", "--kinds", "clean,nil-clean, clean", "--format", "json"),
+     "kind 'clean' is given twice"),
+    (("classify", "--ring", "Z(6)", "--kinds", "nil-clean,nil-clean"),
+     "kind 'nil-clean' is given twice"),
+    (("element", "--ring", "Z(6)", "--element", "5", "--kinds", "nil-clean,nil-clean"),
+     "kind 'nil-clean' is given twice"),
+    (("classify", "--ring", "Z(6)", "--kinds", "nil-clean",
+      "--expect", "nil-clean=false,nil-clean=true"),
+     "--expect names kind 'nil-clean' twice"),
+    (("verify", "--corpus", "default",
+      "--checks", "thm-zn-classification,thm-zn-classification"),
+     "check ids given twice: ['thm-zn-classification']"),
+], ids=["sweep-csv", "sweep-json", "classify", "element", "expect", "verify"])
+def test_repeated_names_exit_two(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_deep_nesting_exits_two_without_traceback(capsys):

@@ -77,17 +77,37 @@ def test_parse_is_case_and_whitespace_insensitive():
     assert parse_ring_expr("Skew(Z(6),ID,2)") == SkewPolyQuot(Zn(6), IdentityEndo(), 2)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "Z", "Z(", "Z(6", "Z(6))", "prod()", "frob(Z(2))", "quot(Z(4),6)",
-     "idealize(Z(6),Z(3)", "skew(Z(6),flip,2)", "Z(x)", "corner(Z(4),)",
-     "Z(²)", "Z(𝟓)", "M２(Z(3))",
-     pytest.param("Z(" + "9" * 5000 + ")", id="Z(<5000 nines>)"), "Z(\u00a06)", "Z(6\u3000)", "\u2003Z(6)", "Z(6)\x1c"],
-)
+# The exact messages and positions: `wnc verify` prints them in its error cells.
+PARSE_ERRORS = {
+    "": ("expected a keyword, found '' (at position 0)", 0),
+    "Z": ("expected '(', found '' (at position 1)", 1),
+    "Z(": ("expected an integer, found '' (at position 2)", 2),
+    "Z(6": ("expected ')', found '' (at position 3)", 3),
+    "Z(6))": ("trailing input ')' (at position 4)", 4),
+    "prod()": ("expected a keyword, found ')' (at position 5)", 5),
+    "frob(Z(2))": ("unknown construction 'frob' (at position 0)", 0),
+    "quot(Z(4),6)": ("expected '[', found '6' (at position 10)", 10),
+    "idealize(Z(6),Z(3)": ("expected ')', found '' (at position 18)", 18),
+    "skew(Z(6),flip,2)": ("expected 'id' or 'swap(i,j)', found 'flip' (at position 10)", 10),
+    "Z(x)": ("expected an integer, found 'x' (at position 2)", 2),
+    "corner(Z(4),)": ("expected an integer, found ')' (at position 12)", 12),
+    "Z(²)": ("unexpected character '²' (at position 2)", 2),
+    "Z(𝟓)": ("unexpected character '𝟓' (at position 2)", 2),
+    "M２(Z(3))": ("unexpected character '２' (at position 1)", 1),
+    "Z(" + "9" * 5000 + ")": ("integer of 5000 digits is too long (at position 2)", 2),
+    "Z(\u00a06)": ("unexpected character '\\xa0' (at position 2)", 2),
+    "Z(6\u3000)": ("unexpected character '\\u3000' (at position 3)", 3),
+    "\u2003Z(6)": ("unexpected character '\\u2003' (at position 0)", 0),
+    "Z(6)\x1c": ("unexpected character '\\x1c' (at position 4)", 4),
+}
+
+
+@pytest.mark.parametrize("text", [pytest.param(text, id="Z(<5000 nines>)") if len(text) > 100
+                                  else text for text in PARSE_ERRORS])
 def test_parse_errors_carry_position(text):
     with pytest.raises(ExprSyntaxError) as err:
         parse_ring_expr(text)
-    assert err.value.position >= 0
+    assert (str(err.value), err.value.position) == PARSE_ERRORS[text]
 
 
 def _exprs(depth):

@@ -367,6 +367,14 @@ def test_unknown_check_id_rejected():
             run_suite(corpus, checks=["no-such-check"])
 
 
+def test_repeated_check_id_rejected():
+    checks = ["thm-zn-classification", "prop-J-subset-Nil", "thm-zn-classification",
+              "prop-J-subset-Nil", "thm-zn-classification"]
+    with pytest.raises(ValueError) as err:
+        run_suite(["Z(4)"], checks=checks)
+    assert str(err.value) == "check ids given twice: ['thm-zn-classification', 'prop-J-subset-Nil']"
+
+
 def test_suite_holds_one_corpus_ring_at_a_time(monkeypatch):
     built = []
 
