@@ -24,7 +24,6 @@ from .decomp import (
     find_decomp,
     kind_takes_subset,
     ring_verdict,
-    zero_one_subset,
 )
 from .errors import RingError
 from .structure import structure
@@ -89,7 +88,7 @@ def _parse_kinds(spec: str) -> list[DecompKind]:
 def _default_s(ring, kind: DecompKind):
     # The S variants have no set syntax on the CLI; they use the distinguished
     # subset {0, 1}.
-    return zero_one_subset(ring) if kind_takes_subset(kind) else None
+    return (ring.zero, ring.one) if kind_takes_subset(kind) else None
 
 
 def _banner(args) -> str:

@@ -668,7 +668,10 @@ def _check_budget(expr: RingExpr, limit: int) -> None:
 
 
 def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
-    """Elaborate a ring expression into a verified-encodable RingTable."""
+    """Elaborate a ring expression into a RingTable.
+
+    Its table shapes and entry ranges are checked, its ring axioms are not.
+    """
     _check_budget(expr, size_budget(budget))
     if isinstance(expr, Zn):
         return build_zn(expr.n)

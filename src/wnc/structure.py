@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CrossRingError
-from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _additive_closure, _memoised
+from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _additive_span, _memoised
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,27 +207,25 @@ def _right_multiples(ring: RingTable, mask: np.ndarray) -> np.ndarray:
 def ideal_generated_by(ring: RingTable, gens: Iterable[ElementId]) -> Subset:
     """Smallest two-sided ideal containing the generators.
 
-    It is the additive closure of {0} together with every R*g*R: each r*g*s
-    lies in the ideal, and sums of such products are closed under
-    multiplication on either side.  R*G*R is gathered as (R*G)*R, and it
-    holds G because 1 lies in R.
+    It is the additive span of every R*g*R: each r*g*s lies in the ideal,
+    and sums of such products are closed under multiplication on either
+    side.  R*G*R is gathered as (R*G)*R, and it holds G because 1 lies in R.
     """
     gens = [int(g) for g in gens]
     for g in gens:
         ring.check_element(g)
     mask = np.zeros(ring.order, dtype=bool)
-    mask[ring.zero] = True
     mask[ring.mul[:, gens]] = True
-    return subset(ring, np.flatnonzero(_additive_closure(ring, _right_multiples(ring, mask))))
+    return subset(ring, np.flatnonzero(_additive_span(ring, _right_multiples(ring, mask))[0]))
 
 
 @_memoised
 def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
     """Every two-sided ideal, sorted by (size, members).
 
-    The principal ideal of x is the additive closure of R*x*R = (R*x)*R;
+    The principal ideal of x is the additive span of R*x*R = (R*x)*R;
     elements with the same left multiples R*x share it, so it is gathered
-    and closed once per distinct R*x.
+    and spanned once per distinct R*x.
     The lattice then grows by joining each newly found ideal with each
     principal ideal, I + P being the set of sums add[I, P], which is already
     an ideal.  This is complete: every ideal is the sum of the principal
@@ -241,7 +239,7 @@ def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
         lefts.setdefault(left.tobytes(), left)
     principal: dict[bytes, np.ndarray] = {}
     for left in lefts.values():
-        ideal = _additive_closure(ring, _right_multiples(ring, left))
+        ideal = _additive_span(ring, _right_multiples(ring, left))[0]
         principal.setdefault(ideal.tobytes(), ideal)
     ideals = dict(principal)
     frontier = list(principal.values())

@@ -25,7 +25,8 @@ ROW_BLOCK_ENTRIES = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class RingTable:
-    """A fully materialized finite associative ring with unity."""
+    """Operation tables of a finite ring with unity: ring_table checks their
+    shapes and entry ranges, verify_ring_axioms their ring axioms."""
 
     order: int
     add: np.ndarray
@@ -160,46 +161,32 @@ class AxiomReport:
         return iter(self.results)
 
 
-def _additive_closure(ring: RingTable, mask: np.ndarray) -> np.ndarray:
-    """The additive subgroup generated by a mask that holds 0.
+def _additive_span(ring: RingTable, mask: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The additive subgroup generated by mask, and the generators it took.
 
-    Each round replaces M by M + M, so after k rounds M holds every sum of up
-    to 2**k generators; in a finite group the generated submonoid is already
-    the subgroup, and it is reached within ceil(log2 n) rounds.  Since 0 is an
-    additive identity, M lies in M + M, and a round that does not grow M
-    leaves it closed under +.
+    From S = {0}: while mask holds an element S lacks, the smallest such g
+    joins G and S grows by its orbit under x -> x + g.  Each round scatters S
+    forward and doubles the shift, so k rounds give S + {0, ..., 2**k - 1}*g,
+    and a round that adds nothing leaves S closed under + g.  Every element
+    reached is a sum of generators, so on any table S lies in the closure of
+    G under +.  In a group each step's order is a proper multiple of the last,
+    so |G| <= log2 n; a step that breaks this ends the span early.
     """
-    while True:
-        m = np.flatnonzero(mask)
-        grown = np.zeros_like(mask)
-        grown[ring.add[np.ix_(m, m)]] = True
-        if np.count_nonzero(grown) == m.size:
-            return grown
-        mask = grown
-
-
-def _additive_generators(ring: RingTable) -> Optional[list[int]]:
-    """A set G whose additive closure is the whole ring, with |G| <= log2 n.
-
-    G is built greedily: add the smallest id not yet reached, then close
-    under +.  In a group each closure is a subgroup, so its order is a
-    multiple of the one before, hence at least twice it.  None reports a step
-    that breaks this, which shows that + makes no group.
-    """
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[ring.zero] = True
-    size = 1
-    gens = []
-    while size < ring.order:
-        g = int(np.argmin(mask))
+    span = np.zeros(ring.order, dtype=bool)
+    span[ring.zero] = True
+    size, gens = 1, []
+    while (missing := mask & ~span).any():
+        g = int(np.argmax(missing))
         gens.append(g)
-        mask[g] = True
-        mask = _additive_closure(ring, mask)
-        grown = int(np.count_nonzero(mask))
-        if grown % size:
-            return None
+        shift = ring.add[:, g]
+        while not span[reached := shift[span]].all():
+            span[reached] = True
+            shift = shift[shift]
+        grown = int(np.count_nonzero(span))
+        if grown == size or grown % size:
+            break
         size = grown
-    return gens
+    return span, gens
 
 
 def _first_true(mask: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -239,38 +226,42 @@ def _cubic_laws_hold_on_generators(ring: RingTable) -> bool:
     inverse neg[x] and + commutes.  Each step below is sound once the steps
     before it pass.
 
-    1. G is found greedily (see _additive_generators); its closure under + is
-       the whole ring.
+    1. G is what _additive_span takes for the whole ring.  When the span is
+       everything, so is the closure of G under +, which holds it.
     2. Additive associativity (Light's test): x+(g+y) = (x+g)+y for every g in
-       G.  If b and c associate in the middle position for all x and y, so does
-       b+c: (x+(b+c))+y = ((x+b)+c)+y = (x+b)+(c+y) = x+(b+(c+y)) = x+((b+c)+y).
-       The middle elements that associate thus form a set that holds G and is
-       closed under +, so it is everything.  (R, +) is then an abelian group,
-       and the closure of G under + is the subgroup G generates.
-    3. Distributivity: a(b+g) = ab + ag and (b+g)a = ba + ga for all a, b and
-       every g in G.  For fixed a, the c with a(b+c) = ab + ac for every b are
-       closed under +: a(b+(c+d)) = a((b+c)+d) = a(b+c) + ad = ab + ac + ad
-       = ab + a(c+d), the last step by the law of d at b = c.  They hold G,
-       so they are everything; likewise for the right-hand law.
-    4. Multiplicative associativity on G^3: with both laws, (ab)c - a(bc) is
+       G.  With + commutative, the entry (x, y) of add[add[g]] is
+       (g+x)+y = (x+g)+y and its entry (y, x) is (g+y)+x = x+(g+y), so the
+       test is that this matrix is symmetric.  If b and c associate in the
+       middle position for all x and y, so does b+c: (x+(b+c))+y =
+       ((x+b)+c)+y = (x+b)+(c+y) = x+(b+(c+y)) = x+((b+c)+y).  The middle
+       elements that associate thus form a set that holds G and is closed
+       under +, so it is everything.  (R, +) is then an abelian group.
+    3. Right distributivity: (b+g)a = ba + ga for all a, b and every g in G.
+       For fixed a, the c with (b+c)a = ba + ca for every b are closed under +:
+       (b+(c+d))a = ((b+c)+d)a = (b+c)a + da = ba + ca + da = ba + (c+d)a, the
+       last step by the law of d at b = c.  They hold G, so they are everything.
+    4. Left distributivity: a(b+g) = ab + ag for a and g in G and every b.  As
+       in step 3, each a in G then distributes over every sum.  By step 3, the
+       a that do are closed under +: (a+a')(b+c) = a(b+c) + a'(b+c) =
+       ab + ac + a'b + a'c = (a+a')b + (a+a')c.  So they are everything.
+    5. Multiplicative associativity on G^3: with both laws, (ab)c - a(bc) is
        additive in each of a, b and c, so it vanishes everywhere once it
        vanishes on G^3.
     """
     add, mul = ring.add, ring.mul
-    gens = _additive_generators(ring)
-    if gens is None:
+    span, gens = _additive_span(ring, np.ones(ring.order, dtype=bool))
+    if not span.all():
         return False
-    for g in gens:
-        plus_g = add[:, g]
-        if not (
-            np.array_equal(add[:, add[g]], add[plus_g])
-            and np.array_equal(mul[:, plus_g], add[mul, mul[:, g][:, None]])
-            and np.array_equal(mul[plus_g], add[mul, mul[g]])
-        ):
-            return False
     g = np.array(gens, dtype=np.intp)
     ab = mul[np.ix_(g, g)]
-    return np.array_equal(mul[ab[:, :, None], g], mul[g[:, None, None], ab])
+    # each law's n x n gathers are freed before the next law's are taken
+    return (
+        all(np.array_equal(light, light.T) for light in (add[add[x]] for x in gens))
+        and all(np.array_equal(mul[add[:, x]], add[mul, mul[x]]) for x in gens)
+        and np.array_equal(mul[g[:, None, None], add[:, g].T],
+                           add[mul[g][:, None], ab[:, :, None]])
+        and np.array_equal(mul[ab[:, :, None], g], mul[g[:, None, None], ab])
+    )
 
 
 def verify_ring_axioms(ring: RingTable) -> AxiomReport:

@@ -33,7 +33,6 @@ from .decomp import (
     lifts_idempotents,
     lifts_idempotents_weakly,
     ring_verdict,
-    zero_one_subset,
 )
 from .errors import CapacityError, RingError
 from .structure import Subset, all_ideals, maximal_ideals, structure, subset
@@ -420,7 +419,7 @@ def _run_rigidity(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
 def _applicable_zero_one_weak(entry: CorpusEntry) -> bool:
     if entry.ring.order == 1:
         return False  # no proper ideals exist; the statement presumes 0 != 1
-    return _holds(entry.ring, DecompKind.S_WEAK_NIL_CLEAN, zero_one_subset(entry.ring))
+    return _holds(entry.ring, DecompKind.S_WEAK_NIL_CLEAN, (entry.ring.zero, entry.ring.one))
 
 
 def _applicable_weak_star(entry: CorpusEntry) -> bool:

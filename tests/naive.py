@@ -135,6 +135,22 @@ def ideal_closure(ring, gens):
     return frozenset(members)
 
 
+def additive_closure(ring, mask):
+    """The additive subgroup generated by a mask that holds 0, by M <- M + M rounds.
+
+    After k rounds M holds every sum of up to 2**k members; since 0 is an
+    additive identity M lies in M + M, and a round that does not grow M
+    leaves it closed under +.
+    """
+    while True:
+        m = np.flatnonzero(mask)
+        grown = np.zeros_like(mask)
+        grown[ring.add[np.ix_(m, m)]] = True
+        if np.count_nonzero(grown) == m.size:
+            return grown
+        mask = grown
+
+
 def all_ideals(ring):
     """Principal ideals saturated under pairwise sums until nothing changes."""
     add = ring.add.tolist()

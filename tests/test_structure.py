@@ -5,7 +5,10 @@ import importlib
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive
 from wnc.construct import build_text, corner, quotient
@@ -28,7 +31,7 @@ from wnc.structure import (
     structure,
     subset,
 )
-from wnc.table import _memo
+from wnc.table import _additive_span, _memo
 
 
 def test_structure_matches_loop_oracles_on_corrupted_tables(rings):
@@ -293,6 +296,24 @@ def _flags(handle):
 def test_all_ideals_match_oracle(oracle_rings):
     for ring in oracle_rings:
         assert all_ideals(ring) == naive.all_ideals(ring), ring.label
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_additive_span_matches_the_doubling_oracle(oracle_rings, data):
+    ring = data.draw(st.sampled_from(oracle_rings), label="ring")
+    ids = data.draw(st.lists(st.integers(0, ring.order - 1), max_size=6), label="ids")
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[[ring.zero, *ids]] = True
+    span, gens = _additive_span(ring, mask)
+    assert np.array_equal(span, naive.additive_closure(ring, mask))
+    assert mask[gens].all()
+
+
+def test_whole_ring_has_at_most_log2_n_additive_generators(oracle_rings):
+    for ring in oracle_rings:
+        span, gens = _additive_span(ring, np.ones(ring.order, dtype=bool))
+        assert span.all() and 2 ** len(gens) <= ring.order, ring.label
 
 
 def test_ideal_generated_by_matches_oracle(oracle_rings):

@@ -1,5 +1,7 @@
 """Ring table construction and axiom verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,8 +131,8 @@ def test_default_corpus_rings_pass_axioms(corpus_entries):
         assert verify_ring_axioms(entry.ring).results == all_pass, entry.label
 
 
-def _stealthy_corruption(data, rings):
-    """One of the rings with one entry changed so that every O(n^2) test passes.
+def _stealthy_corruption(data, rings, changes=1):
+    """One of the rings with some entries changed so that every O(n^2) test passes.
 
     add changes are symmetric pairs add[a,b] = add[b,a] with a, b != 0 and
     b != -a; mul changes avoid the row and column of 1.  Only the generator
@@ -140,25 +142,45 @@ def _stealthy_corruption(data, rings):
     n = ring.order
     ids = st.integers(0, n - 1)
     add, mul = np.array(ring.add), np.array(ring.mul)
-    if data.draw(st.booleans(), label="corrupt add"):
-        a = data.draw(ids.filter(lambda x: x != ring.zero))
-        b = data.draw(ids.filter(lambda x: x not in (ring.zero, int(ring.neg[a]))))
-        value = data.draw(ids.filter(lambda v: v != add[a, b]))
-        add[a, b] = add[b, a] = value
-    else:
-        a = data.draw(ids.filter(lambda x: x != ring.one))
-        b = data.draw(ids.filter(lambda x: x != ring.one))
-        mul[a, b] = data.draw(ids.filter(lambda v: v != mul[a, b]))
+    for _ in range(changes):
+        if data.draw(st.booleans(), label="corrupt add"):
+            a = data.draw(ids.filter(lambda x: x != ring.zero))
+            b = data.draw(ids.filter(lambda x: x not in (ring.zero, int(ring.neg[a]))))
+            value = data.draw(ids.filter(lambda v: v != add[a, b]))
+            add[a, b] = add[b, a] = value
+        else:
+            a = data.draw(ids.filter(lambda x: x != ring.one))
+            b = data.draw(ids.filter(lambda x: x != ring.one))
+            mul[a, b] = data.draw(ids.filter(lambda v: v != mul[a, b]))
     return ring_table(n, add, mul, ring.neg, ring.zero, ring.one, ring.label + "-corrupt")
+
+
+def _small_rings(corpus_entries):
+    # order 3 is the least with an add change of this kind
+    return [entry.ring for entry in corpus_entries if 3 <= entry.ring.order <= 36]
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_stealthy_corruption_gets_the_full_scan_report(corpus_entries, data):
-    # order 3 is the least with an add change of this kind
-    small = [entry.ring for entry in corpus_entries if 3 <= entry.ring.order <= 36]
-    bad = _stealthy_corruption(data, small)
+    bad = _stealthy_corruption(data, _small_rings(corpus_entries))
     assert verify_ring_axioms(bad) == naive.axiom_report(bad)
+
+
+_QUADRATIC_LAWS = ("add-commutative", "add-identity", "add-inverse", "one-identity",
+                   "zero-one-distinct")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_multi_entry_corruptions_get_the_full_scan_report(corpus_entries, data):
+    # the proof tests the left law on a, g in G only, so a table with several
+    # changed entries must still fail it wherever the scan finds a witness
+    changes = data.draw(st.integers(2, 4), label="changes")
+    bad = _stealthy_corruption(data, _small_rings(corpus_entries), changes)
+    want = naive.axiom_report(bad)
+    assert all(ok for name, ok, _ in want if name in _QUADRATIC_LAWS)
+    assert verify_ring_axioms(bad) == want
 
 
 def test_single_entry_corruptions_get_the_full_scan_report(rings):
@@ -166,6 +188,20 @@ def test_single_entry_corruptions_get_the_full_scan_report(rings):
     for ring in (rings["Z(4)"], rings["Z(6)"]):
         for bad in naive.corruptions(ring):
             assert verify_ring_axioms(bad) == naive.axiom_report(bad), bad.label
+
+
+@pytest.mark.parametrize("label", ["M2(Z(5))", "Z(2000)"])
+def test_axioms_peak_memory_per_table_entry(label):
+    # each law's n x n gathers are freed before the next law's are taken
+    ring = build_text(label)
+    tracemalloc.start()
+    try:
+        report = verify_ring_axioms(ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 10 * ring.order ** 2
 
 
 def test_rings_never_reach_the_cubic_scan(corpus_entries, monkeypatch):
