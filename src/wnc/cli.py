@@ -71,15 +71,18 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _split_names(spec: str) -> list[str]:
+    """The names of a comma list, each stripped, blank ones skipped."""
+    return [name.strip() for name in spec.split(",") if name.strip()]
+
+
 def _parse_kinds(spec: str) -> list[DecompKind]:
     kinds = []
-    for name in spec.split(","):
-        name = name.strip()
-        if name:
-            kind = DecompKind.from_name(name)
-            if kind in kinds:
-                raise ValueError(f"kind {name!r} is given twice")
-            kinds.append(kind)
+    for name in _split_names(spec):
+        kind = DecompKind.from_name(name)
+        if kind in kinds:
+            raise ValueError(f"kind {name!r} is given twice")
+        kinds.append(kind)
     if not kinds:
         raise ValueError("no decomposition kinds given")
     return kinds
@@ -109,7 +112,7 @@ def cmd_classify(args) -> int:
     ring = build_text(args.ring)
     kinds = _parse_kinds(args.kinds)
     expect = {}
-    for clause in args.expect.split(",") if args.expect else []:
+    for clause in _split_names(args.expect or ""):
         name, _, want = clause.partition("=")
         name, want = name.strip(), want.strip().lower()
         if want not in ("true", "false"):
@@ -202,7 +205,9 @@ def cmd_verify(args) -> int:
     else:
         with open(args.corpus, "r", encoding="utf-8") as fh:
             corpus = parse_corpus(fh.read())
-    selected = None if args.checks == "all" else [c.strip() for c in args.checks.split(",")]
+    selected = None if args.checks == "all" else _split_names(args.checks)
+    if selected == []:
+        raise ValueError("no check ids given")
     cells = run_suite(corpus, selected)
     rows = [[cell["ring"], cell["check_id"], cell["outcome"], cell.get("witness", "")]
             for cell in cells]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .construct import quotient
 from .errors import InvalidSubsetError
-from .structure import Subset, structure, subset
+from .structure import Subset, _multiples, structure, subset
 from .table import ElementId, RingTable, _first_true, _memoised
 
 
@@ -244,14 +244,6 @@ class ExchangeReport:
     holds: bool
     witnesses: dict[ElementId, ElementId]
     failure: Optional[ElementId]
-
-
-def _multiples(ring: RingTable, side: str, xs=slice(None)) -> np.ndarray:
-    """mask[i, y] says that y lies in xR (side 'right') or in Rx ('left'), x = xs[i]."""
-    products = (ring.mul if side == "right" else ring.mul.T)[xs]
-    mask = np.zeros(products.shape, dtype=bool)
-    np.put_along_axis(mask, products, True, axis=1)
-    return mask
 
 
 def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,

@@ -197,11 +197,12 @@ def ann_right(ring: RingTable, x: ElementId) -> Subset:
     return subset(ring, members)
 
 
-def _right_multiples(ring: RingTable, mask: np.ndarray) -> np.ndarray:
-    """Mask of M*R, gathered from the rows of the mul table at M."""
-    out = np.zeros_like(mask)
-    out[ring.mul[mask].ravel()] = True
-    return out
+def _multiples(ring: RingTable, side: str, xs=slice(None)) -> np.ndarray:
+    """mask[i, y] says that y lies in xR (side 'right') or in Rx ('left'), x = xs[i]."""
+    products = (ring.mul if side == "right" else ring.mul.T)[xs]
+    mask = np.zeros(products.shape, dtype=bool)
+    np.put_along_axis(mask, products, True, axis=1)
+    return mask
 
 
 def ideal_generated_by(ring: RingTable, gens: Iterable[ElementId]) -> Subset:
@@ -209,38 +210,36 @@ def ideal_generated_by(ring: RingTable, gens: Iterable[ElementId]) -> Subset:
 
     It is the additive span of every R*g*R: each r*g*s lies in the ideal,
     and sums of such products are closed under multiplication on either
-    side.  R*G*R is gathered as (R*G)*R, and it holds G because 1 lies in R.
+    side.  R*G*R is gathered as (R*G)*R, each product a union of rows of
+    _multiples, and it holds G because 1 lies in R.
     """
     gens = [int(g) for g in gens]
     for g in gens:
         ring.check_element(g)
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[ring.mul[:, gens]] = True
-    return subset(ring, np.flatnonzero(_additive_span(ring, _right_multiples(ring, mask))[0]))
+    left = _multiples(ring, "left", gens).any(axis=0)
+    both = _multiples(ring, "right", left).any(axis=0)
+    return subset(ring, np.flatnonzero(_additive_span(ring, both)[0]))
 
 
 @_memoised
 def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
     """Every two-sided ideal, sorted by (size, members).
 
-    The principal ideal of x is the additive span of R*x*R = (R*x)*R;
-    elements with the same left multiples R*x share it, so it is gathered
-    and spanned once per distinct R*x.
+    The principal ideal of x is the additive span of R*x*R = (R*x)*R, the
+    union of the rows yR, y in R*x.  Elements with the same row R*x share
+    it, so it is gathered and spanned once per distinct row.  Both masks
+    come from _multiples, once per call each.
     The lattice then grows by joining each newly found ideal with each
     principal ideal, I + P being the set of sums add[I, P], which is already
     an ideal.  This is complete: every ideal is the sum of the principal
     ideals of its members, so it is reached by adding principal ideals one at
     a time.
     """
-    lefts: dict[bytes, np.ndarray] = {}
-    for x in ring.elements():
-        left = np.zeros(ring.order, dtype=bool)
-        left[ring.mul[:, x]] = True
-        lefts.setdefault(left.tobytes(), left)
-    principal: dict[bytes, np.ndarray] = {}
-    for left in lefts.values():
-        ideal = _additive_span(ring, _right_multiples(ring, left))[0]
-        principal.setdefault(ideal.tobytes(), ideal)
+    lefts = {row.tobytes(): row for row in _multiples(ring, "left")}
+    right = _multiples(ring, "right")
+    spans = (_additive_span(ring, right[left].any(axis=0))[0] for left in lefts.values())
+    principal = {ideal.tobytes(): ideal for ideal in spans}
+    del lefts, right  # the joins read neither n x n mask
     ideals = dict(principal)
     frontier = list(principal.values())
     while frontier:

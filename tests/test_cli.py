@@ -449,6 +449,29 @@ def test_repeated_names_exit_two(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,spaced", [
+    (("classify", "--ring", "Z(6)", "--kinds", "nil-clean,weak-nil-clean"),
+     ("classify", "--ring", "Z(6)", "--kinds", " nil-clean, ,weak-nil-clean,")),
+    (("classify", "--ring", "Z(6)", "--kinds", "nil-clean", "--expect", "nil-clean=true"),
+     ("classify", "--ring", "Z(6)", "--kinds", "nil-clean", "--expect", ",nil-clean=true, ")),
+    (("classify", "--ring", "Z(6)", "--kinds", "nil-clean"),
+     ("classify", "--ring", "Z(6)", "--kinds", "nil-clean", "--expect", " , ")),
+    (("verify", "--corpus", "default", "--checks", "prop-J-subset-Nil", "--format", "csv"),
+     ("verify", "--corpus", "default", "--checks", "prop-J-subset-Nil,", "--format", "csv")),
+], ids=["kinds", "expect", "expect-blank", "checks"])
+def test_comma_lists_skip_blank_names(capsys, argv, spaced):
+    assert run_cli(capsys, *spaced) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("classify", "--ring", "Z(6)", "--kinds", " , "), "no decomposition kinds given"),
+    (("verify", "--corpus", "default", "--checks", ""), "no check ids given"),
+    (("verify", "--corpus", "default", "--checks", " ,, "), "no check ids given"),
+], ids=["kinds", "checks-empty", "checks-blank"])
+def test_comma_lists_with_no_name_exit_two(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_deep_nesting_exits_two_without_traceback(capsys):
     ring = "corner(" * 3000 + "Z(2)" + ",1)" * 3000
     code, out, err = run_cli(capsys, "classify", "--ring", ring, "--kinds", "nil-clean")

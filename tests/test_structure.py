@@ -294,8 +294,24 @@ def _flags(handle):
 
 
 def test_all_ideals_match_oracle(oracle_rings):
-    for ring in oracle_rings:
+    # T2(Z(4)) (14 ideals) and Z(2)^7 (128 ideals) need joins as well
+    extra = ["T2(Z(4))", "prod(Z(2),Z(2),Z(2),Z(2),Z(2),Z(2),Z(2))"]
+    for ring in [*oracle_rings, *map(build_text, extra)]:
         assert all_ideals(ring) == naive.all_ideals(ring), ring.label
+
+
+@pytest.mark.parametrize("label, ideal_count", [("M2(Z(5))", 2), ("Z(2000)", 20)])
+def test_all_ideals_peak_memory_per_table_entry(label, ideal_count):
+    # one n x n mask each for R*x and x*R, the rows R*x kept as views
+    ring = build_text(label)
+    tracemalloc.start()
+    try:
+        ideals = all_ideals(ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ideals) == ideal_count
+    assert peak < 3.5 * ring.order ** 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,7 +336,7 @@ def test_ideal_generated_by_matches_oracle(oracle_rings):
     for ring in oracle_rings:
         cache = structure(ring)
         n = ring.order
-        for gens in ((), (ring.one,), (n // 3,), (n // 2, n - 1),
+        for gens in ((), (ring.one,), (n // 3,), (n // 2, n - 1), (n - 1, n // 2, n - 1),
                      tuple(cache.nilpotency), cache.idempotents[:3]):
             got = ideal_generated_by(ring, gens)
             assert got.members == naive.ideal_closure(ring, gens), (ring.label, gens)
