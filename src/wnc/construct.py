@@ -21,8 +21,13 @@ product is the component-k sum of ``table[a_i, b_j]`` over a fixed list of
 (i, j, table) terms: (k, k, mul) for products, (il, lj, mul) over the stored
 matrix positions, (0, 1, left action) and (1, 0, right action) for the module
 digit of an idealization, and (i, c-i, mul twisted by sigma^i) for the
-coefficient c of a skew ring.  ``corner`` and ``quot`` restrict their parent's
-tables to a set of ids and relabel them.
+coefficient c of a skew ring. The builder fills a table through its view with
+one axis per digit of a and one per digit of b, each term being its small
+table on two of those axes, so a digit is summed over only the digits its
+terms read; where those are all of them (the module digit of an idealization,
+the top coefficients of a skew ring), in blocks of at most ROW_BLOCK_ENTRIES
+entries. ``corner`` and ``quot`` restrict their parent's tables to a set of ids
+and relabel them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import math
 import os
 import string
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -418,25 +423,82 @@ def build_zn(n: int) -> RingTable:
     return ring_table(n, add, mul, neg, 0, 1 % n, f"Z({n})", names)
 
 
-def _coordinate_table(parts: Sequence[RingTable], digits: Sequence[np.ndarray],
-                      terms: Terms) -> np.ndarray:
+def _place_values(sizes: Sequence[int]) -> list[int]:
+    """The place value of each digit of a mixed-radix code, last digit fastest."""
+    return [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+
+
+# numpy's unravel_index and ravel_multi_index take at most 32 sizes before
+# numpy 2.0, so digits and codes come from the place values
+def _digit_vectors(sizes: Sequence[int]) -> list[np.ndarray]:
+    """Digit k of every code 0 .. prod(sizes) - 1."""
+    codes = np.arange(math.prod(sizes))
+    return [codes // place % size for place, size in zip(_place_values(sizes), sizes)]
+
+
+def _encode(digits: Sequence, sizes: Sequence[int]) -> Union[int, np.ndarray]:
+    """The codes of digit vectors given digit by digit (ints or arrays)."""
+    return sum(d * place for d, place in zip(digits, _place_values(sizes)))
+
+
+def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, ...]]:
+    """Slices that cut an array of ``shape`` into blocks of at most
+    ROW_BLOCK_ENTRIES entries (or of one entry): each block fixes the leading
+    axes and slices the next one."""
+    entries, fixed = math.prod(shape), 0
+    while entries > ROW_BLOCK_ENTRIES:
+        entries //= shape[fixed]
+        fixed += 1
+    if not fixed:
+        yield (slice(None),) * len(shape)
+        return
+    step, rest = ROW_BLOCK_ENTRIES // entries, (slice(None),) * (len(shape) - fixed)
+    for lead in np.ndindex(*shape[:fixed - 1]):
+        for start in range(0, shape[fixed - 1], step):
+            yield tuple(slice(x, x + 1) for x in lead) + (slice(start, start + step),) + rest
+
+
+def _window(block: tuple[slice, ...], shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """The block's slices on an array of ``shape`` that broadcasts over its axes."""
+    return tuple(s if n > 1 else slice(None) for s, n in zip(block, shape))
+
+
+def _coordinate_table(parts: Sequence[RingTable], terms: Terms) -> np.ndarray:
     """Table whose digit k at (a, b) is the parts[k]-sum of table[a_i, b_j]
-    over the (i, j, table) entries of terms[k]."""
-    order = len(digits[0])
+    over the (i, j, table) entries of terms[k].
+
+    The table is filled through its view with one axis per digit of a, then one
+    per digit of b; a digit of order 1 is always 0 and takes no axis. Each term
+    is its small table on the axes (a_i, b_j), so digit k is summed on the
+    broadcast grid of only the digits its terms read, then added in at its
+    place value. A grid of more than ROW_BLOCK_ENTRIES entries is summed in
+    blocks that fix its leading axes and slice the next one.
+    """
     sizes = [p.order for p in parts]
-    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-    out = np.empty((order, order), dtype=np.int32)
-    rows = max(1, ROW_BLOCK_ENTRIES // order)
-    for r0 in range(0, order, rows):
-        block = out[r0:r0 + rows]
-        block.fill(0)
-        left = [d[r0:r0 + rows, None] for d in digits]
-        for part, stride, digit_terms in zip(parts, strides, terms):
+    order = math.prod(sizes)
+    live = [k for k, size in enumerate(sizes) if size > 1]
+    axis = {k: a for a, k in enumerate(live)}
+    out = np.zeros((order, order), dtype=np.int32)
+    view = out.reshape([sizes[k] for k in live] * 2)
+    for k, (part, place, digit_terms) in enumerate(zip(parts, _place_values(sizes), terms)):
+        if k not in axis:
+            continue
+        values = []
+        for i, j, table in digit_terms:
+            shape = [1] * view.ndim
+            if i in axis:
+                shape[axis[i]] = sizes[i]
+            if j in axis:
+                shape[len(live) + axis[j]] = sizes[j]
+            # a digit of order 1 reads only row or column 0
+            values.append(table[:sizes[i], :sizes[j]].reshape(shape))
+        grid = np.broadcast_shapes(*(v.shape for v in values))
+        for block in _blocks(grid):
             acc = None
-            for i, j, table in digit_terms:
-                value = table[left[i], digits[j]]
+            for v in values:
+                value = v[_window(block, v.shape)]
                 acc = value if acc is None else part.add[acc, value]
-            block += acc * stride
+            view[_window(block, grid)] += acc * place
     return out
 
 
@@ -445,14 +507,13 @@ def _coordinate_ring(parts: Sequence[RingTable], terms: Terms, one: Sequence[int
     """Ring on digit vectors over ``parts`` (last digit fastest), added digit by
     digit, with digit k of a product given by the term list ``terms[k]``."""
     sizes = [p.order for p in parts]
-    order = math.prod(sizes)
-    digits = np.unravel_index(np.arange(order), sizes)
-    add = _coordinate_table(parts, digits, [[(k, k, p.add)] for k, p in enumerate(parts)])
-    mul = _coordinate_table(parts, digits, terms)
-    neg = np.ravel_multi_index([p.neg[d] for p, d in zip(parts, digits)], sizes)
-    zero = int(np.ravel_multi_index([p.zero for p in parts], sizes))
+    digits = _digit_vectors(sizes)
+    add = _coordinate_table(parts, [[(k, k, p.add)] for k, p in enumerate(parts)])
+    mul = _coordinate_table(parts, terms)
+    neg = _encode([p.neg[d] for p, d in zip(parts, digits)], sizes)
+    zero = _encode([p.zero for p in parts], sizes)
     names = tuple(name(v) for v in zip(*(d.tolist() for d in digits)))
-    return ring_table(order, add, mul, neg, zero, int(np.ravel_multi_index(one, sizes)),
+    return ring_table(math.prod(sizes), add, mul, neg, zero, _encode(one, sizes),
                       label, names, parts)
 
 
@@ -643,9 +704,9 @@ def _resolve_factor_swap(endo: FactorPermutation, factors: Sequence[RingTable]) 
         raise InvalidEndomorphismError(
             f"swap({i},{j}) permutes factors of different orders"
         )
-    digits = list(np.unravel_index(np.arange(math.prod(sizes)), sizes))
+    digits = _digit_vectors(sizes)
     digits[i - 1], digits[j - 1] = digits[j - 1], digits[i - 1]
-    return np.ravel_multi_index(digits, sizes)
+    return _encode(digits, sizes)
 
 
 def _count_text(count: int) -> str:

@@ -18,8 +18,9 @@ from .errors import CrossRingError, TableFormatError
 
 ElementId = int
 
-# Table entries per block of rows in a row-blocked pass (coordinate-ring builds,
-# the radical): bounds the temporaries at a few MB whatever the ring order.
+# Entries per block in a blocked pass: the grid of a coordinate-ring digit that
+# reads many digits (construct), the rows of the radical's gather (structure).
+# It bounds the temporaries at a few MB whatever the ring order.
 ROW_BLOCK_ENTRIES = 1 << 16
 
 

@@ -654,11 +654,27 @@ def test_grammar_builds_rings_matching_naive_loops(expr):
         _assert_same_ring(ring, want)
 
 
-def test_build_peak_memory_per_table_entry():
-    # the two kept tables are 8 bytes per entry; row blocks bound the rest
+def test_tables_do_not_depend_on_the_blocks(monkeypatch):
+    # prod(Z(1),Z(6),Z(1),Z(2)) puts digits of order 1, which take no axis,
+    # between real ones
+    labels = ("M2(Z(3))", "T3(Z(2))", "eqdiag3(Z(2))", "idealize(Z(6),self)",
+              "idealize(Z(6),Z(3))", "skew(prod(Z(2),Z(2)),swap(1,2),3)",
+              "prod(Z(1),Z(6),Z(1),Z(2))")
+    for entries in (1, 40, 600):
+        monkeypatch.setattr(wnc.construct, "ROW_BLOCK_ENTRIES", entries)
+        for label in labels:
+            expr = parse_ring_expr(label)
+            _assert_same_ring(build(expr), _naive_top(expr))
+
+
+@pytest.mark.parametrize("label", ["M2(Z(7))", "idealize(Z(49),self)", "skew(Z(4),id,5)"])
+def test_build_peak_memory_per_table_entry(label):
+    # the two kept tables are 8 bytes per entry; blocks bound the rest, also
+    # for the digits that read every coordinate (idealize's module digit and
+    # skew's top coefficients)
     tracemalloc.start()
     try:
-        ring = build_text("M2(Z(7))")
+        ring = build_text(label)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
