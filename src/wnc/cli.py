@@ -223,23 +223,16 @@ def cmd_dump(args) -> int:
     cache = structure(ring)
     lines = [
         f"# ring,{ring.label},order,{ring.order}",
-        f"# units,{len(cache.units)},idempotents,{len(cache.idempotents)},"
-        f"nilpotents,{len(cache.nilpotency)},radical,{len(cache.radical)}",
+        f"# units,{cache.unit_mask.sum()},idempotents,{len(cache.idempotents)},"
+        f"nilpotents,{cache.nil_mask.sum()},radical,{cache.radical_mask.sum()}",
     ]
     headers = ["index", "element", "unit", "inverse", "idempotent", "nilpotency", "radical"]
-    rows = []
-    for x in ring.elements():
-        rows.append(
-            [
-                str(x),
-                ring.name_of(x),
-                _bool_text(x in cache.units),
-                str(cache.inverse[x]) if x in cache.inverse else "",
-                _bool_text(x in cache.idempotent_set),
-                str(cache.nilpotency[x]) if x in cache.nilpotency else "",
-                _bool_text(x in cache.radical),
-            ]
-        )
+    columns = (cache.unit_mask, cache.inverse_of, cache.nil_index, cache.radical_mask)
+    rows = [
+        [str(x), ring.name_of(x), _bool_text(unit), str(inverse) if unit else "",
+         _bool_text(x in cache.idempotent_set), str(index) if index else "", _bool_text(rad)]
+        for x, unit, inverse, index, rad in zip(ring.elements(), *(c.tolist() for c in columns))
+    ]
     _emit("\n".join(lines) + "\n" + _render_csv(headers, rows), args.output)
     return 0
 

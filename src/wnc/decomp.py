@@ -46,21 +46,21 @@ class DecompKind(Enum):
         raise ValueError(f"unknown decomposition kind {name!r}")
 
 
-# StructureCache companion field, both signs allowed, commuting required, takes an S argument
+# StructureCache companion mask, both signs allowed, commuting required, takes an S argument
 _KIND_RULES: dict[DecompKind, tuple[str, bool, bool, bool]] = {
-    DecompKind.CLEAN: ("units", False, False, False),
-    DecompKind.STRONGLY_CLEAN: ("units", False, True, False),
-    DecompKind.WEAKLY_CLEAN: ("units", True, False, False),
-    DecompKind.NIL_CLEAN: ("nilpotency", False, False, False),
-    DecompKind.STRONGLY_NIL_CLEAN: ("nilpotency", False, True, False),
-    DecompKind.WEAK_NIL_CLEAN: ("nilpotency", True, False, False),
-    DecompKind.WEAK_STAR_NIL_CLEAN: ("nilpotency", True, True, False),
-    DecompKind.S_WEAK_NIL_CLEAN: ("nilpotency", True, False, True),
-    DecompKind.S_WEAK_STAR_NIL_CLEAN: ("nilpotency", True, True, True),
-    DecompKind.J_CLEAN: ("radical", False, False, False),
-    DecompKind.STRONGLY_J_CLEAN: ("radical", False, True, False),
-    DecompKind.WEAK_J_CLEAN: ("radical", True, False, False),
-    DecompKind.WEAK_STAR_J_CLEAN: ("radical", True, True, False),
+    DecompKind.CLEAN: ("unit_mask", False, False, False),
+    DecompKind.STRONGLY_CLEAN: ("unit_mask", False, True, False),
+    DecompKind.WEAKLY_CLEAN: ("unit_mask", True, False, False),
+    DecompKind.NIL_CLEAN: ("nil_mask", False, False, False),
+    DecompKind.STRONGLY_NIL_CLEAN: ("nil_mask", False, True, False),
+    DecompKind.WEAK_NIL_CLEAN: ("nil_mask", True, False, False),
+    DecompKind.WEAK_STAR_NIL_CLEAN: ("nil_mask", True, True, False),
+    DecompKind.S_WEAK_NIL_CLEAN: ("nil_mask", True, False, True),
+    DecompKind.S_WEAK_STAR_NIL_CLEAN: ("nil_mask", True, True, True),
+    DecompKind.J_CLEAN: ("radical_mask", False, False, False),
+    DecompKind.STRONGLY_J_CLEAN: ("radical_mask", False, True, False),
+    DecompKind.WEAK_J_CLEAN: ("radical_mask", True, False, False),
+    DecompKind.WEAK_STAR_J_CLEAN: ("radical_mask", True, True, False),
 }
 
 
@@ -150,9 +150,7 @@ def _candidates(ring: RingTable, kind: DecompKind,
     idems, signs = np.repeat(idems, len(signs)), signs * len(idems)
     sign_col = np.array(signs)
     comp = ring.add[:, np.where(sign_col == "+", ring.neg[idems], idems)].T
-    pool = np.zeros(ring.order, dtype=bool)
-    pool[list(getattr(cache, family))] = True
-    ok = pool[comp]
+    ok = getattr(cache, family)[comp]
     if need_commute:
         ok &= ring.mul[comp, idems[:, None]] == ring.mul[idems[:, None], comp]
     xs, rows, witness = _first_rows(ok)
@@ -184,7 +182,7 @@ def cert_is_valid(ring: RingTable, cert: DecompCert,
     """Re-evaluate a certificate directly against the ring tables."""
     cache = structure(ring)
     family, both_signs, need_commute, _ = _KIND_RULES[cert.kind]
-    if cert.companion not in getattr(cache, family):
+    if not (0 <= cert.companion < ring.order and getattr(cache, family)[cert.companion]):
         return False
     if cert.idempotent not in (_resolve_s(ring, cert.kind, s) or cache.idempotents):
         return False

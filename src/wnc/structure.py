@@ -7,6 +7,7 @@ invertibility already implies invertibility, so no side distinction is needed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,32 +19,53 @@ from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _additive_span, _mem
 
 @dataclass(frozen=True, eq=False)
 class StructureCache:
-    """Memoized structural sets of one ring.
+    """Memoized structural sets of one ring, as read-only arrays over the element ids.
 
-    nilpotency maps x to the smallest k >= 1 with x**k = 0; its key set is Nil(R).
-    It is exact on ring tables only: the powers stop at x**K with
-    K = n.bit_length(), a bound proved for rings.  On a table that is not a
-    ring it can miss nilpotents; Z(6) with mul[4,2] = 3 gives Nil = {0},
-    where the literal definition gives {0, 2}.
+    unit_mask marks U(R); inverse_of[x] is the inverse of x where unit_mask holds,
+    and means nothing elsewhere.  nil_mask marks Nil(R), and nil_index[x] is the
+    smallest k >= 1 with x**k = 0, or 0 when x is not nilpotent.  nil_index is
+    exact on ring tables only: the powers stop at x**K with K = n.bit_length(), a
+    bound proved for rings, so on a table that is not a ring it can miss nilpotents
+    (Z(6) with mul[4,2] = 3 gives Nil = {0}, where the definition gives {0, 2}).
+    radical_mask marks J(R).  The set and dict properties are views of the arrays.
     """
 
-    units: frozenset[ElementId]
-    inverse: dict[ElementId, ElementId]
     idempotents: tuple[ElementId, ...]
-    nilpotency: dict[ElementId, int]
-    radical: frozenset[ElementId]
+    unit_mask: np.ndarray
+    inverse_of: np.ndarray
+    nil_index: np.ndarray
+    nil_mask: np.ndarray
+    radical_mask: np.ndarray
 
-    @property
-    def idempotent_set(self) -> frozenset[ElementId]:
-        return frozenset(self.idempotents)
+    @functools.cached_property
+    def units(self) -> frozenset[ElementId]:
+        return frozenset(self.inverse)
 
-    @property
+    @functools.cached_property
+    def inverse(self) -> dict[ElementId, ElementId]:
+        units = np.flatnonzero(self.unit_mask)
+        return dict(zip(units.tolist(), self.inverse_of[units].tolist()))
+
+    @functools.cached_property
+    def nilpotency(self) -> dict[ElementId, int]:
+        nil = np.flatnonzero(self.nil_mask)
+        return dict(zip(nil.tolist(), self.nil_index[nil].tolist()))
+
+    @functools.cached_property
     def nilpotents(self) -> frozenset[ElementId]:
         return frozenset(self.nilpotency)
 
+    @functools.cached_property
+    def radical(self) -> frozenset[ElementId]:
+        return frozenset(np.flatnonzero(self.radical_mask).tolist())
 
-def _nilpotency_indices(ring: RingTable) -> dict[int, int]:
-    """The least k >= 1 with x**k = 0, for every nilpotent x, in id order.
+    @functools.cached_property
+    def idempotent_set(self) -> frozenset[ElementId]:
+        return frozenset(self.idempotents)
+
+
+def _nilpotency_indices(ring: RingTable) -> np.ndarray:
+    """The least k >= 1 with x**k = 0 for each x, and 0 where x is not nilpotent.
 
     A nilpotent x of index k gives a strictly falling chain of additive groups
     R > Rx > ... > Rx**k = 0: were Rx**i = Rx**(i+1) for some i < k, then
@@ -56,8 +78,7 @@ def _nilpotency_indices(ring: RingTable) -> dict[int, int]:
     for _ in range(1, ring.order.bit_length()):
         powers.append(ring.mul[powers[-1], idx])
     zero = np.stack(powers) == ring.zero
-    nil = np.flatnonzero(zero.any(axis=0))
-    return dict(zip(nil.tolist(), (zero[:, nil].argmax(axis=0) + 1).tolist()))
+    return np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, 0)
 
 
 @_memoised
@@ -74,11 +95,6 @@ def structure(ring: RingTable) -> StructureCache:
     two_sided = mul == ring.one
     two_sided &= two_sided.T  # in place, so that only one n x n mask outlives this line
     unit_mask = two_sided.any(axis=1)
-    unit_ids = np.flatnonzero(unit_mask)
-    inverse = dict(zip(unit_ids.tolist(), two_sided[unit_ids].argmax(axis=1).tolist()))
-    units = frozenset(inverse)
-
-    nilpotency = _nilpotency_indices(ring)
 
     # x is in J when 1 - r*x is a unit for every r: the 1-D lookup
     # y -> [1 - y is a unit], gathered at mul by take in row blocks.  take
@@ -90,9 +106,12 @@ def structure(ring: RingTable) -> StructureCache:
     rows = max(1, ROW_BLOCK_ENTRIES // 8 // ring.order)
     for r0 in range(0, ring.order, rows):
         in_radical &= one_minus_is_unit.take(mul[r0:r0 + rows]).all(axis=0)
-    radical = frozenset(np.flatnonzero(in_radical).tolist())
 
-    return StructureCache(units, inverse, idempotents, nilpotency, radical)
+    nil_index = _nilpotency_indices(ring)
+    arrays = unit_mask, two_sided.argmax(axis=1), nil_index, nil_index > 0, in_radical
+    for array in arrays:
+        array.flags.writeable = False  # the cache is memoised and shared
+    return StructureCache(idempotents, *arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,8 +285,4 @@ def maximal_ideals(ring: RingTable) -> list[Subset]:
     """All maximal proper two-sided ideals, canonically sorted."""
     everything = frozenset(ring.elements())
     proper = [i for i in all_ideals(ring) if i != everything]
-    maximal = [
-        i for i in proper if not any(i < j for j in proper)
-    ]
-    maximal.sort(key=lambda s: (len(s), sorted(s)))
-    return [subset(ring, m) for m in maximal]
+    return [subset(ring, m) for m in proper if not any(m < j for j in proper)]

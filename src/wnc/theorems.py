@@ -12,6 +12,8 @@ import string
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .construct import (
     Idealize,
     Prod,
@@ -76,8 +78,8 @@ def _is_prime_power(n: int, p: int) -> bool:
 def check_J_subset_Nil(ring: RingTable) -> tuple[bool, Optional[str]]:
     """J(R) is contained in Nil(R)."""
     cache = structure(ring)
-    stray = sorted(cache.radical - cache.nilpotents)
-    if stray:
+    stray = np.flatnonzero(cache.radical_mask & ~cache.nil_mask)
+    if stray.size:
         return False, f"radical element {stray[0]} is not nilpotent"
     return True, None
 
@@ -109,8 +111,7 @@ def check_product_theorem(product_ring: RingTable,
 
 def check_nilradical_quotient(ring: RingTable) -> tuple[bool, Optional[str]]:
     """R weak nil clean iff R/Nil(R) is, given classical idempotent lifting."""
-    cache = structure(ring)
-    nil = subset(ring, cache.nilpotents)
+    nil = subset(ring, np.flatnonzero(structure(ring).nil_mask))
     if not nil.is_two_sided_ideal:
         return False, "nilpotent set is not an ideal"
     quot, _ = quotient(ring, nil)
@@ -193,7 +194,7 @@ def check_corner_theorem(ring: RingTable, f: int) -> tuple[bool, Optional[str]]:
         fnf = int(ring.mul[f, ring.mul[parent.companions[r], f]])
         fef = int(ring.mul[f, ring.mul[parent.idempotents[r], f]])
         cn, ce = to_corner[fnf], to_corner[fef]
-        if cn not in corner_cache.nilpotency:
+        if not corner_cache.nil_mask[cn]:
             return False, f"f={f}, x={x}: fnf={fnf} is not nilpotent in the corner"
         if int(corner_ring.mul[ce, ce]) != ce:
             return False, f"f={f}, x={x}: fef={fef} is not idempotent in the corner"
@@ -208,18 +209,16 @@ def check_corner_theorem(ring: RingTable, f: int) -> tuple[bool, Optional[str]]:
 def check_S_unique_maximal(ring: RingTable) -> tuple[bool, Optional[str]]:
     """{0,1}-weak nil clean rings have one maximal ideal, via the proof facts."""
     cache = structure(ring)
-    everything = set(ring.elements())
-    if set(cache.units) | set(cache.nilpotents) != everything:
+    units, nil = cache.unit_mask, cache.nil_mask
+    if not (units | nil).all():
         return False, "some element is neither a unit nor nilpotent"
-    shifted = {int(ring.add[ring.one, n]) for n in cache.nilpotents} | {
-        int(ring.add[ring.neg[ring.one], n]) for n in cache.nilpotents
-    }
-    if shifted != set(cache.units):
+    shifted = np.zeros_like(units)
+    shifted[ring.add[[ring.one, ring.neg[ring.one]]][:, nil]] = True
+    if (shifted != units).any():
         return False, "units differ from (1 + Nil) union (-1 + Nil)"
-    nil = subset(ring, cache.nilpotents)
-    if not nil.is_two_sided_ideal:
+    if not subset(ring, np.flatnonzero(nil)).is_two_sided_ideal:
         return False, "nilpotents do not form a two-sided ideal"
-    if cache.radical != cache.nilpotents:
+    if (cache.radical_mask != nil).any():
         return False, "radical differs from the nilpotent set"
     found = maximal_ideals(ring)
     if len(found) != 1:
@@ -249,10 +248,9 @@ def check_weakstar_exchange(ring: RingTable) -> tuple[bool, Optional[str]]:
 
 def check_strongly_nilclean_equiv(ring: RingTable) -> tuple[bool, Optional[str]]:
     """Strongly nil clean iff weak* nil clean with 2 nilpotent."""
-    cache = structure(ring)
     two = int(ring.add[ring.one, ring.one])
     lhs = _holds(ring, DecompKind.STRONGLY_NIL_CLEAN)
-    rhs = _holds(ring, DecompKind.WEAK_STAR_NIL_CLEAN) and two in cache.nilpotency
+    rhs = _holds(ring, DecompKind.WEAK_STAR_NIL_CLEAN) and bool(structure(ring).nil_mask[two])
     if lhs != rhs:
         return False, f"strongly nil clean is {lhs} but weak*-with-2-nilpotent is {rhs}"
     return True, None
@@ -274,7 +272,7 @@ def check_weak_jclean_suite(ring: RingTable) -> tuple[bool, Optional[str]]:
         if differ.any():
             x = embed[differ.argmax()]
             return False, f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
-    radical = subset(ring, cache.radical)
+    radical = subset(ring, np.flatnonzero(cache.radical_mask))
     quot, _ = quotient(ring, radical)
     boolean = len(structure(quot).idempotents) == quot.order
     if boolean and lifts_idempotents_weakly(ring, radical).holds:
@@ -428,7 +426,7 @@ def _applicable_weak_star(entry: CorpusEntry) -> bool:
 
 def _applicable_weak_star_two_nil(entry: CorpusEntry) -> bool:
     two = int(entry.ring.add[entry.ring.one, entry.ring.one])
-    return _applicable_weak_star(entry) and two in structure(entry.ring).nilpotency
+    return _applicable_weak_star(entry) and bool(structure(entry.ring).nil_mask[two])
 
 
 REGISTRY: tuple[TheoremCheck, ...] = (

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from wnc import construct
+from wnc.structure import maximal_ideals, structure, subset
 from wnc.table import AxiomReport, ring_table
 
 
@@ -646,6 +647,37 @@ def weak_jclean_corners(ring, pools_of=None):
             if (x in found) != (ci in inner):
                 return f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
     return None
+
+
+def J_subset_Nil(ring):
+    """(ok, witness) of the J-inside-Nil check, by set difference of the structure views."""
+    cache = structure(ring)
+    stray = sorted(cache.radical - cache.nilpotents)
+    if stray:
+        return False, f"radical element {stray[0]} is not nilpotent"
+    return True, None
+
+
+def S_unique_maximal(ring):
+    """(ok, witness) of the {0,1} unique-maximal-ideal check, by set algebra over the views."""
+    cache = structure(ring)
+    everything = set(ring.elements())
+    if set(cache.units) | set(cache.nilpotents) != everything:
+        return False, "some element is neither a unit nor nilpotent"
+    shifted = {int(ring.add[ring.one, n]) for n in cache.nilpotents} | {
+        int(ring.add[ring.neg[ring.one], n]) for n in cache.nilpotents
+    }
+    if shifted != set(cache.units):
+        return False, "units differ from (1 + Nil) union (-1 + Nil)"
+    nil = subset(ring, cache.nilpotents)
+    if not nil.is_two_sided_ideal:
+        return False, "nilpotents do not form a two-sided ideal"
+    if cache.radical != cache.nilpotents:
+        return False, "radical differs from the nilpotent set"
+    found = maximal_ideals(ring)
+    if len(found) != 1:
+        return False, f"found {len(found)} maximal ideals"
+    return True, None
 
 
 def corruptions(ring, names=("add", "mul")):

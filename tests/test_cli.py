@@ -395,12 +395,25 @@ def test_dump_tables(capsys):
 
 
 def test_dump_structure(capsys):
-    code, out, _ = run_cli(capsys, "dump", "--ring", "Z(4)", "--what", "structure")
+    code, out, _ = run_cli(capsys, "dump", "--ring", "Z(12)", "--what", "structure")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "# ring,Z(4),order,4"
-    assert "index,element,unit,inverse,idempotent,nilpotency,radical" in lines
-    assert "2,2,false,,false,2,true" in lines
+    assert out == "\n".join([
+        "# ring,Z(12),order,12",
+        "# units,4,idempotents,4,nilpotents,2,radical,2",
+        "index,element,unit,inverse,idempotent,nilpotency,radical",
+        "0,0,false,,true,1,true",
+        "1,1,true,1,true,,false",
+        "2,2,false,,false,,false",
+        "3,3,false,,false,,false",
+        "4,4,false,,true,,false",
+        "5,5,true,5,false,,false",
+        "6,6,false,,false,2,true",
+        "7,7,true,7,false,,false",
+        "8,8,false,,false,,false",
+        "9,9,false,,true,,false",
+        "10,10,false,,false,,false",
+        "11,11,true,11,false,,false",
+    ]) + "\n"
 
 
 def test_dump_takes_only_csv(capsys):

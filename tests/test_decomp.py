@@ -1,5 +1,6 @@
 """Decomposition search, ring verdicts and the auxiliary deciders."""
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -75,12 +76,31 @@ def test_cert_validation_catches_tampering(rings):
     z6 = rings["Z(6)"]
     cert = find_decomp(z6, 5, DecompKind.WEAK_NIL_CLEAN)
     assert cert_is_valid(z6, cert)
-    import dataclasses
-
     forged = dataclasses.replace(cert, companion=2)
     assert not cert_is_valid(z6, forged)
     resigned = dataclasses.replace(cert, sign="+")
     assert not cert_is_valid(z6, resigned)
+
+
+def test_cert_ids_out_of_range_are_rejected_without_raising(rings):
+    # numpy reads mask[-1] as the last entry: in Z(6) the clean certificate
+    # 5 = 5 + 0 would pass with companion -1 if the lookup were not range-checked
+    for ring in (rings["Z(6)"], rings["Z(4)"], rings["T2(Z(2))"]):
+        n = ring.order
+        for kind in DecompKind:
+            s = (ring.zero, ring.one) if kind_takes_subset(kind) else None
+            for cert in ring_verdict(ring, kind, s).certs.values():
+                assert cert_is_valid(ring, cert, s), (ring.label, kind, cert)
+                for field in ("companion", "idempotent", "target"):
+                    for bad in (-1, n):
+                        forged = dataclasses.replace(cert, **{field: bad})
+                        assert not cert_is_valid(ring, forged, s), (ring.label, kind, forged)
+                if s is not None:
+                    for bad in (-1, n):
+                        with pytest.raises(InvalidSubsetError, match=rf"elements \[{bad}\]"):
+                            cert_is_valid(ring, cert, (ring.zero, bad))
+                        with pytest.raises(InvalidSubsetError, match=rf"elements \[{bad}\]"):
+                            ring_verdict(ring, kind, (ring.one, bad))
 
 
 # --- ring verdicts --------------------------------------------------------------

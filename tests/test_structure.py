@@ -1,5 +1,6 @@
 """Structure sets, annihilators, ideals and subset utilities."""
 
+import dataclasses
 import gc
 import importlib
 import tracemalloc
@@ -34,17 +35,33 @@ from wnc.structure import (
 from wnc.table import _additive_span, _memo
 
 
+def _assert_arrays_agree(ring, cache, units, radical):
+    """unit_mask, inverse_of on the units and radical_mask match the loop oracles,
+    and every array of the shared, memoised cache is read-only."""
+    ids = sorted(units)
+    assert np.flatnonzero(cache.unit_mask).tolist() == ids, ring.label
+    assert cache.inverse_of[ids].tolist() == [units[u] for u in ids], ring.label
+    assert np.flatnonzero(cache.radical_mask).tolist() == sorted(radical), ring.label
+    for field in dataclasses.fields(cache):
+        array = getattr(cache, field.name)
+        if isinstance(array, np.ndarray):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+
 def test_structure_matches_loop_oracles_on_corrupted_tables(rings):
-    # nilpotency is left out: it is exact on ring tables only, and one of these
-    # tables (Z(6) with mul[4,2]=3) differs; see ROADMAP, Known defects
+    # nilpotency and nil_index are left out: they are exact on ring tables only,
+    # and one of these tables (Z(6) with mul[4,2]=3) differs; see ROADMAP, Known defects
     tables = [bad for label in ("Z(4)", "Z(6)", "T2(Z(2))")
               for bad in naive.corruptions(rings[label])]
     assert len(tables) == 1352
     for bad in tables:
         cache = structure(bad)
-        assert cache.inverse == naive.units(bad), bad.label
+        units, radical = naive.units(bad), naive.radical(bad)
+        assert cache.inverse == units, bad.label
         assert list(cache.idempotents) == naive.idempotents(bad), bad.label
-        assert cache.radical == naive.radical(bad), bad.label
+        assert cache.radical == radical, bad.label
+        _assert_arrays_agree(bad, cache, units, radical)
 
 
 def test_z6_structure_golden(rings):
@@ -72,10 +89,14 @@ def test_structure_agrees_with_naive_oracles(rings):
                   "Z(1)", "Z(256)", "M2(Z(4))"):
         ring = rings[label] if label in rings else build_text(label)
         cache = structure(ring)
-        assert cache.inverse == naive.units(ring), label
+        units, nilpotency, radical = naive.units(ring), naive.nilpotents(ring), naive.radical(ring)
+        assert cache.inverse == units, label
         assert list(cache.idempotents) == naive.idempotents(ring), label
-        assert cache.nilpotency == naive.nilpotents(ring), label
-        assert set(cache.radical) == naive.radical(ring), label
+        assert cache.nilpotency == nilpotency, label
+        assert set(cache.radical) == radical, label
+        _assert_arrays_agree(ring, cache, units, radical)
+        assert [nilpotency.get(x, 0) for x in ring.elements()] == cache.nil_index.tolist()
+        assert np.array_equal(cache.nil_mask, cache.nil_index > 0), label
 
 
 def test_radical_does_not_depend_on_the_row_blocks(monkeypatch):

@@ -3,6 +3,7 @@
 import gc
 import re
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,35 @@ def test_unique_maximal_ideal(rings):
     # Z(6) is not {0,1}-weak nil clean, so the check should not be applied to it.
     z6 = rings["Z(6)"]
     assert not ring_verdict(z6, DecompKind.S_WEAK_NIL_CLEAN, zero_one_subset(z6)).holds
+    assert check_S_unique_maximal(z6) == (False, "some element is neither a unit nor nilpotent")
+    assert check_S_unique_maximal(rings["Z(5)"]) == (
+        False, "units differ from (1 + Nil) union (-1 + Nil)")
+
+
+def test_mask_checks_match_set_algebra_oracles(rings, corpus_entries):
+    corrupted = [bad for label in ("Z(4)", "Z(6)", "T2(Z(2))")
+                 for bad in naive.corruptions(rings[label])]
+    for entry in corpus_entries:
+        if entry.ring is not None:
+            assert check_S_unique_maximal(entry.ring) == naive.S_unique_maximal(entry.ring)
+            assert check_J_subset_Nil(entry.ring) == naive.J_subset_Nil(entry.ring)
+    unique, j_in_nil = Counter(), Counter()
+    for bad in corrupted:
+        outcome = check_S_unique_maximal(bad)
+        assert outcome == naive.S_unique_maximal(bad), bad.label
+        unique[outcome[1]] += 1
+        outcome = check_J_subset_Nil(bad)
+        assert outcome == naive.J_subset_Nil(bad), bad.label
+        j_in_nil[outcome[0]] += 1
+    # the corrupted tables reach four of the five failure messages
+    assert unique == {
+        "some element is neither a unit nor nilpotent": 1262,
+        "nilpotents do not form a two-sided ideal": 29,
+        "units differ from (1 + Nil) union (-1 + Nil)": 13,
+        "found 2 maximal ideals": 1,
+        None: 47,
+    }
+    assert j_in_nil == {True: 1338, False: 14}
 
 
 def test_s_rigidity(rings):
