@@ -620,21 +620,20 @@ def quotient(ring: RingTable, ideal: Subset,
     """
     if ideal.ring is not ring:
         raise CrossRingError("ideal belongs to a different ring")
+    members = ideal.sorted_members()
     if not ideal.is_two_sided_ideal:
-        raise InvalidIdealError(
-            f"{sorted(ideal.members)} is not a two-sided ideal of {ring.label}"
-        )
+        raise InvalidIdealError(f"{list(members)} is not a two-sided ideal of {ring.label}")
     if label is None:
-        label = f"quot({ring.label},[{','.join(str(m) for m in sorted(ideal.members))}])"
-    return _quotient(ring, ideal.members, label)
+        label = f"quot({ring.label},[{','.join(str(m) for m in members)}])"
+    return _quotient(ring, members, label)
 
 
-# keyed on the member set, not the Subset, which holds the ring
+# keyed on the sorted members, not the Subset, which holds the ring
 @_memoised
-def _quotient(ring: RingTable, members: frozenset[int],
+def _quotient(ring: RingTable, members: tuple[int, ...],
               label: str) -> tuple[RingTable, tuple[int, ...]]:
     # x represents its coset x + I when it is the coset's minimal element
-    rep_of = ring.add[:, sorted(members)].min(axis=1)
+    rep_of = ring.add[:, list(members)].min(axis=1)
     reps = np.flatnonzero(rep_of == np.arange(ring.order))
     proj = np.searchsorted(reps, rep_of)
     names = [f"[{ring.name_of(x)}]" for x in reps.tolist()]

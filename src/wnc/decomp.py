@@ -19,7 +19,7 @@ import numpy as np
 
 from .construct import quotient
 from .errors import InvalidSubsetError
-from .structure import Subset, _multiples, structure, subset
+from .structure import SetArg, Subset, _member_mask, _multiples, structure, subset
 from .table import ElementId, RingTable, _first_true, _memoised
 
 
@@ -106,21 +106,20 @@ class RingVerdict:
 
 
 def _resolve_s(ring: RingTable, kind: DecompKind,
-               s: Optional[Iterable[ElementId] | Subset]) -> Optional[tuple[ElementId, ...]]:
+               s: Optional[SetArg]) -> Optional[tuple[ElementId, ...]]:
     """The sorted S of an S-kind, None for every other kind."""
     if not kind_takes_subset(kind):
         return None
     if s is None:
         raise InvalidSubsetError("this kind needs an idempotent subset S")
-    members = s.members if isinstance(s, Subset) else frozenset(int(x) for x in s)
-    if not members:
+    members = np.flatnonzero(_member_mask(ring, s, InvalidSubsetError))
+    if not members.size:
         raise InvalidSubsetError("S must be a non-empty set of idempotents")
-    bad = members - structure(ring).idempotent_set
-    if bad:
-        raise InvalidSubsetError(
-            f"S contains non-idempotent elements {sorted(bad)} of {ring.label}"
-        )
-    return tuple(sorted(members))
+    bad = members[ring.mul[members, members] != members]
+    if bad.size:
+        raise InvalidSubsetError(f"S contains non-idempotent elements {bad.tolist()} "
+                                 f"of {ring.label}")
+    return tuple(members.tolist())
 
 
 def _first_rows(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
@@ -161,7 +160,7 @@ def _candidates(ring: RingTable, kind: DecompKind,
 
 
 def iter_decomps(ring: RingTable, x: ElementId, kind: DecompKind,
-                 s: Optional[Iterable[ElementId] | Subset] = None) -> Iterator[DecompCert]:
+                 s: Optional[SetArg] = None) -> Iterator[DecompCert]:
     """All decompositions of x of the given kind, in canonical search order."""
     ring.check_element(x)
     table = _candidates(ring, kind, _resolve_s(ring, kind, s))
@@ -172,13 +171,13 @@ def iter_decomps(ring: RingTable, x: ElementId, kind: DecompKind,
 
 
 def find_decomp(ring: RingTable, x: ElementId, kind: DecompKind,
-                s: Optional[Iterable[ElementId] | Subset] = None) -> Optional[DecompCert]:
+                s: Optional[SetArg] = None) -> Optional[DecompCert]:
     """First certificate in canonical order, or None when no decomposition exists."""
     return next(iter_decomps(ring, x, kind, s), None)
 
 
 def cert_is_valid(ring: RingTable, cert: DecompCert,
-                  s: Optional[Iterable[ElementId] | Subset] = None) -> bool:
+                  s: Optional[SetArg] = None) -> bool:
     """Re-evaluate a certificate directly against the ring tables."""
     cache = structure(ring)
     family, both_signs, need_commute, _ = _KIND_RULES[cert.kind]
@@ -203,7 +202,7 @@ def cert_is_valid(ring: RingTable, cert: DecompCert,
 
 
 def ring_verdict(ring: RingTable, kind: DecompKind,
-                 s: Optional[Iterable[ElementId] | Subset] = None) -> RingVerdict:
+                 s: Optional[SetArg] = None) -> RingVerdict:
     """Decide the ring-level property; certificates are kept for every element."""
     return _candidates(ring, kind, _resolve_s(ring, kind, s)).verdict
 

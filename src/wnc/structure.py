@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CrossRingError
+from .errors import CrossRingError, RingError
 from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _additive_span, _memoised
 
 
@@ -116,10 +116,10 @@ def structure(ring: RingTable) -> StructureCache:
 
 @dataclass(frozen=True, eq=False)
 class Subset:
-    """A subset of a ring's elements, with recomputable structural flags."""
+    """A subset of a ring as a read-only mask over its element ids, with recomputable flags."""
 
     ring: RingTable
-    members: frozenset[ElementId]
+    mask: np.ndarray
     is_additive_subgroup: bool
     is_left_ideal: bool
     is_right_ideal: bool
@@ -128,72 +128,95 @@ class Subset:
     def is_two_sided_ideal(self) -> bool:
         return self.is_additive_subgroup and self.is_left_ideal and self.is_right_ideal
 
+    @functools.cached_property
+    def members(self) -> frozenset[ElementId]:
+        return frozenset(self.sorted_members())
+
     def sorted_members(self) -> tuple[ElementId, ...]:
-        return tuple(sorted(self.members))
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     def __contains__(self, x: ElementId) -> bool:
-        return x in self.members
+        # numpy reads mask[-1] as the last entry, so the range is tested first
+        return 0 <= x < self.mask.size and bool(self.mask[x])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
-    def _check_same_ring(self, other: "Subset") -> None:
-        if self.ring is not other.ring:
-            raise CrossRingError(
-                f"subsets of {self.ring.label} and {other.ring.label} cannot be mixed"
-            )
+    def _check_ring(self, ring: RingTable) -> None:
+        if self.ring is not ring:
+            raise CrossRingError(f"subsets of {self.ring.label} and {ring.label} cannot be mixed")
 
     def issubset(self, other: "Subset") -> bool:
-        self._check_same_ring(other)
-        return self.members <= other.members
+        self._check_ring(other.ring)
+        return not (self.mask & ~other.mask).any()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subset):
             return NotImplemented
-        return self.ring is other.ring and self.members == other.members
+        return self.ring is other.ring and np.array_equal(self.mask, other.mask)
 
     def __hash__(self) -> int:
-        return hash((id(self.ring), self.members))
+        return hash((id(self.ring), self.mask.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Subset({self.ring.label}, {sorted(self.members)})"
+        return f"Subset({self.ring.label}, {list(self.sorted_members())})"
 
 
-def _member_mask(ring: RingTable, mset: frozenset[ElementId]) -> np.ndarray:
-    if mset:
-        ring.check_element(min(mset))
-        ring.check_element(max(mset))
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[list(mset)] = True
+SetArg = Subset | np.ndarray | Iterable[ElementId]  # what _member_mask reads
+
+
+def _member_mask(ring: RingTable, members: SetArg,
+                 error: type[RingError] = CrossRingError) -> np.ndarray:
+    """The read-only mask of a Subset of ring, a bool mask of shape (n,) or ids.  A foreign
+    Subset or mask raises CrossRingError, and ids outside 0..n-1 raise error, naming them."""
+    if isinstance(members, Subset):
+        members._check_ring(ring)
+        return members.mask
+    if isinstance(members, np.ndarray) and members.dtype == bool:
+        if members.shape != (ring.order,):
+            raise CrossRingError(f"a mask of shape {members.shape} is no subset of {ring.label}")
+        mask = members.copy()
+    else:
+        ids = np.fromiter(members, dtype=np.intp)
+        stray = ids[(ids < 0) | (ids >= ring.order)]
+        if stray.size:
+            raise error(f"elements {np.unique(stray).tolist()} are not in {ring.label}")
+        mask = np.zeros(ring.order, dtype=bool)
+        mask[ids] = True
+    mask.flags.writeable = False
     return mask
 
 
-def subset(ring: RingTable, members: Iterable[ElementId]) -> Subset:
-    """Build a Subset, computing its subgroup/ideal flags from the member set.
+def subset(ring: RingTable, members: SetArg) -> Subset:
+    """Build a Subset, computing its subgroup/ideal flags from the member mask.
 
     The flags are mask tests over gathered table blocks: M is an additive
     subgroup when it holds 0, -M and M + M; a left ideal when it also holds
     R*M, and a right ideal when it also holds M*R.
     """
-    mset = frozenset(int(x) for x in members)
-    mask = _member_mask(ring, mset)
+    mask = _member_mask(ring, members)
     m = np.flatnonzero(mask)
     is_group = bool(
         mask[ring.zero] and mask[ring.neg[m]].all() and mask[ring.add[np.ix_(m, m)]].all()
     )
     left = is_group and bool(mask[ring.mul[:, m]].all())
     right = is_group and bool(mask[ring.mul[m, :]].all())
-    return Subset(ring, mset, is_group, left, right)
+    return Subset(ring, mask, is_group, left, right)
+
+
+def _known_ideal(ring: RingTable, members: Iterable[ElementId]) -> Subset:
+    """A Subset of an ideal that all_ideals found, its flags set and not tested again."""
+    return Subset(ring, _member_mask(ring, members), True, True, True)
 
 
 def element_of(handle: Subset, x: ElementId) -> bool:
     handle.ring.check_element(x)
-    return x in handle.members
+    return x in handle
 
 
-def is_subring_unital(ring: RingTable, members: Iterable[ElementId]) -> bool:
+def is_subring_unital(ring: RingTable, members: SetArg) -> bool:
     """True when the member set is closed under add/neg/mul and contains 0 and 1."""
-    mask = _member_mask(ring, frozenset(int(x) for x in members))
+    mask = _member_mask(ring, members)
     m = np.flatnonzero(mask)
     block = np.ix_(m, m)
     return bool(
@@ -205,15 +228,13 @@ def is_subring_unital(ring: RingTable, members: Iterable[ElementId]) -> bool:
 def ann_left(ring: RingTable, x: ElementId) -> Subset:
     """Left annihilator {r : r*x = 0}; always a left ideal."""
     ring.check_element(x)
-    members = np.flatnonzero(ring.mul[:, x] == ring.zero)
-    return subset(ring, members)
+    return subset(ring, ring.mul[:, x] == ring.zero)
 
 
 def ann_right(ring: RingTable, x: ElementId) -> Subset:
     """Right annihilator {r : x*r = 0}; always a right ideal."""
     ring.check_element(x)
-    members = np.flatnonzero(ring.mul[x] == ring.zero)
-    return subset(ring, members)
+    return subset(ring, ring.mul[x] == ring.zero)
 
 
 def _multiples(ring: RingTable, side: str, xs=slice(None)) -> np.ndarray:
@@ -224,7 +245,7 @@ def _multiples(ring: RingTable, side: str, xs=slice(None)) -> np.ndarray:
     return mask
 
 
-def ideal_generated_by(ring: RingTable, gens: Iterable[ElementId]) -> Subset:
+def ideal_generated_by(ring: RingTable, gens: SetArg) -> Subset:
     """Smallest two-sided ideal containing the generators.
 
     It is the additive span of every R*g*R: each r*g*s lies in the ideal,
@@ -232,12 +253,9 @@ def ideal_generated_by(ring: RingTable, gens: Iterable[ElementId]) -> Subset:
     side.  R*G*R is gathered as (R*G)*R, each product a union of rows of
     _multiples, and it holds G because 1 lies in R.
     """
-    gens = [int(g) for g in gens]
-    for g in gens:
-        ring.check_element(g)
-    left = _multiples(ring, "left", gens).any(axis=0)
+    left = _multiples(ring, "left", _member_mask(ring, gens)).any(axis=0)
     both = _multiples(ring, "right", left).any(axis=0)
-    return subset(ring, np.flatnonzero(_additive_span(ring, both)[0]))
+    return subset(ring, _additive_span(ring, both)[0])
 
 
 @_memoised
@@ -282,7 +300,6 @@ def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
 
 
 def maximal_ideals(ring: RingTable) -> list[Subset]:
-    """All maximal proper two-sided ideals, canonically sorted."""
-    everything = frozenset(ring.elements())
-    proper = [i for i in all_ideals(ring) if i != everything]
-    return [subset(ring, m) for m in proper if not any(m < j for j in proper)]
+    """All maximal proper two-sided ideals, canonically sorted, as known ideals."""
+    proper = [i for i in all_ideals(ring) if len(i) < ring.order]
+    return [_known_ideal(ring, m) for m in proper if not any(m < j for j in proper)]

@@ -37,7 +37,7 @@ from .decomp import (
     ring_verdict,
 )
 from .errors import CapacityError, RingError
-from .structure import Subset, all_ideals, maximal_ideals, structure, subset
+from .structure import SetArg, _known_ideal, all_ideals, maximal_ideals, structure, subset
 from .table import RingTable, verify_ring_axioms
 
 
@@ -90,7 +90,7 @@ def check_quotient_preservation(ring: RingTable, ideal) -> tuple[bool, Optional[
     verdict = ring_verdict(quot, DecompKind.WEAK_NIL_CLEAN)
     if not verdict.holds:
         return False, (
-            f"quotient by {sorted(ideal.members)} fails at element {verdict.witness}"
+            f"quotient by {list(ideal.sorted_members())} fails at element {verdict.witness}"
         )
     return True, None
 
@@ -111,7 +111,7 @@ def check_product_theorem(product_ring: RingTable,
 
 def check_nilradical_quotient(ring: RingTable) -> tuple[bool, Optional[str]]:
     """R weak nil clean iff R/Nil(R) is, given classical idempotent lifting."""
-    nil = subset(ring, np.flatnonzero(structure(ring).nil_mask))
+    nil = subset(ring, structure(ring).nil_mask)
     if not nil.is_two_sided_ideal:
         return False, "nilpotent set is not an ideal"
     quot, _ = quotient(ring, nil)
@@ -216,7 +216,7 @@ def check_S_unique_maximal(ring: RingTable) -> tuple[bool, Optional[str]]:
     shifted[ring.add[[ring.one, ring.neg[ring.one]]][:, nil]] = True
     if (shifted != units).any():
         return False, "units differ from (1 + Nil) union (-1 + Nil)"
-    if not subset(ring, np.flatnonzero(nil)).is_two_sided_ideal:
+    if not subset(ring, nil).is_two_sided_ideal:
         return False, "nilpotents do not form a two-sided ideal"
     if (cache.radical_mask != nil).any():
         return False, "radical differs from the nilpotent set"
@@ -232,7 +232,7 @@ def _rigidity_outcome(s: Optional[tuple[int, ...]]) -> tuple[bool, Optional[str]
     return False, f"S={list(s)} suffices but is a proper subset of the idempotents"
 
 
-def check_S_rigidity(ring: RingTable, s: Iterable[int] | Subset) -> tuple[bool, Optional[str]]:
+def check_S_rigidity(ring: RingTable, s: SetArg) -> tuple[bool, Optional[str]]:
     """If the ring is S-weak* nil clean then S is all of Idem(R)."""
     verdict = ring_verdict(ring, DecompKind.S_WEAK_STAR_NIL_CLEAN, s)
     proper = verdict.holds and len(verdict.s) < len(structure(ring).idempotents)
@@ -272,7 +272,7 @@ def check_weak_jclean_suite(ring: RingTable) -> tuple[bool, Optional[str]]:
         if differ.any():
             x = embed[differ.argmax()]
             return False, f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
-    radical = subset(ring, np.flatnonzero(cache.radical_mask))
+    radical = subset(ring, cache.radical_mask)
     quot, _ = quotient(ring, radical)
     boolean = len(structure(quot).idempotents) == quot.order
     if boolean and lifts_idempotents_weakly(ring, radical).holds:
@@ -396,7 +396,7 @@ def _applicable_weak(entry: CorpusEntry) -> bool:
 def _run_quotient_image(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
     # the runner has proved the axioms, and all_ideals finds two-sided ideals only
     ring = entry.ring
-    return _first_failure(check_quotient_preservation(ring, Subset(ring, members, True, True, True))
+    return _first_failure(check_quotient_preservation(ring, _known_ideal(ring, members))
                           for members in all_ideals(ring))
 
 

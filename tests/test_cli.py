@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -508,6 +509,33 @@ def test_output_is_byte_identical_across_runs(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+# The first 16 hex digits of the sha256 of the stdout of each command.
+_PINNED_OUTPUTS = [
+    (("verify", "--corpus", "default", "--checks", "all", "--format", "json"), "4fd40da416a111b6"),
+    (("sweep", "--zn", "2..400", "--kinds",
+      "nil-clean,weak-nil-clean,clean,j-clean,weak-star-nil-clean", "--format", "json"),
+     "643b0aaeddbad0a8"),
+    (("classify", "--ring", "M2(Z(3))", "--kinds", ALL_KINDS, "--format", "json"),
+     "232dfb7d1bc20aca"),
+    (("classify", "--ring", "T2(Z(4))", "--kinds", ALL_KINDS, "--format", "json"),
+     "255e8f555b12af1f"),
+    (("classify", "--ring", "idealize(Z(6),self)", "--kinds", ALL_KINDS, "--format", "json"),
+     "7b5200440739e43f"),
+    (("dump", "--ring", "Z(12)", "--what", "structure"), "41990c316c3afeea"),
+    (("dump", "--ring", "M2(Z(2))", "--what", "structure"), "e734015b9ef438cd"),
+    (("dump", "--ring", "T2(Z(3))", "--what", "structure"), "77d7ea8d38ba23ea"),
+    (("dump", "--ring", "M2(Z(5))", "--what", "structure"), "6a5b71036828db5c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_OUTPUTS,
+                         ids=[" ".join(argv[:3]) for argv, _ in _PINNED_OUTPUTS])
+def test_output_matches_its_pinned_hash(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def _verdicts(ring):

@@ -26,7 +26,7 @@ from wnc.decomp import (
     verdict_to_json,
     zero_one_subset,
 )
-from wnc.errors import InvalidSubsetError
+from wnc.errors import CrossRingError, InvalidSubsetError
 from wnc.structure import structure, subset
 from wnc.table import ring_table
 
@@ -163,6 +163,26 @@ def test_s_variants(rings):
         ring_verdict(z6, DecompKind.S_WEAK_NIL_CLEAN, ())
     with pytest.raises(InvalidSubsetError):
         ring_verdict(z6, DecompKind.S_WEAK_NIL_CLEAN)
+
+
+def test_s_of_another_ring_is_rejected(rings):
+    z6, kind = rings["Z(6)"], DecompKind.S_WEAK_NIL_CLEAN
+    cert = ring_verdict(z6, kind, (0, 1)).certs[1]
+    deciders = [
+        lambda s: ring_verdict(z6, kind, s),
+        lambda s: list(iter_decomps(z6, 1, kind, s)),
+        lambda s: cert_is_valid(z6, cert, s),
+    ]
+    for decide in deciders:
+        with pytest.raises(CrossRingError, match=r"Z\(4\) and Z\(6\)"):
+            decide(subset(rings["Z(4)"], {0, 1}))
+        with pytest.raises(CrossRingError):
+            decide(np.ones(4, dtype=bool))
+    # the same S as a Subset of Z(6), as a mask or as ids gives one verdict
+    mask = np.zeros(6, dtype=bool)
+    mask[[0, 1, 3, 4]] = True
+    verdicts = {ring_verdict(z6, kind, s) for s in (subset(z6, mask), mask, (4, 3, 1, 0))}
+    assert len(verdicts) == 1 and verdicts.pop().holds
 
 
 def test_verdict_json_shape(rings):

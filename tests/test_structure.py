@@ -22,6 +22,7 @@ from wnc.decomp import (
 )
 from wnc.errors import CrossRingError
 from wnc.structure import (
+    Subset,
     all_ideals,
     ann_left,
     ann_right,
@@ -33,6 +34,7 @@ from wnc.structure import (
     subset,
 )
 from wnc.table import _additive_span, _memo
+from wnc.theorems import run_suite
 
 
 def _assert_arrays_agree(ring, cache, units, radical):
@@ -399,3 +401,94 @@ def test_is_subring_unital_matches_oracle(corpus_entries):
             assert is_subring_unital(ring, members) == naive.is_subring_unital(ring, members), (
                 ring.label, sorted(members))
         assert is_subring_unital(ring, prime), ring.label
+
+
+def test_maximal_ideals_hands_on_found_ideals(monkeypatch, rings):
+    def no_subset(ring, members):
+        raise AssertionError("an ideal found by all_ideals was tested again")
+
+    module = importlib.import_module("wnc.structure")  # the package exports the function
+    monkeypatch.setattr(module, "subset", no_subset)
+    for ring in rings.values():
+        found = maximal_ideals(ring)
+        assert found, ring.label
+        for handle in found:
+            assert handle.members in all_ideals(ring) and len(handle) < ring.order, handle
+            assert _flags(handle) == naive.subset_flags(ring, handle.members) == (True,) * 3
+    cells = run_suite(["Z(4)", "Z(8)", "Z(9)", "T2(Z(2))"], checks=["prop-01-unique-maximal"])
+    outcomes = {cell["ring"]: cell["outcome"] for cell in cells}
+    assert outcomes == {"Z(4)": "pass", "Z(8)": "pass", "Z(9)": "pass",
+                        "T2(Z(2))": "not-applicable"}
+
+
+# --- set arguments: a bool mask of shape (n,) reads as the ids it marks --------
+
+
+def _mask_of(ring, ids):
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[list(ids)] = True
+    return mask
+
+
+def _s_verdicts(ring, s):
+    return [(v.holds, v.witness, v.s) for v in (
+        ring_verdict(ring, kind, s) for kind in DecompKind if kind_takes_subset(kind))]
+
+
+def _assert_mask_reads_as_ids(ring, mask):
+    ids = np.flatnonzero(mask)
+    by_mask, by_ids = subset(ring, mask), subset(ring, ids)
+    assert by_mask == by_ids and hash(by_mask) == hash(by_ids), (ring.label, ids)
+    assert by_mask.members == by_ids.members == frozenset(ids.tolist())
+    assert _flags(by_mask) == _flags(by_ids)
+    assert ideal_generated_by(ring, mask) == ideal_generated_by(ring, ids), (ring.label, ids)
+    assert is_subring_unital(ring, mask) == is_subring_unital(ring, ids), (ring.label, ids)
+    idems = ids[np.isin(ids, structure(ring).idempotents)]
+    if idems.size:
+        assert _s_verdicts(ring, _mask_of(ring, idems)) == _s_verdicts(ring, idems)
+
+
+def test_structural_masks_read_as_their_ids(corpus_entries):
+    for entry in corpus_entries:
+        cache = structure(entry.ring)
+        for mask in (cache.unit_mask, cache.nil_mask, cache.radical_mask):
+            _assert_mask_reads_as_ids(entry.ring, mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_masks_and_ids_agree_and_subset_matches_a_frozenset(corpus_entries, data):
+    ring = data.draw(st.sampled_from([entry.ring for entry in corpus_entries]), label="ring")
+    n = ring.order
+    masks = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    mask, other_mask = data.draw(masks, label="mask"), data.draw(masks, label="other")
+    _assert_mask_reads_as_ids(ring, mask)
+    handle, other = subset(ring, mask), subset(ring, other_mask)
+    oracle = frozenset(np.flatnonzero(mask).tolist())
+    other_oracle = frozenset(np.flatnonzero(other_mask).tolist())
+    assert len(handle) == len(oracle) and handle.sorted_members() == tuple(sorted(oracle))
+    assert [x in handle for x in range(-1, n + 1)] == [x in oracle for x in range(-1, n + 1)]
+    assert handle.issubset(other) == (oracle <= other_oracle)
+    assert (handle == other) == (oracle == other_oracle)
+    assert repr(handle) == f"Subset({ring.label}, {sorted(oracle)})"
+    mask[:] = ~mask  # the Subset keeps its own read-only copy
+    assert handle.members == oracle and not handle.mask.flags.writeable
+
+
+def test_set_arguments_of_another_shape_or_ring_are_rejected(rings):
+    z6 = rings["Z(6)"]
+    readers = [
+        lambda s: subset(z6, s),
+        lambda s: ideal_generated_by(z6, s),
+        lambda s: is_subring_unital(z6, s),
+        lambda s: ring_verdict(z6, DecompKind.S_WEAK_NIL_CLEAN, s),
+    ]
+    for bad in (np.ones(5, bool), np.ones(7, bool), np.ones((6, 1), bool), np.ones((2, 6), bool),
+                np.array(True), subset(rings["Z(4)"], {0, 1})):
+        for read in readers:
+            with pytest.raises(CrossRingError):
+                read(bad)
+    for read in readers[:3]:
+        with pytest.raises(CrossRingError, match=r"elements \[-1, 6\]"):
+            read([0, 6, -1, 6])
+    assert isinstance(subset(z6, subset(z6, {0, 3})), Subset)
