@@ -589,9 +589,14 @@ def build_idealize(inner: RingTable, module: RingTable, left: np.ndarray,
 def _restrict(ring: RingTable, keep: np.ndarray, relabel: np.ndarray, one: int,
               label: str, names: Sequence[str]) -> RingTable:
     """The tables of ``ring`` on the ids ``keep``, renamed through ``relabel``."""
+    if len(keep) == ring.order:
+        # both callers rename the kept ids in order, so keeping all of them is the
+        # identity (1R1, R/{0}): the ring's own read-only tables, and its interned core
+        return ring_table(ring.order, ring.add, ring.mul, ring.neg, ring.zero, one, label, names)
     relabel = relabel.astype(np.int32)  # gather straight into the table dtype
-    add = relabel[ring.add[np.ix_(keep, keep)]]
-    mul = relabel[ring.mul[np.ix_(keep, keep)]]
+    rows = keep[:, None]
+    add = relabel[ring.add[rows, keep]]
+    mul = relabel[ring.mul[rows, keep]]
     neg = relabel[ring.neg[keep]]
     return ring_table(len(keep), add, mul, neg, relabel[ring.zero], relabel[one], label, names)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .construct import quotient
 from .errors import InvalidSubsetError
 from .structure import SetArg, Subset, _member_mask, _multiples, structure, subset
-from .table import ElementId, RingTable, _first_true, _memoised
+from .table import ElementId, RingTable, _first_true, _memoised_on_tables
 
 
 class DecompKind(Enum):
@@ -138,7 +138,7 @@ class _Table(NamedTuple):
     verdict: RingVerdict
 
 
-@_memoised
+@_memoised_on_tables
 def _candidates(ring: RingTable, kind: DecompKind,
                 s_tuple: Optional[tuple[ElementId, ...]]) -> _Table:
     """The memoised candidate table and verdict of one kind and S."""
@@ -243,6 +243,7 @@ class ExchangeReport:
     failure: Optional[ElementId]
 
 
+@_memoised_on_tables
 def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
                          also: Optional[DecompKind] = None) -> Optional[tuple[int, int, int]]:
     """First (x, e, law) at which a decomposition x = c +- e of the kind breaks a law.
@@ -269,11 +270,15 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
     return x, int(table.idems[r]), law - 1
 
 
+@_memoised_on_tables
 def _decomposable(ring: RingTable, kind: DecompKind) -> np.ndarray:
-    """Mask of the elements that decompose as the kind."""
-    return np.bincount(ring_verdict(ring, kind).targets, minlength=ring.order) > 0
+    """Read-only mask of the elements that decompose as the kind."""
+    mask = np.bincount(ring_verdict(ring, kind).targets, minlength=ring.order) > 0
+    mask.flags.writeable = False
+    return mask
 
 
+@_memoised_on_tables
 def _rigidity_failure(ring: RingTable) -> Optional[tuple[ElementId, ...]]:
     """The first Idem(R) - {e}, e ascending, over which the ring is S-weak* nil clean.
 

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CrossRingError, RingError
-from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _additive_span, _memoised
+from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _additive_span, _memoised_on_tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +81,7 @@ def _nilpotency_indices(ring: RingTable) -> np.ndarray:
     return np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, 0)
 
 
-@_memoised
+@_memoised_on_tables
 def structure(ring: RingTable) -> StructureCache:
     """Compute (and memoize) units with inverses, Idem(R), Nil(R) and J(R).
 
@@ -204,9 +204,10 @@ def subset(ring: RingTable, members: SetArg) -> Subset:
     return Subset(ring, mask, is_group, left, right)
 
 
-def _known_ideal(ring: RingTable, members: Iterable[ElementId]) -> Subset:
-    """A Subset of an ideal that all_ideals found, its flags set and not tested again."""
-    return Subset(ring, _member_mask(ring, members), True, True, True)
+def _known_ideal(ring: RingTable, k: int) -> Subset:
+    """The k-th ideal of all_ideals(ring) as a Subset over its read-only mask row,
+    its flags set and not tested again."""
+    return Subset(ring, _ideal_masks(ring)[k], True, True, True)
 
 
 def element_of(handle: Subset, x: ElementId) -> bool:
@@ -258,9 +259,10 @@ def ideal_generated_by(ring: RingTable, gens: SetArg) -> Subset:
     return subset(ring, _additive_span(ring, both)[0])
 
 
-@_memoised
-def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
-    """Every two-sided ideal, sorted by (size, members).
+@_memoised_on_tables
+def _ideal_masks(ring: RingTable) -> np.ndarray:
+    """Every two-sided ideal as a row of one read-only mask array, sorted by
+    (size, members).
 
     The principal ideal of x is the additive span of R*x*R = (R*x)*R, the
     union of the rows yR, y in R*x.  Elements with the same row R*x share
@@ -293,13 +295,22 @@ def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
                     ideals[key] = total
                     found.append(total)
         frontier = found
-    return tuple(sorted(
-        (frozenset(np.flatnonzero(m).tolist()) for m in ideals.values()),
-        key=lambda s: (len(s), sorted(s)),
-    ))
+    # of two member lists of one size, the first in order is the one that holds
+    # the first element where the masks differ: the one whose inverted mask is less
+    masks = np.array(sorted(ideals.values(), key=lambda m: (np.count_nonzero(m), (~m).tobytes())))
+    masks.flags.writeable = False
+    return masks
+
+
+@_memoised_on_tables
+def all_ideals(ring: RingTable) -> tuple[frozenset[int], ...]:
+    """Every two-sided ideal, sorted by (size, members); see _ideal_masks."""
+    return tuple(frozenset(np.flatnonzero(mask).tolist()) for mask in _ideal_masks(ring))
 
 
 def maximal_ideals(ring: RingTable) -> list[Subset]:
     """All maximal proper two-sided ideals, canonically sorted, as known ideals."""
-    proper = [i for i in all_ideals(ring) if len(i) < ring.order]
-    return [_known_ideal(ring, m) for m in proper if not any(m < j for j in proper)]
+    ideals = all_ideals(ring)
+    proper = [k for k, ideal in enumerate(ideals) if len(ideal) < ring.order]
+    return [_known_ideal(ring, k) for k in proper
+            if not any(ideals[k] < ideals[j] for j in proper)]

@@ -3,12 +3,23 @@
 A ring of order n lives on the element ids 0..n-1.  Addition, multiplication
 and negation are total lookup tables; ``zero`` and ``one`` are element ids.
 Tables are immutable after construction and safe to share between threads.
+
+ring_table interns the tables it validates: rings whose order, zero, one and
+tables are all equal share one core, and the results that read the tables
+alone (structural sets, verdicts, the ideal lattice) are memoised on that core,
+so they are computed once per distinct table.  The memos and the registry only
+decide which results are kept and which are computed again, never what a result
+is, so concurrent threads may at worst compute a result twice.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import operator
+import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -20,8 +31,19 @@ ElementId = int
 
 # Entries per block in a blocked pass: the grid of a coordinate-ring digit that
 # reads many digits (construct), the rows of the radical's gather (structure).
-# It bounds the temporaries at a few MB whatever the ring order.
+# It bounds the temporaries at a few MB whatever the ring order.  It also caps
+# the table entries that retaining_tables keeps alive.
 ROW_BLOCK_ENTRIES = 1 << 16
+
+
+class _TableCore:
+    """The read-only tables that every ring with equal order, zero, one, add, mul
+    and neg shares, and the memo key of the results that read only them."""
+
+    __slots__ = ("add", "mul", "neg", "__weakref__")
+
+    def __init__(self, add: np.ndarray, mul: np.ndarray, neg: np.ndarray) -> None:
+        self.add, self.mul, self.neg = add, mul, neg
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +61,8 @@ class RingTable:
     element_names: Optional[tuple[str, ...]] = field(default=None, repr=False)
     # the rings the digits of a coordinate-built ring range over, in digit order
     components: tuple["RingTable", ...] = field(default=(), repr=False)
+    # the interned tables, shared with every equal ring (set by ring_table)
+    core: Optional[_TableCore] = field(default=None, repr=False)
 
     def elements(self) -> range:
         return range(self.order)
@@ -72,22 +96,95 @@ class RingTable:
 
 
 _memo: "weakref.WeakKeyDictionary[RingTable, dict]" = weakref.WeakKeyDictionary()
+_table_memo: "weakref.WeakKeyDictionary[_TableCore, dict]" = weakref.WeakKeyDictionary()
 
 
-def _memoised(fn: Callable) -> Callable:
-    """Memoise fn(ring, *args) per ring; the results die with the ring.
+def _memoised_in(memo: weakref.WeakKeyDictionary, owner: Callable) -> Callable:
+    """A decorator memoising fn(ring, *args) in memo under owner(ring); the results
+    die with that key.
 
-    The memo holds keys and results strongly, so neither may refer to the ring:
+    The memo holds its results strongly, so no key or result may refer to a ring:
     such a reference would keep the ring, and everything memoised on it, alive.
     """
-    @functools.wraps(fn)
-    def wrapper(ring: RingTable, *args):
-        memo = _memo.setdefault(ring, {})
-        key = (fn, *args)
-        if key not in memo:
-            memo[key] = fn(ring, *args)
-        return memo[key]
-    return wrapper
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def wrapper(ring: RingTable, *args):
+            entries = memo.get(owner(ring))
+            if entries is None:
+                entries = memo[owner(ring)] = {}
+            key = (fn, *args)
+            if key not in entries:
+                entries[key] = fn(ring, *args)
+            return entries[key]
+        return wrapper
+    return decorate
+
+
+# per ring, for results that carry the ring's labels and names (corners, quotients)
+_memoised = _memoised_in(_memo, lambda ring: ring)
+# per distinct table, for results that read the tables alone: equal rings share them
+_memoised_on_tables = _memoised_in(_table_memo, operator.attrgetter("core"))
+
+# fingerprint -> the live core of those tables; a hit is confirmed in full
+_interned: "weakref.WeakValueDictionary[tuple, _TableCore]" = weakref.WeakValueDictionary()
+
+
+class _Retained:
+    """The cores that a retaining_tables block keeps, least recently interned first."""
+
+    def __init__(self) -> None:
+        self.cores: OrderedDict[_TableCore, None] = OrderedDict()
+        self.entries = 0
+
+    def keep(self, core: _TableCore) -> None:
+        if core in self.cores:
+            self.cores.move_to_end(core)
+        elif core.add.size <= ROW_BLOCK_ENTRIES:
+            self.cores[core] = None
+            self.entries += core.add.size
+            while self.entries > ROW_BLOCK_ENTRIES:
+                self.entries -= self.cores.popitem(last=False)[0].add.size
+
+
+_retention = threading.local()  # .retained: the innermost block's _Retained, or None
+
+
+@contextlib.contextmanager
+def retaining_tables() -> Iterator[None]:
+    """Keep the tables interned in this thread alive until the block ends, so that
+    rings built one after another share results though none outlives the next.
+
+    At most ROW_BLOCK_ENTRIES table entries are kept: the least recently interned
+    tables go first, and a table of more entries is never kept.
+    """
+    outer = getattr(_retention, "retained", None)
+    _retention.retained = _Retained()
+    try:
+        yield
+    finally:
+        _retention.retained = outer
+
+
+def _intern(add: np.ndarray, mul: np.ndarray, neg: np.ndarray, zero: int, one: int
+            ) -> _TableCore:
+    """The core of these validated tables: the live core of equal tables, if any.
+
+    The lookup reads an O(n) fingerprint; a hit is confirmed by comparing add and
+    mul in full (by identity first), so a collision costs sharing, never a result.
+    """
+    key = (len(neg), zero, one, neg.tobytes(), mul.diagonal().tobytes(), add[one].tobytes())
+    core = _interned.get(key)
+    same = core is not None and (core.add is add or np.array_equal(core.add, add)) and (
+        core.mul is mul or np.array_equal(core.mul, mul))
+    if not same:
+        fresh = _TableCore(add, mul, neg)
+        if core is None:
+            _interned[key] = fresh
+        core = fresh
+    retained = getattr(_retention, "retained", None)
+    if retained is not None:
+        retained.keep(core)
+    return core
 
 
 def ring_table(
@@ -101,7 +198,7 @@ def ring_table(
     element_names: Optional[Sequence[str]] = None,
     components: Sequence[RingTable] = (),
 ) -> RingTable:
-    """Validate raw tables and freeze them into a RingTable.
+    """Validate raw tables and freeze them into a RingTable over their interned core.
 
     Raises TableFormatError on malformed dimensions or out-of-range entries.
     Ring axioms are *not* checked here; see verify_ring_axioms.
@@ -128,8 +225,9 @@ def ring_table(
         raise TableFormatError("element_names length must equal ring order")
     for arr in (add_arr, mul_arr, neg_arr):
         arr.setflags(write=False)
-    return RingTable(order, add_arr, mul_arr, neg_arr, int(zero), int(one), label, names,
-                     tuple(components))
+    core = _intern(add_arr, mul_arr, neg_arr, int(zero), int(one))
+    return RingTable(order, core.add, core.mul, core.neg, int(zero), int(one), label, names,
+                     tuple(components), core)
 
 
 AXIOM_NAMES = (

@@ -1,6 +1,10 @@
 """Ring table construction and axiom verification."""
 
+import gc
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,9 +13,19 @@ from hypothesis import strategies as st
 
 import naive
 import wnc.table
-from wnc.construct import build_text, build_zn
+from wnc import decomp
+from wnc.construct import build_text, build_zn, corner, quotient
+from wnc.decomp import DecompKind, ring_verdict
 from wnc.errors import CrossRingError, TableFormatError
-from wnc.table import AXIOM_NAMES, ring_table, tables_to_csv, verify_ring_axioms
+from wnc.structure import _ideal_masks, all_ideals, structure, subset
+from wnc.table import (
+    AXIOM_NAMES,
+    _table_memo,
+    retaining_tables,
+    ring_table,
+    tables_to_csv,
+    verify_ring_axioms,
+)
 
 
 def test_z6_passes_axioms(rings):
@@ -275,3 +289,119 @@ def test_cheap_test_failures_get_the_full_scan_report(rings):
                         ring_table(6, add, z6.mul, z6.neg, 0, 1, "bad-add"),
                         ring_table(6, z6.add, mul, z6.neg, 0, 1, "bad-one")):
                 assert verify_ring_axioms(bad) == naive.axiom_report(bad), (bad.label, x, v)
+
+
+# --- interned tables ------------------------------------------------------------
+
+
+def _shared(a, b):
+    """The results that read the tables alone are one object for both rings."""
+    kind = DecompKind.WEAK_NIL_CLEAN
+    return (a.core is b.core and structure(a) is structure(b)
+            and ring_verdict(a, kind) is ring_verdict(b, kind) and all_ideals(a) is all_ideals(b))
+
+
+def test_equal_tables_share_results():
+    z3, m2 = build_text("Z(3)"), build_text("M2(Z(3))")
+    rank_one, _ = corner(m2, 1)  # the matrix unit e11: its corner is Z(3), ids in order
+    assert rank_one.label != z3.label and _shared(rank_one, z3)
+    whole, _ = corner(m2, m2.one)
+    by_zero, _ = quotient(m2, subset(m2, [m2.zero]))
+    for ring in (whole, by_zero):
+        assert _shared(ring, m2)
+        assert all(mine is theirs for mine, theirs in zip((ring.add, ring.mul, ring.neg),
+                                                         (m2.add, m2.mul, m2.neg)))
+    masks = _ideal_masks(m2)
+    assert not masks.flags.writeable
+    assert tuple(frozenset(np.flatnonzero(mask).tolist()) for mask in masks) == all_ideals(m2)
+
+
+def test_whole_ring_corner_and_quotient_copy_no_table():
+    # a copy of one int32 table alone would take 4 bytes per entry
+    ring = build_text("M2(Z(4))")
+    by_zero = subset(ring, [ring.zero])
+    for make in (lambda: corner(ring, ring.one), lambda: quotient(ring, by_zero)):
+        tracemalloc.start()
+        try:
+            whole, _ = make()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert whole.mul is ring.mul and peak < ring.order ** 2
+
+
+def test_differing_tables_share_nothing():
+    z4 = build_text("Z(4)")
+    # one off-diagonal product changed: neg, the diagonal of mul and the row add[one]
+    # agree, so the fingerprints match and only the full comparison tells them apart
+    bad = next(r for r in naive.corruptions(z4, ("mul",)) if r.label == "Z(4)-mul[2,3]=1")
+    assert np.array_equal(bad.mul.diagonal(), z4.mul.diagonal())
+    assert np.array_equal(bad.add, z4.add) and np.array_equal(bad.neg, z4.neg)
+    assert bad.core is not z4.core and structure(bad) is not structure(z4)
+    assert ring_verdict(bad, DecompKind.NIL_CLEAN) is not ring_verdict(z4, DecompKind.NIL_CLEAN)
+    # the same tables with another unity: x*y = 2 makes 2 a unit too
+    other = ring_table(4, z4.add, z4.mul, z4.neg, z4.zero, 2, "Z(4) with one=2")
+    assert other.core is not z4.core
+    assert structure(z4).unit_mask.tolist() == [False, True, False, True]
+    assert structure(other).unit_mask.tolist() == [False, True, True, True]
+    for ring in (bad, other):  # each memo entry holds what its own tables give
+        fresh = structure.__wrapped__(ring)
+        assert all(np.array_equal(getattr(structure(ring), name), getattr(fresh, name))
+                   for name in ("unit_mask", "nil_index", "radical_mask")), ring.label
+
+
+def test_retained_tables_are_capped_and_released():
+    def core_of(text):
+        return weakref.ref(build_text(text).core)
+
+    with retaining_tables():
+        small, large = core_of("Z(180)"), core_of("Z(257)")
+        gc.collect()
+        assert small() is not None and large() is None  # 257**2 entries exceed the cap
+        newer = core_of("Z(200)")  # 180**2 + 200**2 entries: the older table goes
+        gc.collect()
+        assert small() is None and newer() is not None
+    gc.collect()
+    assert newer() is None
+
+
+def test_threads_share_tables_and_keep_their_own_retention():
+    labels = ("Z(12)", "M2(Z(2))", "quot(Z(36),[6])", "corner(M2(Z(3)),1)", "Z(3)")
+    kind = DecompKind.WEAK_NIL_CLEAN
+
+    def results(cache, verdict):
+        return cache.unit_mask.tolist(), cache.radical_mask.tolist(), verdict.holds
+
+    expected = {}
+    for label in labels:  # the unmemoised bodies, so no memo entry is read
+        ring = build_text(label)
+        expected[label] = results(structure.__wrapped__(ring),
+                                  decomp._candidates.__wrapped__(ring, kind, None).verdict)
+    errors = []
+
+    def work():
+        try:
+            for _ in range(20):
+                with retaining_tables():
+                    for label in labels:
+                        ring = build_text(label)
+                        got = results(structure(ring), ring_verdict(ring, kind))
+                        if got != expected[label]:
+                            errors.append(label)
+                if getattr(wnc.table._retention, "retained", None) is not None:
+                    errors.append("retention outlived its block")
+        except Exception as exc:  # a thread's exception would be lost: assert on it below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

@@ -15,7 +15,7 @@ import wnc.theorems as theorems
 from wnc.construct import build_text
 from wnc.decomp import DecompKind, ring_verdict, zero_one_subset
 from wnc.structure import ideal_generated_by, structure, subset
-from wnc.table import _memo, ring_table
+from wnc.table import _interned, _memo, _table_memo, ring_table
 from wnc.theorems import (
     CorpusEntry,
     check_J_subset_Nil,
@@ -231,9 +231,13 @@ def test_rigidity_and_corner_checks_match_loop_oracles(corpus_entries):
     for base in ("Z(4)", "Z(6)", "T2(Z(2))"):
         fresh += [(bad, _library_pools) for bad in naive.corruptions(build_text(base), ("mul",))]
     for ring, pools_of in fresh:
+        # equal rings share one memo entry (the zero ring is every 0R0), which
+        # other tests may have filled: only the keys these checks add count
+        before = set(_table_memo.get(ring.core, ()))
         _check_against_oracles(ring, messages, pools_of)
         # the rigidity check reads the weak* nil table and decides no S-table
-        assert all(DecompKind.S_WEAK_STAR_NIL_CLEAN not in key for key in _memo[ring])
+        added = set(_table_memo[ring.core]) - before
+        assert all(DecompKind.S_WEAK_STAR_NIL_CLEAN not in key for key in added), ring.label
     failures = {(check, out[1]) for check, out in messages
                 if isinstance(out, tuple) and not out[0]}
     assert any(check == "rigidity" for check, _ in failures)
@@ -419,6 +423,32 @@ def test_suite_holds_one_corpus_ring_at_a_time(monkeypatch):
     monkeypatch.setattr(theorems, "_build_entry", build_entry)
     cells = run_suite(["M2(Z(2))", "prod(Z(2),Z(3))", "idealize(Z(6),self)", "T2(Z(3))"])
     assert len(built) == 4 and not suite_failed(cells)
+
+
+def test_suite_shares_tables_across_members_and_keeps_none(monkeypatch):
+    cores, shared = [], []
+
+    def build_entry(line, budget):
+        entry = build_one(line, budget)
+        if cores:
+            gc.collect()  # the first member's ring is gone, its retained core is not
+            shared.append(entry.ring.core is cores[0]())
+        cores.append(weakref.ref(entry.ring.core))
+        return entry
+
+    build_one = theorems._build_entry
+    monkeypatch.setattr(theorems, "_build_entry", build_entry)
+    gc.collect()
+    live = weakref.WeakSet(_interned.values())  # tables that other tests' rings hold
+    counts = len(_memo), len(_interned)
+    # dividing out the Z(2) factor leaves the tables of eqdiag2(Z(7)), ids in order;
+    # no corpus ring has them (idealize(Z(5),self) has those of eqdiag2(Z(5)))
+    cells = run_suite(["eqdiag2(Z(7))", "quot(prod(eqdiag2(Z(7)),Z(2)),[1])"])
+    assert shared == [True] and not suite_failed(cells)
+    gc.collect()
+    assert all(ref() is None for ref in cores)
+    assert len(_memo) <= counts[0] and len(_interned) <= counts[1]
+    assert all(core in live for core in _table_memo)
 
 
 def test_runner_builds_each_line_once(monkeypatch):
