@@ -4,19 +4,20 @@ A ring of order n lives on the element ids 0..n-1.  Addition, multiplication
 and negation are total lookup tables; ``zero`` and ``one`` are element ids.
 Tables are immutable after construction and safe to share between threads.
 
-ring_table interns the tables it validates: rings whose order, zero, one and
-tables are all equal share one core, and the results that read the tables
-alone (structural sets, verdicts, the ideal lattice) are memoised on that core,
-so they are computed once per distinct table.  The memos and the registry only
-decide which results are kept and which are computed again, never what a result
-is, so concurrent threads may at worst compute a result twice.
+A RingTable validates its tables and interns them: rings whose order, zero, one
+and tables are all equal share one core.  Results that read the tables alone
+(structural sets, verdicts, the ideal lattice) are memoised on that core, so they
+are computed once per distinct table; results that carry a ring's labels and
+names (corners, quotients) are memoised on the ring.  Each thread keeps the
+cores it interned most recently alive, so rings built one after another share
+results though none outlives the next.  The memos and the interning only decide
+which results are kept and which are computed again, never what a result is, so
+concurrent threads may at worst compute a result twice.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import operator
 import threading
 import weakref
 from collections import OrderedDict
@@ -32,24 +33,26 @@ ElementId = int
 # Entries per block in a blocked pass: the grid of a coordinate-ring digit that
 # reads many digits (construct), the rows of the radical's gather (structure).
 # It bounds the temporaries at a few MB whatever the ring order.  It also caps
-# the table entries that retaining_tables keeps alive.
+# the table entries of the cores each thread keeps alive after interning them.
 ROW_BLOCK_ENTRIES = 1 << 16
 
 
 class _TableCore:
     """The read-only tables that every ring with equal order, zero, one, add, mul
-    and neg shares, and the memo key of the results that read only them."""
+    and neg shares, and the results memoised on them."""
 
-    __slots__ = ("add", "mul", "neg", "__weakref__")
+    __slots__ = ("add", "mul", "neg", "results", "__weakref__")
 
     def __init__(self, add: np.ndarray, mul: np.ndarray, neg: np.ndarray) -> None:
         self.add, self.mul, self.neg = add, mul, neg
+        self.results: dict = {}
 
 
 @dataclass(frozen=True, eq=False)
 class RingTable:
-    """Operation tables of a finite ring with unity: ring_table checks their
-    shapes and entry ranges, verify_ring_axioms their ring axioms."""
+    """Operation tables of a finite ring with unity.  Construction checks their
+    shapes and entry ranges, raising TableFormatError, and interns them;
+    verify_ring_axioms checks their ring axioms."""
 
     order: int
     add: np.ndarray
@@ -61,8 +64,36 @@ class RingTable:
     element_names: Optional[tuple[str, ...]] = field(default=None, repr=False)
     # the rings the digits of a coordinate-built ring range over, in digit order
     components: tuple["RingTable", ...] = field(default=(), repr=False)
-    # the interned tables, shared with every equal ring (set by ring_table)
-    core: Optional[_TableCore] = field(default=None, repr=False)
+    # the interned tables, shared with every equal ring
+    core: _TableCore = field(init=False, repr=False)
+    # corners and quotients of this ring, memoised by _memoised
+    _results: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        n, zero, one = self.order, self.zero, self.one
+        if n < 1:
+            raise TableFormatError(f"ring order must be positive, got {n}")
+        tables = {name: np.asarray(getattr(self, name), dtype=np.int32)
+                  for name in ("add", "mul", "neg")}
+        for name, arr in tables.items():
+            shape = (n,) if name == "neg" else (n, n)
+            if arr.shape != shape:
+                raise TableFormatError(f"{name} table has shape {arr.shape}, want {shape}")
+        for name, arr in tables.items():
+            # a negative int32 reads as >= 2**31 in the uint32 view, so one max tests both ends
+            if arr.size and arr.view(np.uint32).max() >= n:
+                raise TableFormatError(f"{name} table contains out-of-range element ids")
+        if not 0 <= zero < n or not 0 <= one < n:
+            raise TableFormatError("zero/one must be valid element ids")
+        names = None if self.element_names is None else tuple(self.element_names)
+        if names is not None and len(names) != n:
+            raise TableFormatError("element_names length must equal ring order")
+        for arr in tables.values():
+            arr.setflags(write=False)
+        core = _intern(**tables, zero=int(zero), one=int(one))
+        # the fields are frozen, so they are set past __setattr__
+        vars(self).update(add=core.add, mul=core.mul, neg=core.neg, zero=int(zero), one=int(one),
+                          element_names=names, components=tuple(self.components), core=core)
 
     def elements(self) -> range:
         return range(self.order)
@@ -95,42 +126,39 @@ class RingTable:
         return f"RingTable({self.label}, order={self.order})"
 
 
-_memo: "weakref.WeakKeyDictionary[RingTable, dict]" = weakref.WeakKeyDictionary()
-_table_memo: "weakref.WeakKeyDictionary[_TableCore, dict]" = weakref.WeakKeyDictionary()
+def _memoised_in(results_of: Callable) -> Callable:
+    """A decorator memoising fn(ring, *args) in the dict results_of(ring); the
+    results die with the dict's owner.
 
-
-def _memoised_in(memo: weakref.WeakKeyDictionary, owner: Callable) -> Callable:
-    """A decorator memoising fn(ring, *args) in memo under owner(ring); the results
-    die with that key.
-
-    The memo holds its results strongly, so no key or result may refer to a ring:
-    such a reference would keep the ring, and everything memoised on it, alive.
+    No key or result may refer to a ring: on a core it would keep that ring alive,
+    and on a ring it would make a cycle that only a collection frees.
     """
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(ring: RingTable, *args):
-            entries = memo.get(owner(ring))
-            if entries is None:
-                entries = memo[owner(ring)] = {}
-            key = (fn, *args)
-            if key not in entries:
-                entries[key] = fn(ring, *args)
-            return entries[key]
+            results, key = results_of(ring), (fn, *args)
+            if key not in results:
+                results[key] = fn(ring, *args)
+            return results[key]
         return wrapper
     return decorate
 
 
 # per ring, for results that carry the ring's labels and names (corners, quotients)
-_memoised = _memoised_in(_memo, lambda ring: ring)
+_memoised = _memoised_in(lambda ring: ring._results)
 # per distinct table, for results that read the tables alone: equal rings share them
-_memoised_on_tables = _memoised_in(_table_memo, operator.attrgetter("core"))
+_memoised_on_tables = _memoised_in(lambda ring: ring.core.results)
 
 # fingerprint -> the live core of those tables; a hit is confirmed in full
 _interned: "weakref.WeakValueDictionary[tuple, _TableCore]" = weakref.WeakValueDictionary()
 
 
-class _Retained:
-    """The cores that a retaining_tables block keeps, least recently interned first."""
+class _Retained(threading.local):
+    """The cores this thread interned most recently, least recently interned first.
+
+    At most ROW_BLOCK_ENTRIES table entries are kept, and never a table of more.
+    The cores die with the thread.
+    """
 
     def __init__(self) -> None:
         self.cores: OrderedDict[_TableCore, None] = OrderedDict()
@@ -146,23 +174,7 @@ class _Retained:
                 self.entries -= self.cores.popitem(last=False)[0].add.size
 
 
-_retention = threading.local()  # .retained: the innermost block's _Retained, or None
-
-
-@contextlib.contextmanager
-def retaining_tables() -> Iterator[None]:
-    """Keep the tables interned in this thread alive until the block ends, so that
-    rings built one after another share results though none outlives the next.
-
-    At most ROW_BLOCK_ENTRIES table entries are kept: the least recently interned
-    tables go first, and a table of more entries is never kept.
-    """
-    outer = getattr(_retention, "retained", None)
-    _retention.retained = _Retained()
-    try:
-        yield
-    finally:
-        _retention.retained = outer
+_retained = _Retained()
 
 
 def _intern(add: np.ndarray, mul: np.ndarray, neg: np.ndarray, zero: int, one: int
@@ -181,9 +193,7 @@ def _intern(add: np.ndarray, mul: np.ndarray, neg: np.ndarray, zero: int, one: i
         if core is None:
             _interned[key] = fresh
         core = fresh
-    retained = getattr(_retention, "retained", None)
-    if retained is not None:
-        retained.keep(core)
+    _retained.keep(core)
     return core
 
 
@@ -203,31 +213,7 @@ def ring_table(
     Raises TableFormatError on malformed dimensions or out-of-range entries.
     Ring axioms are *not* checked here; see verify_ring_axioms.
     """
-    if order < 1:
-        raise TableFormatError(f"ring order must be positive, got {order}")
-    add_arr = np.asarray(add, dtype=np.int32)
-    mul_arr = np.asarray(mul, dtype=np.int32)
-    neg_arr = np.asarray(neg, dtype=np.int32)
-    if add_arr.shape != (order, order):
-        raise TableFormatError(f"add table has shape {add_arr.shape}, want {(order, order)}")
-    if mul_arr.shape != (order, order):
-        raise TableFormatError(f"mul table has shape {mul_arr.shape}, want {(order, order)}")
-    if neg_arr.shape != (order,):
-        raise TableFormatError(f"neg table has shape {neg_arr.shape}, want {(order,)}")
-    for name, arr in (("add", add_arr), ("mul", mul_arr), ("neg", neg_arr)):
-        # a negative int32 reads as >= 2**31 in the uint32 view, so one max tests both ends
-        if arr.size and arr.view(np.uint32).max() >= order:
-            raise TableFormatError(f"{name} table contains out-of-range element ids")
-    if not 0 <= zero < order or not 0 <= one < order:
-        raise TableFormatError("zero/one must be valid element ids")
-    names = tuple(element_names) if element_names is not None else None
-    if names is not None and len(names) != order:
-        raise TableFormatError("element_names length must equal ring order")
-    for arr in (add_arr, mul_arr, neg_arr):
-        arr.setflags(write=False)
-    core = _intern(add_arr, mul_arr, neg_arr, int(zero), int(one))
-    return RingTable(order, core.add, core.mul, core.neg, int(zero), int(one), label, names,
-                     tuple(components), core)
+    return RingTable(order, add, mul, neg, zero, one, label, element_names, components)
 
 
 AXIOM_NAMES = (

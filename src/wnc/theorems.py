@@ -38,7 +38,7 @@ from .decomp import (
 )
 from .errors import CapacityError, RingError
 from .structure import SetArg, _known_ideal, all_ideals, maximal_ideals, structure, subset
-from .table import RingTable, retaining_tables, verify_ring_axioms
+from .table import RingTable, verify_ring_axioms
 
 
 def _holds(ring: RingTable, kind: DecompKind, s=None) -> bool:
@@ -536,9 +536,9 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
     Build failures become one 'build' cell; they never abort the run.  Members
     are built, checked and dropped one at a time, prepared entries first, so
     each ring and the sub-rings memoised on it are freed before the next build.
-    The tables interned meanwhile are retained until the call returns (see
-    retaining_tables), so a sub-ring whose tables an earlier member or sub-ring
-    had reuses their structure, verdicts and ideals.
+    The tables interned most recently stay alive (see wnc.table), so a sub-ring
+    whose tables an earlier member or sub-ring had reuses their structure,
+    verdicts and ideals.
     """
     if checks is None:
         selected = REGISTRY
@@ -552,8 +552,7 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
             raise ValueError(f"check ids given twice: {repeated}")
         selected = tuple(known[cid] for cid in checks)
     items = sorted(corpus, key=lambda item: not isinstance(item, CorpusEntry))
-    with retaining_tables():
-        cells = [cell for item in items for cell in _member_cells(item, selected, budget)]
+    cells = [cell for item in items for cell in _member_cells(item, selected, budget)]
     cells.sort(key=lambda c: (c["ring"], c["check_id"]))
     return cells
 

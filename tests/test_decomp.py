@@ -7,9 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import naive
-from wnc.construct import build_text, corner
+from test_construct import _exprs
+from wnc.construct import build, build_text, corner, order_bound, quotient
 from wnc.decomp import (
     DecompKind,
     _annihilator_failure,
@@ -26,7 +28,7 @@ from wnc.decomp import (
     verdict_to_json,
     zero_one_subset,
 )
-from wnc.errors import CrossRingError, InvalidSubsetError
+from wnc.errors import CrossRingError, InvalidSubsetError, RingError
 from wnc.structure import structure, subset
 from wnc.table import ring_table
 
@@ -329,6 +331,49 @@ def test_radical_meets_idempotents_only_at_zero(corpus_entries):
         cache = structure(entry.ring)
         assert cache.idempotent_set & cache.radical == {entry.ring.zero}, entry.label
         assert cache.idempotent_set & cache.nilpotents == {entry.ring.zero}, entry.label
+
+
+def _closed_forms(ring):
+    """The verdicts that the theory of finite rings gives in closed form, read off
+    R/J: every finite ring is clean; j-clean and strongly nil clean rings are those
+    with R/J Boolean; weak j-clean ones those with |R/J| = i or 3i/2 for the number
+    i of idempotents of R/J; nil clean ones those whose R/J has a Boolean centre.
+    A commutative ring is weak nil clean iff R/J is Boolean, F_3 or Boolean x F_3;
+    R/J is then a product of fields, so this too reads |R/J| = i or 3i/2."""
+    bar, _ = quotient(ring, subset(ring, structure(ring).radical_mask))
+    n, squares = bar.order, bar.mul.diagonal()
+    idempotents = np.count_nonzero(squares == np.arange(n))
+    centre = np.flatnonzero((bar.mul == bar.mul.T).all(axis=1))
+    boolean, weak = idempotents == n, 2 * n in (2 * idempotents, 3 * idempotents)
+    forms = {DecompKind.CLEAN: True, DecompKind.J_CLEAN: boolean,
+             DecompKind.STRONGLY_NIL_CLEAN: boolean, DecompKind.WEAK_J_CLEAN: weak,
+             DecompKind.NIL_CLEAN: bool((squares[centre] == centre).all())}
+    if ring.is_commutative():
+        forms[DecompKind.WEAK_NIL_CLEAN] = weak
+    return forms
+
+
+def _assert_closed_forms(ring):
+    for kind, holds in _closed_forms(ring).items():
+        assert ring_verdict(ring, kind).holds == holds, (ring.label, kind.value)
+
+
+def test_verdicts_match_closed_forms(corpus_entries):
+    extra = ("M2(Z(4))", "M2(Z(6))", "T2(Z(9))", "idealize(T2(Z(3)),self)",
+             "prod(M2(Z(2)),Z(3))")
+    rings = [entry.ring for entry in corpus_entries if entry.ring is not None]
+    for ring in rings + [build_text(text) for text in extra]:
+        _assert_closed_forms(ring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exprs(2).filter(lambda expr: order_bound(expr) <= 128))
+def test_grammar_verdicts_match_closed_forms(expr):
+    try:
+        ring = build(expr)
+    except RingError:
+        return
+    _assert_closed_forms(ring)
 
 
 def test_all_verdict_certificates_revalidate(corpus_entries):

@@ -33,7 +33,7 @@ from wnc.structure import (
     structure,
     subset,
 )
-from wnc.table import _additive_span, _memo
+from wnc.table import _additive_span
 from wnc.theorems import run_suite
 
 
@@ -151,13 +151,20 @@ def _memoise_everything(ring):
 
 
 def test_structure_memo_frees_rings():
-    gc.collect()
-    before = len(_memo)
-    refs = [_memoise_everything(build_text(label))
-            for label in ("T2(Z(3))", "Z(12)", "prod(Z(2),Z(3))")]
-    gc.collect()
-    assert all(ref() is None for ref in refs)
-    assert len(_memo) == before
+    # a ring's corners and quotients are memoised on the ring and die with it,
+    # without a collection; its retained cores hold results, never a ring
+    refs = []
+    gc.disable()
+    try:
+        for label in ("T2(Z(3))", "Z(12)", "prod(Z(2),Z(3))"):
+            ring = build_text(label)
+            refs.append(_memoise_everything(ring))
+            refs += [weakref.ref(sub) for sub, _ in ring._results.values()]
+            assert ring._results and ring.core.results
+            del ring
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_annihilator_examples(rings):

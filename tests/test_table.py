@@ -1,10 +1,12 @@
 """Ring table construction and axiom verification."""
 
+import dataclasses
 import gc
 import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from wnc.errors import CrossRingError, TableFormatError
 from wnc.structure import _ideal_masks, all_ideals, structure, subset
 from wnc.table import (
     AXIOM_NAMES,
-    _table_memo,
-    retaining_tables,
+    ROW_BLOCK_ENTRIES,
+    RingTable,
     ring_table,
     tables_to_csv,
     verify_ring_axioms,
@@ -69,15 +71,29 @@ def test_corrupted_entry_fails_with_live_witness(rings):
             assert int(mul[add[b, c], a]) != int(add[mul[b, a], mul[c, a]])
 
 
+_MALFORMED = [  # (order, add, mul, neg, zero, one, element_names)
+    (2, [[0, 1]], [[0, 0], [0, 1]], [0, 1], 0, 1, None),
+    (2, [[0, 1], [1, 0]], [0, 1], [0, 1], 0, 1, None),
+    (2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], [[0, 1]], 0, 1, None),
+    (2, [[0, 1], [1, -1]], [[0, 0], [0, 1]], [0, 1], 0, 1, None),
+    (2, [[0, 1], [1, 0]], [[0, 0], [0, 5]], [0, 1], 0, 1, None),
+    (2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], [0, 2], 0, 1, None),
+    (0, [], [], [], 0, 0, None),
+    (2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], [0, 1], 0, 3, None),
+    (2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], [0, 1], -1, 1, None),
+    (2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], [0, 1], 0, 1, ("0",)),
+]
+
+
 def test_malformed_tables_rejected():
-    with pytest.raises(TableFormatError):
-        ring_table(2, [[0, 1]], [[0, 0], [0, 1]], [0, 1], 0, 1, "bad")
-    with pytest.raises(TableFormatError):
-        ring_table(2, [[0, 1], [1, 0]], [[0, 0], [0, 5]], [0, 1], 0, 1, "bad")
-    with pytest.raises(TableFormatError):
-        ring_table(0, [], [], [], 0, 0, "bad")
-    with pytest.raises(TableFormatError):
-        ring_table(2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], [0, 1], 0, 3, "bad")
+    # the same check and message whether the ring is built by ring_table or directly
+    for order, add, mul, neg, zero, one, names in _MALFORMED:
+        messages = []
+        for make in (ring_table, RingTable):
+            with pytest.raises(TableFormatError) as err:
+                make(order, add, mul, neg, zero, one, "bad", names)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("value", [-1, -2**31, 3, 2**31 - 1])
@@ -350,19 +366,54 @@ def test_differing_tables_share_nothing():
                    for name in ("unit_mask", "nil_index", "radical_mask")), ring.label
 
 
+def test_replaced_tables_decide_on_their_own():
+    z6 = build_text("Z(6)")
+    mul = np.array(z6.mul)
+    mul[5, 5] = 0  # not a ring: 5 is nilpotent now, so 2 = 3 + 5 and 5 = 0 + 5 are nil clean
+    ring = dataclasses.replace(z6, mul=mul, label="Z(6) with 5*5=0")
+    assert ring.core is not z6.core and ring.mul is not z6.mul
+    assert structure(ring).nilpotents == {0, 5} and structure(z6).nilpotents == {0}
+    assert ring_verdict(ring, DecompKind.NIL_CLEAN).holds
+    assert not ring_verdict(z6, DecompKind.NIL_CLEAN).holds
+
+
+def test_direct_ring_tables_are_interned():
+    z6 = build_text("Z(6)")
+    tables = (z6.add.tolist(), z6.mul.tolist(), z6.neg.tolist())
+    direct = RingTable(6, *tables, 0, 1, "direct", tuple("abcdef"))
+    via = ring_table(6, *tables, 0, 1, "via")
+    assert direct.core is via.core is z6.core and structure(direct) is structure(via)
+    assert direct.mul is z6.mul and not direct.mul.flags.writeable
+    assert direct.name_of(5) == "f" and direct.components == ()
+
+
 def test_retained_tables_are_capped_and_released():
     def core_of(text):
         return weakref.ref(build_text(text).core)
 
-    with retaining_tables():
-        small, large = core_of("Z(180)"), core_of("Z(257)")
-        gc.collect()
-        assert small() is not None and large() is None  # 257**2 entries exceed the cap
-        newer = core_of("Z(200)")  # 180**2 + 200**2 entries: the older table goes
-        gc.collect()
-        assert small() is None and newer() is not None
+    refs = {}
+
+    def work():
+        refs["small"], refs["large"] = core_of("Z(180)"), core_of("Z(257)")
+        assert refs["small"]() is not None  # the ring is dropped at once, its core is kept
+        assert refs["large"]() is None  # 257**2 entries exceed the cap
+        refs["newer"] = core_of("Z(200)")  # 180**2 + 200**2 entries: the older table goes
+        assert refs["small"]() is None and refs["newer"]() is not None
+        # least recently interned first out: Z(100) displaces Z(200), and Z(150) is
+        # interned again after Z(100), so Z(190) (36 100 entries) displaces Z(100)
+        refs["first"], refs["second"] = core_of("Z(150)"), core_of("Z(100)")
+        assert core_of("Z(150)")() is refs["first"]()
+        refs["last"] = core_of("Z(190)")
+        assert refs["second"]() is None and refs["newer"]() is None
+        assert refs["first"]() is not None and refs["last"]() is not None
+        retained = wnc.table._retained
+        assert retained.entries == sum(core.add.size for core in retained.cores) <= ROW_BLOCK_ENTRIES
+
+    # in a thread of its own, whose retention starts empty and ends with it
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(work).result()
     gc.collect()
-    assert newer() is None
+    assert all(ref() is None for ref in refs.values())
 
 
 def test_threads_share_tables_and_keep_their_own_retention():
@@ -377,31 +428,52 @@ def test_threads_share_tables_and_keep_their_own_retention():
         ring = build_text(label)
         expected[label] = results(structure.__wrapped__(ring),
                                   decomp._candidates.__wrapped__(ring, kind, None).verdict)
+    z16 = build_text("Z(16)")
+    count = 4
+    # tables built nowhere else, one per thread: Z(16) with 15*15 set to 2..5
+    own = []
+    for index in range(count):
+        mul = np.array(z16.mul)
+        mul[15, 15] = index + 2
+        own.append(mul)
+    cores = [None] * count
+    built, release = threading.Barrier(count), [threading.Event() for _ in range(count)]
     errors = []
 
-    def work():
+    def work(index):
         try:
             for _ in range(20):
-                with retaining_tables():
-                    for label in labels:
-                        ring = build_text(label)
-                        got = results(structure(ring), ring_verdict(ring, kind))
-                        if got != expected[label]:
-                            errors.append(label)
-                if getattr(wnc.table._retention, "retained", None) is not None:
-                    errors.append("retention outlived its block")
+                for label in labels:
+                    ring = build_text(label)
+                    got = results(structure(ring), ring_verdict(ring, kind))
+                    if got != expected[label]:
+                        errors.append(label)
+            structure(ring_table(16, z16.add, own[index], z16.neg, 0, 1, f"own {index}"))
+            mine = next(core for core in wnc.table._retained.cores if core.mul is own[index])
+            cores[index] = weakref.ref(mine)
+            built.wait(timeout=120)
+            # each thread retains its own tables, none of the others'
+            if any(core() in wnc.table._retained.cores for core in cores if core() is not mine):
+                errors.append(f"thread {index} retains another thread's table")
+            release[index].wait(timeout=120)
         except Exception as exc:  # a thread's exception would be lost: assert on it below
             errors.append(repr(exc))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(4)]
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(count)]
         for thread in threads:
             thread.start()
-        for thread in threads:
+        for index, thread in enumerate(threads):
+            release[index].set()
             thread.join(timeout=120)
+            gc.collect()
+            # freed when its thread ends, while the later threads still run
+            assert cores[index]() is None and all(t.is_alive() for t in threads[index + 1:])
     finally:
+        for event in release:
+            event.set()
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []

@@ -11,11 +11,12 @@ import pytest
 
 import naive
 import wnc.construct as construct
+import wnc.table
 import wnc.theorems as theorems
 from wnc.construct import build_text
 from wnc.decomp import DecompKind, ring_verdict, zero_one_subset
 from wnc.structure import ideal_generated_by, structure, subset
-from wnc.table import _interned, _memo, _table_memo, ring_table
+from wnc.table import ROW_BLOCK_ENTRIES, ring_table
 from wnc.theorems import (
     CorpusEntry,
     check_J_subset_Nil,
@@ -233,10 +234,10 @@ def test_rigidity_and_corner_checks_match_loop_oracles(corpus_entries):
     for ring, pools_of in fresh:
         # equal rings share one memo entry (the zero ring is every 0R0), which
         # other tests may have filled: only the keys these checks add count
-        before = set(_table_memo.get(ring.core, ()))
+        before = set(ring.core.results)
         _check_against_oracles(ring, messages, pools_of)
         # the rigidity check reads the weak* nil table and decides no S-table
-        added = set(_table_memo[ring.core]) - before
+        added = set(ring.core.results) - before
         assert all(DecompKind.S_WEAK_STAR_NIL_CLEAN not in key for key in added), ring.label
     failures = {(check, out[1]) for check, out in messages
                 if isinstance(out, tuple) and not out[0]}
@@ -426,29 +427,28 @@ def test_suite_holds_one_corpus_ring_at_a_time(monkeypatch):
 
 
 def test_suite_shares_tables_across_members_and_keeps_none(monkeypatch):
-    cores, shared = [], []
+    rings, cores, shared = [], [], []
 
     def build_entry(line, budget):
         entry = build_one(line, budget)
-        if cores:
-            gc.collect()  # the first member's ring is gone, its retained core is not
-            shared.append(entry.ring.core is cores[0]())
+        if cores:  # the first member's ring is gone, its retained core is not
+            shared.append(rings[0]() is None and entry.ring.core is cores[0]())
+        rings.append(weakref.ref(entry.ring))
         cores.append(weakref.ref(entry.ring.core))
         return entry
 
     build_one = theorems._build_entry
     monkeypatch.setattr(theorems, "_build_entry", build_entry)
-    gc.collect()
-    live = weakref.WeakSet(_interned.values())  # tables that other tests' rings hold
-    counts = len(_memo), len(_interned)
     # dividing out the Z(2) factor leaves the tables of eqdiag2(Z(7)), ids in order;
     # no corpus ring has them (idealize(Z(5),self) has those of eqdiag2(Z(5)))
     cells = run_suite(["eqdiag2(Z(7))", "quot(prod(eqdiag2(Z(7)),Z(2)),[1])"])
     assert shared == [True] and not suite_failed(cells)
-    gc.collect()
-    assert all(ref() is None for ref in cores)
-    assert len(_memo) <= counts[0] and len(_interned) <= counts[1]
-    assert all(core in live for core in _table_memo)
+    # no ring outlives the run, with or without a collection; the calling thread
+    # keeps only its most recent tables, within the cap
+    assert all(ref() is None for ref in rings)
+    retained = wnc.table._retained.cores
+    assert cores[0]() in retained
+    assert sum(core.add.size for core in retained) <= ROW_BLOCK_ENTRIES
 
 
 def test_runner_builds_each_line_once(monkeypatch):
