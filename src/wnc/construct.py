@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import os
-import string
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -248,40 +248,29 @@ def _coordinates(expr: RingExpr) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+# A token after ASCII whitespace; the classes are explicit because str.isspace and
+# str.isdigit, like \s and \d, also accept '\u00a0', '\x1c', '²' and '𝟓'.
+_TOKEN = re.compile(r"[ \t\n\r\x0b\x0c]*(?:(?P<name>[A-Za-z]+)|(?P<int>[0-9]+)"
+                    r"|(?P<punct>[()\[\],])|(?P<other>.)|(?P<end>\Z))", re.DOTALL)
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def _skip_ws(self) -> None:
-        # ASCII only: str.isspace also takes '\u00a0' and '\x1c'
-        while self.pos < len(self.text) and self.text[self.pos] in string.whitespace:
-            self.pos += 1
-
     def peek(self) -> tuple[str, str, int]:
         """Return (kind, value, position) without consuming."""
-        self._skip_ws()
-        start = self.pos
-        if start >= len(self.text):
-            return ("end", "", start)
-        ch = self.text[start]
-        if ch in string.ascii_letters:
-            end = start
-            while end < len(self.text) and self.text[end] in string.ascii_letters:
-                end += 1
-            return ("name", self.text[start:end].lower(), start)
-        if ch in string.digits:  # ASCII only: str.isdigit also takes '²' and '𝟓'
-            end = start
-            while end < len(self.text) and self.text[end] in string.digits:
-                end += 1
-            return ("int", self.text[start:end], start)
-        if ch in "()[],":
-            return ("punct", ch, start)
-        raise ExprSyntaxError(f"unexpected character {ch!r}", start)
+        match = _TOKEN.match(self.text, self.pos)
+        kind, value = match.lastgroup, match[match.lastgroup]
+        start = match.end() - len(value)
+        if kind == "other":
+            raise ExprSyntaxError(f"unexpected character {value!r}", start)
+        return kind, value.lower() if kind == "name" else value, start
 
     def take(self) -> tuple[str, str, int]:
         kind, value, start = self.peek()
-        self.pos = start + (len(value) if value else 0)
+        self.pos = start + len(value)
         return kind, value, start
 
     def expect_punct(self, ch: str) -> None:
@@ -420,6 +409,7 @@ def build_zn(n: int) -> RingTable:
     mul -= mul // n * n
     neg = (-idx) % n
     names = tuple(map(str, range(n)))
+    add.flags.writeable = mul.flags.writeable = neg.flags.writeable = False  # uncopied by RingTable
     return ring_table(n, add, mul, neg, 0, 1 % n, f"Z({n})", names)
 
 
@@ -513,6 +503,7 @@ def _coordinate_ring(parts: Sequence[RingTable], terms: Terms, one: Sequence[int
     neg = _encode([p.neg[d] for p, d in zip(parts, digits)], sizes)
     zero = _encode([p.zero for p in parts], sizes)
     names = tuple(name(v) for v in zip(*(d.tolist() for d in digits)))
+    add.flags.writeable = mul.flags.writeable = neg.flags.writeable = False
     return ring_table(math.prod(sizes), add, mul, neg, zero, _encode(one, sizes),
                       label, names, parts)
 
@@ -598,6 +589,7 @@ def _restrict(ring: RingTable, keep: np.ndarray, relabel: np.ndarray, one: int,
     add = relabel[ring.add[rows, keep]]
     mul = relabel[ring.mul[rows, keep]]
     neg = relabel[ring.neg[keep]]
+    add.flags.writeable = mul.flags.writeable = neg.flags.writeable = False
     return ring_table(len(keep), add, mul, neg, relabel[ring.zero], relabel[one], label, names)
 
 

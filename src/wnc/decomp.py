@@ -122,19 +122,22 @@ def _resolve_s(ring: RingTable, kind: DecompKind,
     return tuple(members.tolist())
 
 
-def _first_rows(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
-    """Columns of ok with a True, the first row of each, and the least column without."""
+def _first_rows(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int], np.ndarray]:
+    """Columns of ok with a True, the first row of each, the least column without,
+    and the read-only mask of the columns with a True."""
     found = ok.any(axis=0)
+    found.flags.writeable = False
     cols, missing = np.flatnonzero(found), np.flatnonzero(~found)
-    return cols, ok.argmax(axis=0)[cols], int(missing[0]) if missing.size else None
+    return cols, ok.argmax(axis=0)[cols], int(missing[0]) if missing.size else None, found
 
 
 class _Table(NamedTuple):
-    """Candidate table of one kind and S: row r is (idems[r], signs[r])."""
+    """Candidate table of one kind and S: row r is (idems[r], signs[r]), column x is x."""
 
     idems: np.ndarray
     signs: tuple[str, ...]
     ok: np.ndarray  # companion x -+ idems[r] in the kind's pool, commuting where required
+    found: np.ndarray  # read-only: the elements with a candidate, those that decompose
     verdict: RingVerdict
 
 
@@ -152,11 +155,11 @@ def _candidates(ring: RingTable, kind: DecompKind,
     ok = getattr(cache, family)[comp]
     if need_commute:
         ok &= ring.mul[comp, idems[:, None]] == ring.mul[idems[:, None], comp]
-    xs, rows, witness = _first_rows(ok)
+    xs, rows, witness, found = _first_rows(ok)
     es, cs = idems[rows], comp[rows, xs]
     verdict = RingVerdict(kind, witness is None, witness, s_tuple, xs, es, cs,
                           sign_col[rows], ring.mul[cs, es] == ring.mul[es, cs])
-    return _Table(idems, signs, ok, verdict)
+    return _Table(idems, signs, ok, found, verdict)
 
 
 def iter_decomps(ring: RingTable, x: ElementId, kind: DecompKind,
@@ -253,7 +256,7 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
     decomposes as kind ``also``.  The order is x, then candidate row, then law.
     """
     table = _candidates(ring, kind, None)
-    pre = False if also is None else ~_candidates(ring, also, None).ok.any(axis=0)
+    pre = False if also is None else ~_candidates(ring, also, None).found
     zero = ring.mul == ring.zero
     one_minus = ring.add[ring.one][ring.neg[table.idems]]
     bounds = [zero.T[table.idems], zero[table.idems], _multiples(ring, "left", one_minus),
@@ -268,14 +271,6 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
         return None
     x, r, law = hit
     return x, int(table.idems[r]), law - 1
-
-
-@_memoised_on_tables
-def _decomposable(ring: RingTable, kind: DecompKind) -> np.ndarray:
-    """Read-only mask of the elements that decompose as the kind."""
-    mask = np.bincount(ring_verdict(ring, kind).targets, minlength=ring.order) > 0
-    mask.flags.writeable = False
-    return mask
 
 
 @_memoised_on_tables
@@ -308,7 +303,7 @@ def is_exchange(ring: RingTable, side: str = "right") -> ExchangeReport:
     reach = _multiples(ring, side)
     one_minus = ring.add[ring.one][ring.neg]
     ok = (reach[:, idems] & reach[np.ix_(one_minus, one_minus[idems])]).T
-    xs, rows, failure = _first_rows(ok)
+    xs, rows, failure, _ = _first_rows(ok)
     witnesses = dict(zip(xs[:failure].tolist(), idems[rows[:failure]].tolist()))
     return ExchangeReport(side, failure is None, witnesses, failure)
 
@@ -334,17 +329,15 @@ class LiftReport:
 
 
 def _lift_report(ring: RingTable, ideal: Subset, weak: bool) -> LiftReport:
+    """Row e (a ring idempotent), column ebar (a quotient idempotent) is true where
+    e maps onto ebar, or onto -ebar when weak; the first row of each column lifts it."""
     quot, proj = quotient(ring, ideal)
-    qcache = structure(quot)
-    cache = structure(ring)
-    witnesses: dict[ElementId, ElementId] = {}
-    for ebar in qcache.idempotents:
-        targets = {ebar, int(quot.neg[ebar])} if weak else {ebar}
-        found = next((e for e in cache.idempotents if proj[e] in targets), None)
-        if found is None:
-            return LiftReport(False, witnesses, ebar)
-        witnesses[ebar] = found
-    return LiftReport(True, witnesses, None)
+    idems = np.asarray(structure(ring).idempotents, dtype=np.intp)
+    bars = np.asarray(structure(quot).idempotents, dtype=np.intp)
+    image = np.asarray(proj)[idems, None]
+    cols, rows, failure, _ = _first_rows((image == bars) | (weak & (image == quot.neg[bars])))
+    witnesses = dict(zip(bars[cols[:failure]].tolist(), idems[rows[:failure]].tolist()))
+    return LiftReport(failure is None, witnesses, None if failure is None else int(bars[failure]))
 
 
 def lifts_idempotents_weakly(ring: RingTable, ideal: Subset) -> LiftReport:

@@ -88,7 +88,10 @@ class RingTable:
         names = None if self.element_names is None else tuple(self.element_names)
         if names is not None and len(names) != n:
             raise TableFormatError("element_names length must equal ring order")
-        for arr in tables.values():
+        for name, arr in tables.items():
+            # a table the caller can still write through is copied before it is frozen
+            if not arr.flags.owndata or (arr is getattr(self, name) and arr.flags.writeable):
+                tables[name] = arr = arr.copy()
             arr.setflags(write=False)
         core = _intern(**tables, zero=int(zero), one=int(one))
         # the fields are frozen, so they are set past __setattr__

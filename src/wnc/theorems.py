@@ -28,7 +28,7 @@ from .construct import (
 from .decomp import (
     DecompKind,
     _annihilator_failure,
-    _decomposable,
+    _candidates,
     _rigidity_failure,
     is_exchange,
     is_strongly_pi_regular,
@@ -37,7 +37,7 @@ from .decomp import (
     ring_verdict,
 )
 from .errors import CapacityError, RingError
-from .structure import SetArg, _known_ideal, all_ideals, maximal_ideals, structure, subset
+from .structure import _known_ideal, all_ideals, maximal_ideals, structure, subset
 from .table import RingTable, verify_ring_axioms
 
 
@@ -181,9 +181,9 @@ def check_corner_theorem(ring: RingTable, f: int) -> tuple[bool, Optional[str]]:
     """
     corner_ring, embed = corner(ring, f)
     to_corner = {x: i for i, x in enumerate(embed)}
-    parent = ring_verdict(ring, DecompKind.WEAK_STAR_NIL_CLEAN)
-    in_parent = _decomposable(ring, DecompKind.WEAK_STAR_NIL_CLEAN)[list(embed)].tolist()
-    in_corner = _decomposable(corner_ring, DecompKind.WEAK_STAR_NIL_CLEAN).tolist()
+    table = _candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None)
+    parent, in_parent = table.verdict, table.found[list(embed)].tolist()
+    in_corner = _candidates(corner_ring, DecompKind.WEAK_STAR_NIL_CLEAN, None).found.tolist()
     corner_cache = structure(corner_ring)
     for ci, (x, known, inner) in enumerate(zip(embed, in_parent, in_corner)):
         if known != inner:
@@ -226,19 +226,6 @@ def check_S_unique_maximal(ring: RingTable) -> tuple[bool, Optional[str]]:
     return True, None
 
 
-def _rigidity_outcome(s: Optional[tuple[int, ...]]) -> tuple[bool, Optional[str]]:
-    if s is None:
-        return True, None
-    return False, f"S={list(s)} suffices but is a proper subset of the idempotents"
-
-
-def check_S_rigidity(ring: RingTable, s: SetArg) -> tuple[bool, Optional[str]]:
-    """If the ring is S-weak* nil clean then S is all of Idem(R)."""
-    verdict = ring_verdict(ring, DecompKind.S_WEAK_STAR_NIL_CLEAN, s)
-    proper = verdict.holds and len(verdict.s) < len(structure(ring).idempotents)
-    return _rigidity_outcome(verdict.s if proper else None)
-
-
 def check_weakstar_exchange(ring: RingTable) -> tuple[bool, Optional[str]]:
     """Weak* nil clean rings are exchange (both side conventions)."""
     reports = (is_exchange(ring, side) for side in ("right", "left"))
@@ -265,10 +252,11 @@ def check_weak_jclean_suite(ring: RingTable) -> tuple[bool, Optional[str]]:
         if law < 0:
             return False, f"(a) x={x} is weak* J-clean but not strongly clean"
         return False, f"(b) x={x}, e={e}: {_ANNIHILATOR_LAWS[law]}"
-    in_ring = _decomposable(ring, DecompKind.WEAK_STAR_J_CLEAN)
+    kind = DecompKind.WEAK_STAR_J_CLEAN
+    in_ring = _candidates(ring, kind, None).found
     for f in cache.idempotents:
         corner_ring, embed = corner(ring, f)
-        differ = in_ring[list(embed)] != _decomposable(corner_ring, DecompKind.WEAK_STAR_J_CLEAN)
+        differ = in_ring[list(embed)] != _candidates(corner_ring, kind, None).found
         if differ.any():
             x = embed[differ.argmax()]
             return False, f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
@@ -411,7 +399,10 @@ def _run_corner(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
 
 
 def _run_rigidity(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
-    return _rigidity_outcome(_rigidity_failure(entry.ring))
+    s = _rigidity_failure(entry.ring)
+    if s is None:
+        return True, None
+    return False, f"S={list(s)} suffices but is a proper subset of the idempotents"
 
 
 def _applicable_zero_one_weak(entry: CorpusEntry) -> bool:

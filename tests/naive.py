@@ -525,6 +525,23 @@ def is_exchange(ring, side):
     return True, witnesses, None
 
 
+def lift_report(ring, members, weak):
+    """(holds, witnesses, failure) of lifting idempotents modulo the ideal members:
+    each idempotent coset, ascending, takes the first ring idempotent whose coset
+    is it, or its negative when weak; the first coset that none reaches fails."""
+    _, qmul, qneg, proj = quotient_tables(ring, members)
+    witnesses = {}
+    for ebar in range(len(qmul)):
+        if qmul[ebar][ebar] != ebar:
+            continue
+        targets = {ebar, qneg[ebar]} if weak else {ebar}
+        lifted = [e for e in idempotents(ring) if proj[e] in targets]
+        if not lifted:
+            return False, witnesses, ebar
+        witnesses[ebar] = lifted[0]
+    return True, witnesses, None
+
+
 def is_strongly_pi_regular(ring):
     """Each power chain a, a*a, ... reaches a**k in a**(k+1)R and R a**(k+1) within n steps."""
     mul = ring.mul.tolist()

@@ -15,6 +15,7 @@ from wnc.construct import build, build_text, corner, order_bound, quotient
 from wnc.decomp import (
     DecompKind,
     _annihilator_failure,
+    _candidates,
     cert_is_valid,
     find_decomp,
     is_exchange,
@@ -29,7 +30,7 @@ from wnc.decomp import (
     zero_one_subset,
 )
 from wnc.errors import CrossRingError, InvalidSubsetError, RingError
-from wnc.structure import structure, subset
+from wnc.structure import all_ideals, structure, subset
 from wnc.table import ring_table
 
 
@@ -250,6 +251,24 @@ def test_finite_rings_are_strongly_pi_regular(corpus_entries):
         assert is_strongly_pi_regular(entry.ring), entry.label
 
 
+def test_candidate_mask_is_the_decomposable_set(corpus_entries):
+    tables = [entry.ring for entry in corpus_entries]
+    checked = 0
+    for ring in tables + list(naive.corruptions(build_text("Z(4)"))):
+        for kind in DecompKind:
+            s = (ring.zero, ring.one) if kind_takes_subset(kind) else None
+            try:
+                verdict = ring_verdict(ring, kind, s)
+            except InvalidSubsetError:  # 0 or 1 is not idempotent in some corrupted tables
+                continue
+            found = _candidates(ring, kind, verdict.s).found
+            targets = np.zeros(ring.order, dtype=bool)
+            targets[verdict.targets] = True
+            assert not found.flags.writeable and np.array_equal(found, targets), (ring, kind)
+            checked += 1
+    assert checked > len(tables) * len(DecompKind)
+
+
 def test_idempotent_lifting_examples(rings):
     z4 = rings["Z(4)"]
     report = lifts_idempotents_weakly(z4, subset(z4, {0, 2}))
@@ -261,6 +280,56 @@ def test_idempotent_lifting_examples(rings):
 
     z6 = rings["Z(6)"]
     assert lifts_idempotents_weakly(z6, subset(z6, {0})).holds
+
+
+def _two_sided_ideals(ring):
+    """Every subset closed under +, negation and products with any element, as
+    sorted ids, from the tables alone (so also on tables that are not rings)."""
+    n = ring.order
+    masks = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    masks = masks[masks[:, ring.zero]]
+    escapes = [(masks[:, :, None] & masks[:, None, :]) & ~masks[:, ring.add],
+               masks[:, :, None] & ~masks[:, ring.neg][:, :, None],
+               masks[:, None, :] & ~masks[:, ring.mul],
+               masks[:, :, None] & ~masks[:, ring.mul]]
+    closed = ~np.any([e.any(axis=(1, 2)) for e in escapes], axis=0)
+    return [tuple(np.flatnonzero(m).tolist()) for m in masks[closed]]
+
+
+def _check_lifting(ring, members, failures):
+    ideal = subset(ring, members)
+    for decide, weak in ((lifts_idempotents, False), (lifts_idempotents_weakly, True)):
+        report = decide(ring, ideal)
+        got = (report.holds, report.witnesses, report.failure)
+        assert got == naive.lift_report(ring, members, weak), (ring.label, members, weak)
+        if not report.holds:
+            failures.add((ring.label, members, weak, report.failure))
+
+
+def test_idempotent_lifting_matches_loop_oracle(corpus_entries, rings):
+    failures = set()
+    for entry in corpus_entries:
+        if entry.ring.order <= 64:
+            for ideal in all_ideals(entry.ring):
+                _check_lifting(entry.ring, tuple(sorted(ideal)), failures)
+    assert not failures  # finite rings lift idempotents modulo every ideal
+    cases = 0
+    for bad in [*naive.corruptions(rings["Z(4)"]), *naive.corruptions(rings["T2(Z(2))"])]:
+        for members in _two_sided_ideals(bad):
+            # the sets x + I need not partition a table with a corrupted addition;
+            # where they do not, R/I is undefined and its cosets have no numbering
+            cosets = {frozenset(bad.add[x, list(members)].tolist()) for x in range(bad.order)}
+            if sorted(x for coset in cosets for x in coset) != list(range(bad.order)):
+                continue
+            quotient(bad, subset(bad, members))  # accepted
+            _check_lifting(bad, members, failures)
+            cases += 1
+    assert cases == 2918
+    # each failure is reached by both deciders; no idempotent maps onto the failing coset
+    assert failures == {(label, (0, 2), weak, failure) for weak in (False, True)
+                        for label, failure in (("Z(4)-mul[0,0]=2", 0), ("Z(4)-mul[1,1]=3", 1),
+                                               ("T2(Z(2))-mul[0,0]=2", 0),
+                                               ("T2(Z(2))-mul[5,5]=7", 3))}
 
 
 def test_weak_lifting_is_representative_independent(rings):

@@ -387,6 +387,32 @@ def test_direct_ring_tables_are_interned():
     assert direct.name_of(5) == "f" and direct.components == ()
 
 
+def test_caller_views_cannot_change_interned_tables():
+    add = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    mul = np.array([[0, 0], [0, 1]], dtype=np.int32)
+    view = mul.view()
+    ring = ring_table(2, add, mul, [0, 1], 0, 1, "F2 from writable arrays")
+    assert structure(ring).unit_mask.tolist() == [False, True]
+    view[1, 1] = 0
+    assert ring.mul.tolist() == [[0, 0], [0, 1]]
+    # the caller's arrays stay writable, and writing them changes no ring
+    add[1, 1] = 1
+    assert ring.add.tolist() == [[0, 1], [1, 0]] and not ring.add.flags.writeable
+    assert structure(ring).unit_mask.tolist() == [False, True]
+    # a read-only view of memory the caller can still write is copied too
+    base = np.array([[0, 0], [0, 1]], dtype=np.int32)
+    frozen = base.view()
+    frozen.flags.writeable = False
+    ring = ring_table(2, ring.add, frozen, ring.neg, 0, 1, "F2 from a read-only view")
+    base[1, 1] = 0
+    assert ring.mul.tolist() == [[0, 0], [0, 1]] and ring.mul is not frozen
+    # a read-only array that owns its memory is kept as it is (tables no other test builds)
+    owned = np.array([[0, 0, 0], [0, 1, 2], [0, 2, 2]], dtype=np.int32)
+    owned.flags.writeable = False
+    z3 = build_zn(3)
+    assert ring_table(3, z3.add, owned, z3.neg, 0, 1, "not a ring").mul is owned
+
+
 def test_retained_tables_are_capped_and_released():
     def core_of(text):
         return weakref.ref(build_text(text).core)
@@ -449,7 +475,8 @@ def test_threads_share_tables_and_keep_their_own_retention():
                     if got != expected[label]:
                         errors.append(label)
             structure(ring_table(16, z16.add, own[index], z16.neg, 0, 1, f"own {index}"))
-            mine = next(core for core in wnc.table._retained.cores if core.mul is own[index])
+            mine = next(core for core in wnc.table._retained.cores
+                        if np.array_equal(core.mul, own[index]))
             cores[index] = weakref.ref(mine)
             built.wait(timeout=120)
             # each thread retains its own tables, none of the others'

@@ -20,7 +20,6 @@ from wnc.table import ROW_BLOCK_ENTRIES, ring_table
 from wnc.theorems import (
     CorpusEntry,
     check_J_subset_Nil,
-    check_S_rigidity,
     check_S_unique_maximal,
     check_annihilator_lemmas,
     check_corner_theorem,
@@ -169,15 +168,16 @@ def test_mask_checks_match_set_algebra_oracles(rings, corpus_entries):
 
 def test_s_rigidity(rings):
     z6 = rings["Z(6)"]
-    assert check_S_rigidity(z6, (0, 1, 3, 4)) == (True, None)
-    assert check_S_rigidity(z6, (0, 1)) == (True, None)
+    assert ring_verdict(z6, DecompKind.S_WEAK_STAR_NIL_CLEAN, (0, 1, 3, 4)).holds
     assert not ring_verdict(z6, DecompKind.S_WEAK_STAR_NIL_CLEAN, (0, 1)).holds
     z2 = rings["Z(2)"]
-    assert check_S_rigidity(z2, (0, 1)) == (True, None)
     assert ring_verdict(z2, DecompKind.S_WEAK_STAR_NIL_CLEAN, (0, 1)).holds
-    # a Subset is accepted wherever ring_verdict accepts one
-    assert check_S_rigidity(z6, zero_one_subset(z6)) == (True, None)
-    assert check_S_rigidity(z2, zero_one_subset(z2)) == (True, None)
+    # a Subset is accepted wherever a tuple of ids is
+    assert not ring_verdict(z6, DecompKind.S_WEAK_STAR_NIL_CLEAN, zero_one_subset(z6)).holds
+    assert ring_verdict(z2, DecompKind.S_WEAK_STAR_NIL_CLEAN, zero_one_subset(z2)).holds
+    for ring in (z6, z2):
+        entry = CorpusEntry(ring.label, ring.label, None, ring)
+        assert theorems._run_rigidity(entry) == (True, None)
 
 
 def test_rigidity_checks_maximal_proper_subsets():
