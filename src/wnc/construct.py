@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -161,33 +161,46 @@ class SkewPolyQuot:
 RingExpr = Union[Zn, Prod, Mat, Tri, EqDiag, Idealize, Corner, Quot, SkewPolyQuot]
 
 
+class _Constructor(NamedTuple):
+    """``keyword[size](slot,...,slot)``: the node's fields are the size, when
+    ``sized``, then one per slot, each of a kind in _SLOTS."""
+
+    keyword: str
+    node: type
+    sized: bool
+    slots: tuple[str, ...]
+    coordinates: Callable[..., int]  # the digits its build puts on its inner rings
+
+
+_GRAMMAR = (
+    _Constructor("Z", Zn, False, ("int",), lambda e: 0),
+    _Constructor("prod", Prod, False, ("exprs",), lambda e: len(e.factors)),
+    _Constructor("M", Mat, True, ("expr",), lambda e: e.k * e.k),
+    _Constructor("T", Tri, True, ("expr",), lambda e: e.k * (e.k + 1) // 2),
+    _Constructor("eqdiag", EqDiag, True, ("expr",), lambda e: 1 + e.k * (e.k - 1) // 2),
+    _Constructor("idealize", Idealize, False, ("expr", "module"), lambda e: 2),
+    _Constructor("corner", Corner, False, ("expr", "int"), lambda e: 0),
+    _Constructor("quot", Quot, False, ("expr", "ids"), lambda e: 0),
+    _Constructor("skew", SkewPolyQuot, False, ("expr", "twist", "int"), lambda e: e.n),
+)
+_BY_KEYWORD = {row.keyword.lower(): row for row in _GRAMMAR}
+_BY_NODE = {row.node: row for row in _GRAMMAR}
+
+
+def _row(expr: RingExpr) -> _Constructor:
+    row = _BY_NODE.get(type(expr))
+    if row is None:
+        raise TypeError(f"not a ring expression: {expr!r}")
+    return row
+
+
 def expr_label(expr: RingExpr) -> str:
     """Normalized expression text; parse_ring_expr round-trips it."""
-    if isinstance(expr, Zn):
-        return f"Z({expr.n})"
-    if isinstance(expr, Prod):
-        return "prod(" + ",".join(expr_label(f) for f in expr.factors) + ")"
-    if isinstance(expr, Mat):
-        return f"M{expr.k}({expr_label(expr.inner)})"
-    if isinstance(expr, Tri):
-        return f"T{expr.k}({expr_label(expr.inner)})"
-    if isinstance(expr, EqDiag):
-        return f"eqdiag{expr.k}({expr_label(expr.inner)})"
-    if isinstance(expr, Idealize):
-        mod = "self" if isinstance(expr.module, SelfModule) else f"Z({expr.module.m})"
-        return f"idealize({expr_label(expr.inner)},{mod})"
-    if isinstance(expr, Corner):
-        return f"corner({expr_label(expr.inner)},{expr.index})"
-    if isinstance(expr, Quot):
-        return f"quot({expr_label(expr.inner)},[{','.join(str(g) for g in expr.gens)}])"
-    if isinstance(expr, SkewPolyQuot):
-        if isinstance(expr.endo, IdentityEndo):
-            endo = "id"
-        else:
-            i, j = expr.endo.swap
-            endo = f"swap({i},{j})"
-        return f"skew({expr_label(expr.inner)},{endo},{expr.n})"
-    raise TypeError(f"not a ring expression: {expr!r}")
+    row = _row(expr)
+    values = [getattr(expr, f.name) for f in fields(expr)]
+    size = str(values.pop(0)) if row.sized else ""
+    args = ",".join(_SLOTS[kind].write(v) for kind, v in zip(row.slots, values))
+    return f"{row.keyword}{size}({args})"
 
 
 # 4 301 digits, one more than Python prints: order bounds saturate just above.
@@ -205,6 +218,7 @@ def _capped_power(base: int, exp: int) -> int:
 def order_bound(expr: RingExpr) -> int:
     """Upper bound on the element count of the built ring, saturating at
     ORDER_BOUND_CAP: a bound of ORDER_BOUND_CAP means more than 10**4300."""
+    coordinates = _coordinates(expr)
     if isinstance(expr, Zn):
         return min(expr.n, ORDER_BOUND_CAP)
     if isinstance(expr, Prod):
@@ -212,15 +226,13 @@ def order_bound(expr: RingExpr) -> int:
         for f in expr.factors:
             total = min(total * order_bound(f), ORDER_BOUND_CAP)
         return total
-    if isinstance(expr, (Mat, Tri, EqDiag, SkewPolyQuot)):
-        return _capped_power(order_bound(expr.inner), _coordinates(expr))
     if isinstance(expr, Idealize):
         base = order_bound(expr.inner)
         msize = base if isinstance(expr.module, SelfModule) else expr.module.m
         return min(base * msize, ORDER_BOUND_CAP)
     if isinstance(expr, (Corner, Quot)):
         return order_bound(expr.inner)
-    raise TypeError(f"not a ring expression: {expr!r}")
+    return _capped_power(order_bound(expr.inner), coordinates)  # one inner ring per coordinate
 
 
 # numpy indexes at most 64 dimensions; c coordinates of order >= 2 already make
@@ -230,19 +242,7 @@ _MAX_COORDINATES = 63
 
 def _coordinates(expr: RingExpr) -> int:
     """The number of digits the node's own build puts on its inner rings."""
-    if isinstance(expr, Zn):
-        return 0
-    if isinstance(expr, Prod):
-        return len(expr.factors)
-    if isinstance(expr, Mat):
-        return expr.k * expr.k
-    if isinstance(expr, Tri):
-        return expr.k * (expr.k + 1) // 2
-    if isinstance(expr, EqDiag):
-        return 1 + expr.k * (expr.k - 1) // 2
-    if isinstance(expr, SkewPolyQuot):
-        return expr.n
-    return 2 if isinstance(expr, Idealize) else 0
+    return _row(expr).coordinates(expr)
 
 
 # --- parser ------------------------------------------------------------------
@@ -293,8 +293,29 @@ class _Tokens:
             raise ExprSyntaxError(f"expected a keyword, found {value!r}", pos)
         return value, pos
 
+    def expect_list(self, read: Callable[[], object]) -> tuple:
+        """One or more items, separated by commas."""
+        items = [read()]
+        while self.peek()[:2] == ("punct", ","):
+            self.take()
+            items.append(read())
+        return tuple(items)
+
 
 MAX_NESTING = 100  # constructor nesting depth the parser accepts
+
+
+def _read_args(tokens: _Tokens, slots: Sequence[str], depth: int) -> list:
+    """``(arg,...,arg)``, one argument of each slot kind; expressions among them
+    sit at nesting depth ``depth``."""
+    tokens.expect_punct("(")
+    values = []
+    for k, kind in enumerate(slots):
+        if k:
+            tokens.expect_punct(",")
+        values.append(_SLOTS[kind].read(tokens, depth))
+    tokens.expect_punct(")")
+    return values
 
 
 def _parse_expr(tokens: _Tokens, depth: int = 1) -> RingExpr:
@@ -302,83 +323,11 @@ def _parse_expr(tokens: _Tokens, depth: int = 1) -> RingExpr:
         raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
                               tokens.peek()[2])
     name, pos = tokens.expect_name()
-    if name == "z":
-        tokens.expect_punct("(")
-        n = tokens.expect_int()
-        tokens.expect_punct(")")
-        return Zn(n)
-    if name == "prod":
-        tokens.expect_punct("(")
-        factors = [_parse_expr(tokens, depth + 1)]
-        while tokens.peek()[:2] == ("punct", ","):
-            tokens.take()
-            factors.append(_parse_expr(tokens, depth + 1))
-        tokens.expect_punct(")")
-        return Prod(tuple(factors))
-    if name in ("m", "t", "eqdiag"):
-        k = tokens.expect_int()
-        tokens.expect_punct("(")
-        inner = _parse_expr(tokens, depth + 1)
-        tokens.expect_punct(")")
-        return {"m": Mat, "t": Tri, "eqdiag": EqDiag}[name](k, inner)
-    if name == "idealize":
-        tokens.expect_punct("(")
-        inner = _parse_expr(tokens, depth + 1)
-        tokens.expect_punct(",")
-        mod_name, mod_pos = tokens.expect_name()
-        if mod_name == "self":
-            module: ModuleSpec = SelfModule()
-        elif mod_name == "z":
-            tokens.expect_punct("(")
-            m = tokens.expect_int()
-            tokens.expect_punct(")")
-            module = CyclicModule(m)
-        else:
-            raise ExprSyntaxError(f"expected 'self' or 'Z(m)', found {mod_name!r}", mod_pos)
-        tokens.expect_punct(")")
-        return Idealize(inner, module)
-    if name == "corner":
-        tokens.expect_punct("(")
-        inner = _parse_expr(tokens, depth + 1)
-        tokens.expect_punct(",")
-        index = tokens.expect_int()
-        tokens.expect_punct(")")
-        return Corner(inner, index)
-    if name == "quot":
-        tokens.expect_punct("(")
-        inner = _parse_expr(tokens, depth + 1)
-        tokens.expect_punct(",")
-        tokens.expect_punct("[")
-        gens: list[int] = []
-        if tokens.peek()[:2] != ("punct", "]"):
-            gens.append(tokens.expect_int())
-            while tokens.peek()[:2] == ("punct", ","):
-                tokens.take()
-                gens.append(tokens.expect_int())
-        tokens.expect_punct("]")
-        tokens.expect_punct(")")
-        return Quot(inner, tuple(gens))
-    if name == "skew":
-        tokens.expect_punct("(")
-        inner = _parse_expr(tokens, depth + 1)
-        tokens.expect_punct(",")
-        endo_name, endo_pos = tokens.expect_name()
-        if endo_name == "id":
-            endo: EndoSpec = IdentityEndo()
-        elif endo_name == "swap":
-            tokens.expect_punct("(")
-            i = tokens.expect_int()
-            tokens.expect_punct(",")
-            j = tokens.expect_int()
-            tokens.expect_punct(")")
-            endo = FactorPermutation((i, j))
-        else:
-            raise ExprSyntaxError(f"expected 'id' or 'swap(i,j)', found {endo_name!r}", endo_pos)
-        tokens.expect_punct(",")
-        trunc = tokens.expect_int()
-        tokens.expect_punct(")")
-        return SkewPolyQuot(inner, endo, trunc)
-    raise ExprSyntaxError(f"unknown construction {name!r}", pos)
+    row = _BY_KEYWORD.get(name)
+    if row is None:
+        raise ExprSyntaxError(f"unknown construction {name!r}", pos)
+    size = [tokens.expect_int()] if row.sized else []
+    return row.node(*size, *_read_args(tokens, row.slots, depth + 1))
 
 
 def parse_ring_expr(text: str) -> RingExpr:
@@ -389,6 +338,48 @@ def parse_ring_expr(text: str) -> RingExpr:
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {value!r}", pos)
     return expr
+
+
+def _read_ids(tokens: _Tokens, depth: int) -> tuple[int, ...]:
+    tokens.expect_punct("[")
+    ids = () if tokens.peek()[:2] == ("punct", "]") else tokens.expect_list(tokens.expect_int)
+    tokens.expect_punct("]")
+    return ids
+
+
+def _read_module(tokens: _Tokens, depth: int) -> ModuleSpec:
+    name, pos = tokens.expect_name()
+    if name == "self":
+        return SelfModule()
+    if name == "z":
+        return CyclicModule(*_read_args(tokens, ("int",), depth))
+    raise ExprSyntaxError(f"expected 'self' or 'Z(m)', found {name!r}", pos)
+
+
+def _read_twist(tokens: _Tokens, depth: int) -> EndoSpec:
+    name, pos = tokens.expect_name()
+    if name == "id":
+        return IdentityEndo()
+    if name == "swap":
+        return FactorPermutation(tuple(_read_args(tokens, ("int", "int"), depth)))
+    raise ExprSyntaxError(f"expected 'id' or 'swap(i,j)', found {name!r}", pos)
+
+
+class _Slot(NamedTuple):
+    read: Callable[[_Tokens, int], object]  # given the depth of nested expressions
+    write: Callable[[object], str]
+
+
+_SLOTS = {
+    "expr": _Slot(_parse_expr, expr_label),
+    "exprs": _Slot(lambda tokens, depth: tokens.expect_list(lambda: _parse_expr(tokens, depth)),
+                   lambda exprs: ",".join(map(expr_label, exprs))),
+    "int": _Slot(lambda tokens, depth: tokens.expect_int(), str),
+    "ids": _Slot(_read_ids, lambda ids: "[" + ",".join(map(str, ids)) + "]"),
+    "module": _Slot(_read_module, lambda m: "self" if isinstance(m, SelfModule) else f"Z({m.m})"),
+    "twist": _Slot(_read_twist,
+                   lambda s: "id" if isinstance(s, IdentityEndo) else "swap(%s,%s)" % s.swap),
+}
 
 
 # --- builders ----------------------------------------------------------------
@@ -631,6 +622,8 @@ def _quotient(ring: RingTable, members: tuple[int, ...],
               label: str) -> tuple[RingTable, tuple[int, ...]]:
     # x represents its coset x + I when it is the coset's minimal element
     rep_of = ring.add[:, list(members)].min(axis=1)
+    if (rep_of[rep_of] != rep_of).any():  # only where the addition is not a group's
+        raise InvalidIdealError(f"the sets x + {list(members)} do not partition {ring.label}")
     reps = np.flatnonzero(rep_of == np.arange(ring.order))
     proj = np.searchsorted(reps, rep_of)
     names = [f"[{ring.name_of(x)}]" for x in reps.tolist()]

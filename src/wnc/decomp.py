@@ -258,12 +258,13 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
     table = _candidates(ring, kind, None)
     pre = False if also is None else ~_candidates(ring, also, None).found
     zero = ring.mul == ring.zero
-    one_minus = ring.add[ring.one][ring.neg[table.idems]]
-    bounds = [zero.T[table.idems], zero[table.idems], _multiples(ring, "left", one_minus),
-              _multiples(ring, "right", one_minus)][:laws]
+    bounds = [zero.T[table.idems], zero[table.idems]]
+    if laws > 2:  # the bounds of laws 2-3 are full-ring multiples masks
+        one_minus = ring.add[ring.one][ring.neg[table.idems]]
+        bounds += [_multiples(ring, side, one_minus) for side in ("left", "right")]
     sets = np.packbits(zero.T, axis=1), np.packbits(zero, axis=1)  # row x: ann_l(x), ann_r(x)
     fails = [table.ok & pre]
-    for k, bound in enumerate(bounds):
+    for k, bound in enumerate(bounds[:laws]):
         escapes = [(sets[k % 2] & outside).any(axis=1) for outside in np.packbits(~bound, axis=1)]
         fails.append(table.ok & np.reshape(escapes, table.ok.shape))
     hit = _first_true(np.stack(fails).transpose(2, 1, 0))

@@ -441,6 +441,11 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "element", "--ring", "Z(6)", "--element", "9",
                    "--kinds", "nil-clean")[0] == 2
+    assert run_cli(capsys, "classify", "--ring", "Z(6)", "--kinds", "nil-clean",
+                   "--expect", "clean=true") == (
+        2, "", "error: --expect names unclassified kind 'clean'\n")
+    assert run_cli(capsys, "sweep", "--zn", "2-5", "--kinds", "nil-clean") == (
+        2, "", "error: range must look like 2..100, got '2-5'\n")
 
 
 @pytest.mark.parametrize("argv,message", [

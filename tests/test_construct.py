@@ -99,6 +99,9 @@ PARSE_ERRORS = {
     "Z(6\u3000)": ("unexpected character '\\u3000' (at position 3)", 3),
     "\u2003Z(6)": ("unexpected character '\\u2003' (at position 0)", 0),
     "Z(6)\x1c": ("unexpected character '\\x1c' (at position 4)", 4),
+    "idealize(Z(6),foo)": ("expected 'self' or 'Z(m)', found 'foo' (at position 14)", 14),
+    "skew(Z(6),swap(1),2)": ("expected ',', found ')' (at position 16)", 16),
+    "skew(Z(6),swap(1,2,3),2)": ("expected ')', found ',' (at position 18)", 18),
 }
 
 
@@ -110,17 +113,19 @@ def test_parse_errors_carry_position(text):
     assert (str(err.value), err.value.position) == PARSE_ERRORS[text]
 
 
-def _exprs(depth):
+def _exprs(depth, smallest_eqdiag=2):
+    """Expressions of every constructor, nested up to ``depth`` deep; eqdiag
+    sizes start at ``smallest_eqdiag`` (eqdiag1 parses, but does not build)."""
     leaf = st.builds(Zn, st.integers(min_value=1, max_value=9))
     if depth == 0:
         return leaf
-    inner = _exprs(depth - 1)
+    inner = _exprs(depth - 1, smallest_eqdiag)
     return st.one_of(
         leaf,
         st.builds(Prod, st.tuples(inner, inner)),
-        st.builds(Mat, st.just(2), leaf),
+        st.builds(Mat, st.integers(min_value=1, max_value=3), leaf),
         st.builds(Tri, st.integers(min_value=1, max_value=3), leaf),
-        st.builds(EqDiag, st.integers(min_value=2, max_value=3), leaf),
+        st.builds(EqDiag, st.integers(min_value=smallest_eqdiag, max_value=3), leaf),
         st.builds(Idealize, inner, st.one_of(
             st.just(SelfModule()),
             st.builds(CyclicModule, st.integers(min_value=1, max_value=9)))),
@@ -137,7 +142,7 @@ def _exprs(depth):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_exprs(2))
+@given(_exprs(2, smallest_eqdiag=1))
 def test_label_round_trips_through_parser(expr):
     assert parse_ring_expr(expr_label(expr)) == expr
 
@@ -464,6 +469,8 @@ def test_skew_accepts_explicit_twist_table():
         skew_poly_quot(base, [(e + 1) % 9 for e in range(9)], 2)
     with pytest.raises(InvalidEndomorphismError):
         skew_poly_quot(base, [0] * 4, 2)
+    with pytest.raises(InvalidEndomorphismError, match="^twisting map is not a ring endomorphism$"):
+        skew_poly_quot(build_text("Z(6)"), [0, 1, 3, 2, 4, 5], 2)  # fixes 1, breaks addition
     for bad_id in (99, -1):
         sigma = list(swap_table)
         sigma[2] = bad_id

@@ -29,7 +29,7 @@ from wnc.decomp import (
     verdict_to_json,
     zero_one_subset,
 )
-from wnc.errors import CrossRingError, InvalidSubsetError, RingError
+from wnc.errors import CrossRingError, InvalidIdealError, InvalidSubsetError, RingError
 from wnc.structure import all_ideals, structure, subset
 from wnc.table import ring_table
 
@@ -83,6 +83,9 @@ def test_cert_validation_catches_tampering(rings):
     assert not cert_is_valid(z6, forged)
     resigned = dataclasses.replace(cert, sign="+")
     assert not cert_is_valid(z6, resigned)
+    assert cert.sign == "-"  # nil clean takes '+' certificates only
+    assert not cert_is_valid(z6, dataclasses.replace(cert, kind=DecompKind.NIL_CLEAN))
+    assert not cert_is_valid(z6, dataclasses.replace(cert, commutes=not cert.commutes))
 
 
 def test_cert_ids_out_of_range_are_rejected_without_raising(rings):
@@ -330,6 +333,28 @@ def test_idempotent_lifting_matches_loop_oracle(corpus_entries, rings):
                         for label, failure in (("Z(4)-mul[0,0]=2", 0), ("Z(4)-mul[1,1]=3", 1),
                                                ("T2(Z(2))-mul[0,0]=2", 0),
                                                ("T2(Z(2))-mul[5,5]=7", 3))}
+
+
+def test_quotient_refuses_sets_whose_cosets_overlap(rings):
+    # on a table that is not a ring, a set can pass the ideal flags while its
+    # sets x + I overlap; such a set has no quotient, and every accepted
+    # quotient projects onto its own cosets
+    bad = next(t for t in naive.corruptions(rings["Z(4)"]) if t.label == "Z(4)-add[1,0]=0")
+    ideal = subset(bad, [0, 2])
+    assert ideal.is_two_sided_ideal
+    with pytest.raises(InvalidIdealError, match=r"^the sets x \+ \[0, 2\] do not partition"):
+        quotient(bad, ideal)
+    accepted = 0
+    for label in ("Z(4)", "Z(6)", "T2(Z(2))"):
+        for bad in naive.corruptions(rings[label]):
+            for members in _two_sided_ideals(bad):
+                try:
+                    quot, proj = quotient(bad, subset(bad, members))
+                except InvalidIdealError:
+                    continue
+                assert max(proj) < quot.order, (bad.label, members)
+                accepted += 1
+    assert accepted == 4806
 
 
 def test_weak_lifting_is_representative_independent(rings):
