@@ -47,6 +47,7 @@ from .errors import (
     CapacityError,
     CrossRingError,
     ExprSyntaxError,
+    InvalidDimensionError,
     InvalidEndomorphismError,
     InvalidIdealError,
     InvalidIdempotentError,

@@ -44,6 +44,7 @@ from .errors import (
     CapacityError,
     CrossRingError,
     ExprSyntaxError,
+    InvalidDimensionError,
     InvalidEndomorphismError,
     InvalidIdealError,
     InvalidIdempotentError,
@@ -161,32 +162,6 @@ class SkewPolyQuot:
 RingExpr = Union[Zn, Prod, Mat, Tri, EqDiag, Idealize, Corner, Quot, SkewPolyQuot]
 
 
-class _Constructor(NamedTuple):
-    """``keyword[size](slot,...,slot)``: the node's fields are the size, when
-    ``sized``, then one per slot, each of a kind in _SLOTS."""
-
-    keyword: str
-    node: type
-    sized: bool
-    slots: tuple[str, ...]
-    coordinates: Callable[..., int]  # the digits its build puts on its inner rings
-
-
-_GRAMMAR = (
-    _Constructor("Z", Zn, False, ("int",), lambda e: 0),
-    _Constructor("prod", Prod, False, ("exprs",), lambda e: len(e.factors)),
-    _Constructor("M", Mat, True, ("expr",), lambda e: e.k * e.k),
-    _Constructor("T", Tri, True, ("expr",), lambda e: e.k * (e.k + 1) // 2),
-    _Constructor("eqdiag", EqDiag, True, ("expr",), lambda e: 1 + e.k * (e.k - 1) // 2),
-    _Constructor("idealize", Idealize, False, ("expr", "module"), lambda e: 2),
-    _Constructor("corner", Corner, False, ("expr", "int"), lambda e: 0),
-    _Constructor("quot", Quot, False, ("expr", "ids"), lambda e: 0),
-    _Constructor("skew", SkewPolyQuot, False, ("expr", "twist", "int"), lambda e: e.n),
-)
-_BY_KEYWORD = {row.keyword.lower(): row for row in _GRAMMAR}
-_BY_NODE = {row.node: row for row in _GRAMMAR}
-
-
 def _row(expr: RingExpr) -> _Constructor:
     row = _BY_NODE.get(type(expr))
     if row is None:
@@ -194,13 +169,20 @@ def _row(expr: RingExpr) -> _Constructor:
     return row
 
 
+def _fields(expr: RingExpr) -> tuple[_Constructor, list[tuple[str, object]]]:
+    """The node's row and its fields as (slot kind, value) pairs: the size, an
+    ``int``, when the row is sized, then one per slot."""
+    row = _row(expr)
+    kinds = ("int",) * row.sized + row.slots
+    return row, list(zip(kinds, (getattr(expr, f.name) for f in fields(expr))))
+
+
 def expr_label(expr: RingExpr) -> str:
     """Normalized expression text; parse_ring_expr round-trips it."""
-    row = _row(expr)
-    values = [getattr(expr, f.name) for f in fields(expr)]
-    size = str(values.pop(0)) if row.sized else ""
-    args = ",".join(_SLOTS[kind].write(v) for kind, v in zip(row.slots, values))
-    return f"{row.keyword}{size}({args})"
+    row, values = _fields(expr)
+    written = [_SLOTS[kind].write(v) for kind, v in values]
+    size = written.pop(0) if row.sized else ""
+    return f"{row.keyword}{size}({','.join(written)})"
 
 
 # 4 301 digits, one more than Python prints: order bounds saturate just above.
@@ -507,15 +489,19 @@ def build_product(factors: Sequence[RingTable], label: str) -> RingTable:
     )
 
 
-def _build_matrix_kind(inner: RingTable, k: int, positions: list[tuple[int, int]],
-                       diag_coord: bool, label: str) -> RingTable:
-    """Shared builder for M_k, T_k and the equal-diagonal subring of T_k.
+def _build_matrix_kind(shape: str, k: int, inner: RingTable, label: str) -> RingTable:
+    """M_k, T_k or the equal-diagonal subring of T_k, by ``shape`` (M, T or eqdiag).
 
-    When diag_coord is true, coordinate 0 is the common diagonal value and the
-    remaining coordinates fill ``positions``; otherwise the coordinates are
-    exactly ``positions``.
+    For eqdiag, coordinate 0 is the common diagonal value and the remaining
+    coordinates fill the strict upper triangle; otherwise the coordinates are
+    exactly the stored positions.
     """
-    coords = ([(0, 0)] if diag_coord else []) + positions
+    diag_coord = shape == "eqdiag"
+    if k < 1 + diag_coord:
+        raise InvalidDimensionError(f"equal-diagonal subring needs k >= 2, got {k}" if diag_coord
+                                    else f"matrix dimension must be >= 1, got {k}")
+    coords = ([(0, 0)] if diag_coord else []) + [
+        (i, j) for i in range(k) for j in range(k) if shape == "M" or j >= i + diag_coord]
     slot = {pos: c for c, pos in enumerate(coords)}
     if diag_coord:
         slot.update({(i, i): 0 for i in range(k)})
@@ -532,35 +518,26 @@ def _build_matrix_kind(inner: RingTable, k: int, positions: list[tuple[int, int]
     return _coordinate_ring([inner] * len(coords), terms, one, label, name)
 
 
-def build_mat(k: int, inner: RingTable, label: Optional[str] = None) -> RingTable:
-    if k < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {k}")
-    positions = [(i, j) for i in range(k) for j in range(k)]
-    return _build_matrix_kind(inner, k, positions, False, label or f"M{k}({inner.label})")
-
-
-def build_tri(k: int, inner: RingTable, label: Optional[str] = None) -> RingTable:
-    if k < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {k}")
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-    return _build_matrix_kind(inner, k, positions, False, label or f"T{k}({inner.label})")
-
-
 def eq_diag_subring(k: int, inner: RingTable, label: Optional[str] = None) -> RingTable:
     """Subring of T_k(R) with constant diagonal, as its own ring."""
-    if k < 2:
-        raise ValueError(f"equal-diagonal subring needs k >= 2, got {k}")
-    positions = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    return _build_matrix_kind(inner, k, positions, True, label or f"eqdiag{k}({inner.label})")
+    return _build_matrix_kind("eqdiag", k, inner, label or f"eqdiag{k}({inner.label})")
 
 
-def build_idealize(inner: RingTable, module: RingTable, left: np.ndarray,
-                   right: np.ndarray, label: str) -> RingTable:
-    """Trivial extension on R + M with (r,m)(r',m') = (rr', rm' + mr').
-
-    ``module`` carries the additive group of M; ``left[r, m]`` is the left
-    action r*m and ``right[m, r]`` the right action m*r.
-    """
+def build_idealize(expr: Idealize, label: str, inner: RingTable,
+                   module: ModuleSpec) -> RingTable:
+    """Trivial extension on R + M with (r,m)(r',m') = (rr', rm' + mr'), R being
+    the built ``inner``. R acts on M = R by its own multiplication, and Z(n) on
+    M = Z(m) by multiplication mod m."""
+    if isinstance(module, SelfModule):
+        module, left, right = inner, inner.mul, inner.mul
+    else:
+        if not isinstance(expr.inner, Zn):
+            raise InvalidModuleError("Z(m) modules attach only to Z(n) base rings")
+        m, n = module.m, expr.inner.n
+        if m < 1 or n % m != 0:
+            raise InvalidModuleError(f"Z({m}) is not a module over Z({n}): {m} does not divide {n}")
+        left = np.arange(n)[:, None] * np.arange(m)[None, :] % m
+        module, right = build_zn(m), left.T
     terms = [[(0, 0, inner.mul)], [(0, 1, left), (1, 0, right)]]
     return _coordinate_ring(
         [inner, module], terms, [inner.one, module.zero], label,
@@ -653,7 +630,7 @@ def skew_poly_quot(ring: RingTable, sigma: Optional[Sequence[int]], trunc: int,
     exhaustively to be a unital ring endomorphism.
     """
     if trunc < 1:
-        raise ValueError(f"truncation degree must be >= 1, got {trunc}")
+        raise InvalidDimensionError(f"truncation degree must be >= 1, got {trunc}")
     n = ring.order
     sig = np.arange(n) if sigma is None else np.asarray(sigma, dtype=np.int64)
     _validate_endomorphism(ring, sig)
@@ -680,22 +657,66 @@ def skew_poly_quot(ring: RingTable, sigma: Optional[Sequence[int]], trunc: int,
     return _coordinate_ring([ring] * trunc, terms, one, label, poly_name)
 
 
-def _resolve_factor_swap(endo: FactorPermutation, factors: Sequence[RingTable]) -> np.ndarray:
-    """The product-ring automorphism swapping two factors, as an id table."""
-    i, j = endo.swap
-    count = len(factors)
+def _skew_ring(expr: SkewPolyQuot, label: str, inner: RingTable, endo: EndoSpec,
+               n: int) -> RingTable:
+    """skew_poly_quot twisted by the identity, or by the automorphism of a
+    product ring that swaps two factors of the same order."""
+    if isinstance(endo, IdentityEndo):
+        return skew_poly_quot(inner, None, n, label)
+    if not isinstance(expr.inner, Prod):
+        raise InvalidEndomorphismError("factor swaps are only defined on product rings")
+    (i, j), count = endo.swap, len(inner.components)
     if not (1 <= i <= count and 1 <= j <= count) or i == j:
         raise InvalidEndomorphismError(
             f"swap({i},{j}) is not a valid factor pair for {count} factors"
         )
-    sizes = [f.order for f in factors]
+    sizes = [f.order for f in inner.components]
     if sizes[i - 1] != sizes[j - 1]:
         raise InvalidEndomorphismError(
             f"swap({i},{j}) permutes factors of different orders"
         )
     digits = _digit_vectors(sizes)
     digits[i - 1], digits[j - 1] = digits[j - 1], digits[i - 1]
-    return _encode(digits, sizes)
+    return skew_poly_quot(inner, _encode(digits, sizes), n, label)
+
+
+# --- the constructor table --------------------------------------------------
+
+
+class _Constructor(NamedTuple):
+    """``keyword[size](slot,...,slot)``: the node's fields are the size, when
+    ``sized``, then one per slot, each of a kind in _SLOTS."""
+
+    keyword: str
+    node: type
+    sized: bool
+    slots: tuple[str, ...]
+    coordinates: Callable[..., int]  # the digits its build puts on its inner rings
+    # make(node, label, *fields): the node's ring, its expr/exprs fields built
+    make: Callable[..., RingTable]
+
+
+# The builders look module-level names up when called, so a rebound build,
+# corner or quotient (a tracer's or a test's) takes effect inside build too.
+_GRAMMAR = (
+    _Constructor("Z", Zn, False, ("int",), lambda e: 0, lambda e, label, n: build_zn(n)),
+    _Constructor("prod", Prod, False, ("exprs",), lambda e: len(e.factors),
+                 lambda e, label, factors: build_product(factors, label)),
+    _Constructor("M", Mat, True, ("expr",), lambda e: e.k * e.k,
+                 lambda e, label, k, r: _build_matrix_kind("M", k, r, label)),
+    _Constructor("T", Tri, True, ("expr",), lambda e: e.k * (e.k + 1) // 2,
+                 lambda e, label, k, r: _build_matrix_kind("T", k, r, label)),
+    _Constructor("eqdiag", EqDiag, True, ("expr",), lambda e: 1 + e.k * (e.k - 1) // 2,
+                 lambda e, label, k, r: _build_matrix_kind("eqdiag", k, r, label)),
+    _Constructor("idealize", Idealize, False, ("expr", "module"), lambda e: 2, build_idealize),
+    _Constructor("corner", Corner, False, ("expr", "int"), lambda e: 0,
+                 lambda e, label, r, f: corner(r, f)[0]),
+    _Constructor("quot", Quot, False, ("expr", "ids"), lambda e: 0,
+                 lambda e, label, r, gens: quotient(r, ideal_generated_by(r, gens), label)[0]),
+    _Constructor("skew", SkewPolyQuot, False, ("expr", "twist", "int"), lambda e: e.n, _skew_ring),
+)
+_BY_KEYWORD = {row.keyword.lower(): row for row in _GRAMMAR}
+_BY_NODE = {row.node: row for row in _GRAMMAR}
 
 
 def _count_text(count: int) -> str:
@@ -718,53 +739,15 @@ def _check_budget(expr: RingExpr, limit: int) -> None:
 
 
 def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
-    """Elaborate a ring expression into a RingTable.
-
-    Its table shapes and entry ranges are checked, its ring axioms are not.
-    """
+    """Elaborate a ring expression into a RingTable: check the budget, build the
+    inner expressions through this module's ``build``, then call the row's
+    ``make``. Table shapes and entry ranges are checked, ring axioms are not."""
     _check_budget(expr, size_budget(budget))
-    if isinstance(expr, Zn):
-        return build_zn(expr.n)
-    if isinstance(expr, Prod):
-        factors = [build(f, budget) for f in expr.factors]
-        return build_product(factors, expr_label(expr))
-    if isinstance(expr, Mat):
-        return build_mat(expr.k, build(expr.inner, budget), expr_label(expr))
-    if isinstance(expr, Tri):
-        return build_tri(expr.k, build(expr.inner, budget), expr_label(expr))
-    if isinstance(expr, EqDiag):
-        return eq_diag_subring(expr.k, build(expr.inner, budget), expr_label(expr))
-    if isinstance(expr, Idealize):
-        inner = build(expr.inner, budget)
-        if isinstance(expr.module, SelfModule):
-            return build_idealize(inner, inner, inner.mul, inner.mul, expr_label(expr))
-        if not isinstance(expr.inner, Zn):
-            raise InvalidModuleError("Z(m) modules attach only to Z(n) base rings")
-        m, n = expr.module.m, expr.inner.n
-        if m < 1 or n % m != 0:
-            raise InvalidModuleError(f"Z({m}) is not a module over Z({n}): {m} does not divide {n}")
-        action = np.arange(n)[:, None] * np.arange(m)[None, :] % m
-        return build_idealize(inner, build_zn(m), action, action.T, expr_label(expr))
-    if isinstance(expr, Corner):
-        inner = build(expr.inner, budget)
-        ring, _ = corner(inner, expr.index)
-        return ring
-    if isinstance(expr, Quot):
-        inner = build(expr.inner, budget)
-        ideal = ideal_generated_by(inner, expr.gens)
-        ring, _ = quotient(inner, ideal, expr_label(expr))
-        return ring
-    if isinstance(expr, SkewPolyQuot):
-        inner = build(expr.inner, budget)
-        sigma = None
-        if isinstance(expr.endo, FactorPermutation):
-            if not isinstance(expr.inner, Prod):
-                raise InvalidEndomorphismError(
-                    "factor swaps are only defined on product rings"
-                )
-            sigma = _resolve_factor_swap(expr.endo, inner.components)
-        return skew_poly_quot(inner, sigma, expr.n, expr_label(expr))
-    raise TypeError(f"not a ring expression: {expr!r}")
+    row, values = _fields(expr)
+    built = [build(v, budget) if kind == "expr"
+             else [build(f, budget) for f in v] if kind == "exprs" else v
+             for kind, v in values]
+    return row.make(expr, expr_label(expr), *built)
 
 
 def build_text(text: str, budget: Optional[int] = None) -> RingTable:

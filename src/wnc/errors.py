@@ -2,7 +2,11 @@
 
 
 class RingError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the errors this package raises about rings, tables and ring
+    expressions.  A bad plain argument raises a bare ValueError instead: an
+    unknown or repeated decomposition kind or check id, a side other than left
+    or right, a bad range or numeric bound (a CLI range, n_max, p or k), or a
+    WNC_SIZE_BUDGET that is not a positive integer."""
 
 
 class TableFormatError(RingError):
@@ -11,6 +15,10 @@ class TableFormatError(RingError):
 
 class CapacityError(RingError):
     """A construction would exceed the configured element-count budget."""
+
+
+class InvalidDimensionError(RingError, ValueError):
+    """A matrix size or truncation degree is below its constructor's least."""
 
 
 class InvalidModuleError(RingError):

@@ -352,7 +352,7 @@ def _build_entry(line: str | CorpusLine, budget: Optional[int]) -> Optional[Corp
         return CorpusEntry(line.text, label, expr, build(expr, budget))
     except CapacityError as exc:
         return CorpusEntry(line.text, label, expr, None, str(exc), line.waive_over_budget)
-    except (RingError, ValueError) as exc:  # builders raise ValueError on bad dimensions
+    except RingError as exc:
         return CorpusEntry(line.text, label, expr, None, str(exc))
 
 

@@ -446,6 +446,11 @@ def test_usage_errors_exit_two(capsys):
         2, "", "error: --expect names unclassified kind 'clean'\n")
     assert run_cli(capsys, "sweep", "--zn", "2-5", "--kinds", "nil-clean") == (
         2, "", "error: range must look like 2..100, got '2-5'\n")
+    for ring, message in (("M0(Z(2))", "matrix dimension must be >= 1, got 0"),
+                          ("eqdiag1(Z(2))", "equal-diagonal subring needs k >= 2, got 1"),
+                          ("skew(Z(2),id,0)", "truncation degree must be >= 1, got 0")):
+        assert run_cli(capsys, "classify", "--ring", ring, "--kinds", "nil-clean") == (
+            2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,6 +1,7 @@
 """Ring expression parsing and every construction builder."""
 
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wnc.construct import (
     Mat,
     Prod,
     Quot,
+    RingExpr,
     SelfModule,
     SkewPolyQuot,
     Tri,
@@ -39,6 +41,7 @@ from wnc.errors import (
     CapacityError,
     CrossRingError,
     ExprSyntaxError,
+    InvalidDimensionError,
     InvalidEndomorphismError,
     InvalidIdealError,
     InvalidIdempotentError,
@@ -113,19 +116,19 @@ def test_parse_errors_carry_position(text):
     assert (str(err.value), err.value.position) == PARSE_ERRORS[text]
 
 
-def _exprs(depth, smallest_eqdiag=2):
-    """Expressions of every constructor, nested up to ``depth`` deep; eqdiag
-    sizes start at ``smallest_eqdiag`` (eqdiag1 parses, but does not build)."""
+def _exprs(depth):
+    """Expressions of every constructor, nested up to ``depth`` deep, with every
+    size the grammar parses (M0, T0, eqdiag0-eqdiag1 and skew(...,0) do not build)."""
     leaf = st.builds(Zn, st.integers(min_value=1, max_value=9))
     if depth == 0:
         return leaf
-    inner = _exprs(depth - 1, smallest_eqdiag)
+    inner = _exprs(depth - 1)
     return st.one_of(
         leaf,
         st.builds(Prod, st.tuples(inner, inner)),
-        st.builds(Mat, st.integers(min_value=1, max_value=3), leaf),
-        st.builds(Tri, st.integers(min_value=1, max_value=3), leaf),
-        st.builds(EqDiag, st.integers(min_value=smallest_eqdiag, max_value=3), leaf),
+        st.builds(Mat, st.integers(min_value=0, max_value=3), leaf),
+        st.builds(Tri, st.integers(min_value=0, max_value=3), leaf),
+        st.builds(EqDiag, st.integers(min_value=0, max_value=3), leaf),
         st.builds(Idealize, inner, st.one_of(
             st.just(SelfModule()),
             st.builds(CyclicModule, st.integers(min_value=1, max_value=9)))),
@@ -137,12 +140,12 @@ def _exprs(depth, smallest_eqdiag=2):
             st.builds(FactorPermutation, st.tuples(
                 st.integers(min_value=1, max_value=3),
                 st.integers(min_value=1, max_value=3)))),
-            st.integers(min_value=1, max_value=4)),
+            st.integers(min_value=0, max_value=4)),
     )
 
 
 @settings(max_examples=200, deadline=None)
-@given(_exprs(2, smallest_eqdiag=1))
+@given(_exprs(2))
 def test_label_round_trips_through_parser(expr):
     assert parse_ring_expr(expr_label(expr)) == expr
 
@@ -579,6 +582,29 @@ def test_degenerate_dimensions_rejected():
 
     with pytest.raises(TableFormatError):
         build_text("Z(0)")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("M0(Z(2))", "matrix dimension must be >= 1, got 0"),
+    ("T0(Z(3))", "matrix dimension must be >= 1, got 0"),
+    ("eqdiag0(Z(2))", "equal-diagonal subring needs k >= 2, got 0"),
+    ("eqdiag1(Z(2))", "equal-diagonal subring needs k >= 2, got 1"),
+    ("skew(Z(2),id,0)", "truncation degree must be >= 1, got 0"),
+])
+def test_sizes_below_the_least_are_ring_errors(text, message):
+    with pytest.raises(InvalidDimensionError) as err:
+        build_text(text)
+    assert str(err.value) == message
+    assert isinstance(err.value, RingError) and not isinstance(err.value, CapacityError)
+
+
+def test_every_node_type_has_one_constructor_row():
+    assert set(wnc.construct._BY_NODE) == set(typing.get_args(RingExpr))
+    for bad in (CyclicModule(3), "Z(4)"):
+        for fn in (expr_label, order_bound, build):
+            with pytest.raises(TypeError) as err:
+                fn(bad)
+            assert str(err.value) == f"not a ring expression: {bad!r}"
 
 
 def test_element_names_are_unique(rings):

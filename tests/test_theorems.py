@@ -354,20 +354,30 @@ def test_empty_corpus():
 
 
 def test_build_failures_become_error_cells():
-    bad_dimensions = ["M0(Z(2))", "T0(Z(3))", "eqdiag1(Z(2))", "skew(Z(2),id,0)"]
+    # a bad dimension is not a capacity error, so !waive does not waive it
+    bad_dimensions = ["M0(Z(2))", "T0(Z(3))", "eqdiag1(Z(2))", "skew(Z(2),id,0)",
+                      "M0(Z(2)) !waive"]
     too_long = "Z(" + "9" * 5000 + ")"
     cells = run_suite(["Z(abc", "Z(²)", too_long, "Z(30000)", "Z(30000) !waive",
                        "M72(Z(7)) !waive"] + bad_dimensions)
     by_outcome = {}
     for cell in cells:
         by_outcome.setdefault(cell["outcome"], []).append(cell)
-    # three syntax errors, unwaived over-budget and the four bad dimensions
-    assert len(by_outcome["error"]) == 8
+    # three syntax errors, unwaived over-budget and the five bad dimensions
+    assert len(by_outcome["error"]) == 9
     assert len(by_outcome["waived"]) == 2
     waived = {cell["ring"]: cell["witness"] for cell in by_outcome["waived"]}
     assert waived["M72(Z(7))"].startswith("M72(Z(7)) needs more than 10**4300 elements")
     assert all(cell["check_id"] == "build" for cell in cells)
     assert suite_failed(cells)
+
+
+def test_bad_budget_variable_raises_from_the_runner(monkeypatch):
+    # a plain-argument error, not a ring error: no line gets a cell for it
+    monkeypatch.setenv("WNC_SIZE_BUDGET", "abc")
+    with pytest.raises(ValueError) as err:
+        run_suite(["Z(4)"])
+    assert str(err.value) == "WNC_SIZE_BUDGET must be a positive integer, got 'abc'"
 
 
 def test_sub_rings_are_built_under_the_suite_budget(monkeypatch):
