@@ -28,6 +28,9 @@ terms read; where those are all of them (the module digit of an idealization,
 the top coefficients of a skew ring), in blocks of at most ROW_BLOCK_ENTRIES
 entries. ``corner`` and ``quot`` restrict their parent's tables to a set of ids
 and relabel them.
+
+Every builder fills its tables in uint16, the table dtype, so no wider copy of
+a whole table exists; ``Z(n)`` forms its products in uint32 row blocks.
 """
 
 from __future__ import annotations
@@ -49,10 +52,17 @@ from .errors import (
     InvalidIdealError,
     InvalidIdempotentError,
     InvalidModuleError,
-    TableFormatError,
 )
 from .structure import Subset, ideal_generated_by
-from .table import ROW_BLOCK_ENTRIES, RingTable, _memoised, ring_table
+from .table import (
+    MAX_ORDER,
+    ROW_BLOCK_ENTRIES,
+    TABLE_DTYPE,
+    RingTable,
+    _memoised,
+    check_order,
+    ring_table,
+)
 
 DEFAULT_SIZE_BUDGET = 20_000
 SIZE_BUDGET_ENV = "WNC_SIZE_BUDGET"
@@ -369,18 +379,25 @@ _SLOTS = {
 Terms = Sequence[Sequence[tuple[int, int, np.ndarray]]]
 
 
+def _zn_products(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the multiplication table of Z(n), in uint32: for
+    n <= MAX_ORDER, (n - 1)**2 < 2**32, so no product wraps."""
+    wide = np.arange(n, dtype=np.uint32)
+    products = np.multiply.outer(wide[start:stop], wide)
+    return np.remainder(products, np.uint32(n), out=products)
+
+
 def build_zn(n: int) -> RingTable:
-    if n < 1:
-        raise TableFormatError(f"ring order must be positive, got {n}")
-    idx = np.arange(n, dtype=np.int32)
+    check_order(n)
+    idx = np.arange(n, dtype=TABLE_DTYPE)
     # row a of add is idx rotated left by a: one copy of n windows of idx twice over
     add = np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), n)[:n].copy()
-    # (n-1)**2 overflows int32 above n = 46 341; the floor-mod of a wrapped
-    # product would still land in [0, n) and pass the range check.
-    wide = idx.astype(np.int64) if (n - 1) ** 2 > np.iinfo(np.int32).max else idx
-    mul = np.multiply.outer(wide, wide)
-    mul -= mul // n * n
-    neg = (-idx) % n
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
+    rows = max(1, ROW_BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        mul[start:start + rows] = _zn_products(n, start, start + rows)
+    # n - idx, not -idx: negation would wrap modulo 2**16, not modulo n
+    neg = ((n - idx.astype(np.uint32)) % np.uint32(n)).astype(TABLE_DTYPE)
     names = tuple(map(str, range(n)))
     add.flags.writeable = mul.flags.writeable = neg.flags.writeable = False  # uncopied by RingTable
     return ring_table(n, add, mul, neg, 0, 1 % n, f"Z({n})", names)
@@ -400,8 +417,14 @@ def _digit_vectors(sizes: Sequence[int]) -> list[np.ndarray]:
 
 
 def _encode(digits: Sequence, sizes: Sequence[int]) -> Union[int, np.ndarray]:
-    """The codes of digit vectors given digit by digit (ints or arrays)."""
-    return sum(d * place for d, place in zip(digits, _place_values(sizes)))
+    """The codes of digit vectors given digit by digit (ints or arrays).
+
+    A digit of order 1 is 0 and is skipped, so every place value read is at
+    most half the order and each term and partial sum stays below the order:
+    uint16 digits give uint16 codes, with no term wrapping.
+    """
+    terms = [d * place for d, place, size in zip(digits, _place_values(sizes), sizes) if size > 1]
+    return sum(terms[1:], terms[0]) if terms else digits[0]  # with no such digit, every code is 0
 
 
 def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, ...]]:
@@ -441,7 +464,7 @@ def _coordinate_table(parts: Sequence[RingTable], terms: Terms) -> np.ndarray:
     order = math.prod(sizes)
     live = [k for k, size in enumerate(sizes) if size > 1]
     axis = {k: a for a, k in enumerate(live)}
-    out = np.zeros((order, order), dtype=np.int32)
+    out = np.zeros((order, order), dtype=TABLE_DTYPE)
     view = out.reshape([sizes[k] for k in live] * 2)
     for k, (part, place, digit_terms) in enumerate(zip(parts, _place_values(sizes), terms)):
         if k not in axis:
@@ -453,15 +476,18 @@ def _coordinate_table(parts: Sequence[RingTable], terms: Terms) -> np.ndarray:
                 shape[axis[i]] = sizes[i]
             if j in axis:
                 shape[len(live) + axis[j]] = sizes[j]
-            # a digit of order 1 reads only row or column 0
-            values.append(table[:sizes[i], :sizes[j]].reshape(shape))
+            # a digit of order 1 reads only row or column 0; a term table of
+            # another dtype (idealize's int64 Z(m) action) is cast to uint16
+            term = table[:sizes[i], :sizes[j]].astype(TABLE_DTYPE, copy=False)
+            values.append(term.reshape(shape))
         grid = np.broadcast_shapes(*(v.shape for v in values))
         for block in _blocks(grid):
             acc = None
             for v in values:
                 value = v[_window(block, v.shape)]
                 acc = value if acc is None else part.add[acc, value]
-            view[_window(block, grid)] += acc * place
+            # acc < sizes[k], so acc * place < order: no uint16 product or sum wraps
+            view[_window(block, grid)] += acc * TABLE_DTYPE(place)
     return out
 
 
@@ -470,6 +496,7 @@ def _coordinate_ring(parts: Sequence[RingTable], terms: Terms, one: Sequence[int
     """Ring on digit vectors over ``parts`` (last digit fastest), added digit by
     digit, with digit k of a product given by the term list ``terms[k]``."""
     sizes = [p.order for p in parts]
+    check_order(math.prod(sizes))
     digits = _digit_vectors(sizes)
     add = _coordinate_table(parts, [[(k, k, p.add)] for k, p in enumerate(parts)])
     mul = _coordinate_table(parts, terms)
@@ -489,6 +516,19 @@ def build_product(factors: Sequence[RingTable], label: str) -> RingTable:
     )
 
 
+# the least size of each shape (a matrix kind, or skew with its truncation degree)
+_LEAST_SIZES = {"M": (1, "matrix dimension must be >= 1"),
+                "T": (1, "matrix dimension must be >= 1"),
+                "eqdiag": (2, "equal-diagonal subring needs k >= 2"),
+                "skew": (1, "truncation degree must be >= 1")}
+
+
+def _check_size(shape: str, k: int) -> None:
+    least, message = _LEAST_SIZES[shape]
+    if k < least:
+        raise InvalidDimensionError(f"{message}, got {k}")
+
+
 def _build_matrix_kind(shape: str, k: int, inner: RingTable, label: str) -> RingTable:
     """M_k, T_k or the equal-diagonal subring of T_k, by ``shape`` (M, T or eqdiag).
 
@@ -496,10 +536,8 @@ def _build_matrix_kind(shape: str, k: int, inner: RingTable, label: str) -> Ring
     coordinates fill the strict upper triangle; otherwise the coordinates are
     exactly the stored positions.
     """
+    _check_size(shape, k)
     diag_coord = shape == "eqdiag"
-    if k < 1 + diag_coord:
-        raise InvalidDimensionError(f"equal-diagonal subring needs k >= 2, got {k}" if diag_coord
-                                    else f"matrix dimension must be >= 1, got {k}")
     coords = ([(0, 0)] if diag_coord else []) + [
         (i, j) for i in range(k) for j in range(k) if shape == "M" or j >= i + diag_coord]
     slot = {pos: c for c, pos in enumerate(coords)}
@@ -552,7 +590,9 @@ def _restrict(ring: RingTable, keep: np.ndarray, relabel: np.ndarray, one: int,
         # both callers rename the kept ids in order, so keeping all of them is the
         # identity (1R1, R/{0}): the ring's own read-only tables, and its interned core
         return ring_table(ring.order, ring.add, ring.mul, ring.neg, ring.zero, one, label, names)
-    relabel = relabel.astype(np.int32)  # gather straight into the table dtype
+    # gathered straight into the table dtype; an id outside keep, which only a
+    # table that is not a ring reaches, stays out of range (-1 reads as 65 535)
+    relabel = relabel.astype(TABLE_DTYPE)
     rows = keep[:, None]
     add = relabel[ring.add[rows, keep]]
     mul = relabel[ring.mul[rows, keep]]
@@ -629,8 +669,7 @@ def skew_poly_quot(ring: RingTable, sigma: Optional[Sequence[int]], trunc: int,
     ``sigma`` is an element-id table (None means the identity); it is checked
     exhaustively to be a unital ring endomorphism.
     """
-    if trunc < 1:
-        raise InvalidDimensionError(f"truncation degree must be >= 1, got {trunc}")
+    _check_size("skew", trunc)
     n = ring.order
     sig = np.arange(n) if sigma is None else np.asarray(sigma, dtype=np.int64)
     _validate_endomorphism(ring, sig)
@@ -694,6 +733,9 @@ class _Constructor(NamedTuple):
     coordinates: Callable[..., int]  # the digits its build puts on its inner rings
     # make(node, label, *fields): the node's ring, its expr/exprs fields built
     make: Callable[..., RingTable]
+    # the shape whose least size the node's one int field must reach, checked
+    # before any inner expression is built
+    shape: Optional[str] = None
 
 
 # The builders look module-level names up when called, so a rebound build,
@@ -703,17 +745,18 @@ _GRAMMAR = (
     _Constructor("prod", Prod, False, ("exprs",), lambda e: len(e.factors),
                  lambda e, label, factors: build_product(factors, label)),
     _Constructor("M", Mat, True, ("expr",), lambda e: e.k * e.k,
-                 lambda e, label, k, r: _build_matrix_kind("M", k, r, label)),
+                 lambda e, label, k, r: _build_matrix_kind("M", k, r, label), "M"),
     _Constructor("T", Tri, True, ("expr",), lambda e: e.k * (e.k + 1) // 2,
-                 lambda e, label, k, r: _build_matrix_kind("T", k, r, label)),
+                 lambda e, label, k, r: _build_matrix_kind("T", k, r, label), "T"),
     _Constructor("eqdiag", EqDiag, True, ("expr",), lambda e: 1 + e.k * (e.k - 1) // 2,
-                 lambda e, label, k, r: _build_matrix_kind("eqdiag", k, r, label)),
+                 lambda e, label, k, r: _build_matrix_kind("eqdiag", k, r, label), "eqdiag"),
     _Constructor("idealize", Idealize, False, ("expr", "module"), lambda e: 2, build_idealize),
     _Constructor("corner", Corner, False, ("expr", "int"), lambda e: 0,
                  lambda e, label, r, f: corner(r, f)[0]),
     _Constructor("quot", Quot, False, ("expr", "ids"), lambda e: 0,
                  lambda e, label, r, gens: quotient(r, ideal_generated_by(r, gens), label)[0]),
-    _Constructor("skew", SkewPolyQuot, False, ("expr", "twist", "int"), lambda e: e.n, _skew_ring),
+    _Constructor("skew", SkewPolyQuot, False, ("expr", "twist", "int"), lambda e: e.n, _skew_ring,
+                 "skew"),
 )
 _BY_KEYWORD = {row.keyword.lower(): row for row in _GRAMMAR}
 _BY_NODE = {row.node: row for row in _GRAMMAR}
@@ -732,6 +775,9 @@ def _check_budget(expr: RingExpr, limit: int) -> None:
         raise CapacityError(
             f"{expr_label(expr)} needs {_count_text(bound)} elements, over the budget of {limit}"
         )
+    if bound > MAX_ORDER:
+        raise CapacityError(f"{expr_label(expr)} needs {_count_text(bound)} elements, over the "
+                            f"limit of {MAX_ORDER} that uint16 tables hold")
     coordinates = _coordinates(expr)
     if coordinates > _MAX_COORDINATES:
         raise CapacityError(f"{expr_label(expr)} needs {_count_text(coordinates)} coordinates, "
@@ -739,11 +785,14 @@ def _check_budget(expr: RingExpr, limit: int) -> None:
 
 
 def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
-    """Elaborate a ring expression into a RingTable: check the budget, build the
-    inner expressions through this module's ``build``, then call the row's
-    ``make``. Table shapes and entry ranges are checked, ring axioms are not."""
+    """Elaborate a ring expression into a RingTable: check the budget and the
+    node's size, build the inner expressions through this module's ``build``,
+    then call the row's ``make``. Table shapes and entry ranges are checked,
+    ring axioms are not."""
     _check_budget(expr, size_budget(budget))
     row, values = _fields(expr)
+    if row.shape is not None:
+        _check_size(row.shape, next(v for kind, v in values if kind == "int"))
     built = [build(v, budget) if kind == "expr"
              else [build(f, budget) for f in v] if kind == "exprs" else v
              for kind, v in values]

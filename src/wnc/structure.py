@@ -81,6 +81,30 @@ def _nilpotency_indices(ring: RingTable) -> np.ndarray:
     return np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, 0)
 
 
+def _units(ring: RingTable) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the x with x*y = y*x = 1 for some y, and the least such y
+    (0 where there is none).
+
+    mul is read in blocks of ROW_BLOCK_ENTRIES entries: the pairs with x*y = 1,
+    in row-major order, then of those the ones with y*x = 1, gathered from mul.
+    So no n x n mask is taken, and the first pair kept for x has the least y.
+    """
+    n, mul = ring.order, ring.mul
+    unit_mask = np.zeros(n, dtype=bool)
+    inverse_of = np.zeros(n, dtype=np.intp)
+    rows = max(1, ROW_BLOCK_ENTRIES // n)
+    for r0 in range(0, n, rows):
+        xs, ys = np.divmod(np.flatnonzero(mul[r0:r0 + rows] == ring.one), n)
+        xs += r0
+        keep = mul[ys, xs] == ring.one
+        xs, ys = xs[keep], ys[keep]
+        first = np.ones(len(xs), dtype=bool)
+        first[1:] = xs[1:] != xs[:-1]
+        unit_mask[xs] = True
+        inverse_of[xs[first]] = ys[first]
+    return unit_mask, inverse_of
+
+
 @_memoised_on_tables
 def structure(ring: RingTable) -> StructureCache:
     """Compute (and memoize) units with inverses, Idem(R), Nil(R) and J(R).
@@ -92,9 +116,7 @@ def structure(ring: RingTable) -> StructureCache:
 
     idempotents = tuple(np.flatnonzero(mul.diagonal() == np.arange(ring.order)).tolist())
 
-    two_sided = mul == ring.one
-    two_sided &= two_sided.T  # in place, so that only one n x n mask outlives this line
-    unit_mask = two_sided.any(axis=1)
+    unit_mask, inverse_of = _units(ring)
 
     # x is in J when 1 - r*x is a unit for every r: the 1-D lookup
     # y -> [1 - y is a unit], gathered at mul by take in row blocks.  take
@@ -108,7 +130,7 @@ def structure(ring: RingTable) -> StructureCache:
         in_radical &= one_minus_is_unit.take(mul[r0:r0 + rows]).all(axis=0)
 
     nil_index = _nilpotency_indices(ring)
-    arrays = unit_mask, two_sided.argmax(axis=1), nil_index, nil_index > 0, in_radical
+    arrays = unit_mask, inverse_of, nil_index, nil_index > 0, in_radical
     for array in arrays:
         array.flags.writeable = False  # the cache is memoised and shared
     return StructureCache(idempotents, *arrays)

@@ -2,7 +2,9 @@
 
 A ring of order n lives on the element ids 0..n-1.  Addition, multiplication
 and negation are total lookup tables; ``zero`` and ``one`` are element ids.
-Tables are immutable after construction and safe to share between threads.
+Every table is a read-only uint16 array, 2 bytes per entry, so an order is at
+most MAX_ORDER = 65 536.  Tables are immutable after construction and safe to
+share between threads.
 
 A RingTable validates its tables and interns them: rings whose order, zero, one
 and tables are all equal share one core.  Results that read the tables alone
@@ -35,6 +37,26 @@ ElementId = int
 # It bounds the temporaries at a few MB whatever the ring order.  It also caps
 # the table entries of the cores each thread keeps alive after interning them.
 ROW_BLOCK_ENTRIES = 1 << 16
+
+# The table dtype and the largest order whose element ids it holds.  Two tables
+# of a larger order would take 17 GB, so no such ring is built.
+TABLE_DTYPE = np.uint16
+MAX_ORDER = 1 << 16
+
+
+def check_order(n: int) -> None:
+    """Raise TableFormatError unless 1 <= n <= MAX_ORDER."""
+    if n < 1:
+        raise TableFormatError(f"ring order must be positive, got {n}")
+    if n > MAX_ORDER:
+        raise TableFormatError(f"ring order {n} is over the limit of {MAX_ORDER} "
+                               f"that uint16 tables hold")
+
+
+def _ids_below(arr: np.ndarray, n: int) -> bool:
+    """Whether every entry of arr lies in [0, n), read in arr's own dtype, so
+    that no entry wraps into range before it is tested."""
+    return (arr.dtype.kind == "u" or arr.min() >= 0) and arr.max() < n
 
 
 class _TableCore:
@@ -71,17 +93,14 @@ class RingTable:
 
     def __post_init__(self) -> None:
         n, zero, one = self.order, self.zero, self.one
-        if n < 1:
-            raise TableFormatError(f"ring order must be positive, got {n}")
-        tables = {name: np.asarray(getattr(self, name), dtype=np.int32)
-                  for name in ("add", "mul", "neg")}
+        check_order(n)
+        tables = {name: np.asarray(getattr(self, name)) for name in ("add", "mul", "neg")}
         for name, arr in tables.items():
             shape = (n,) if name == "neg" else (n, n)
             if arr.shape != shape:
                 raise TableFormatError(f"{name} table has shape {arr.shape}, want {shape}")
         for name, arr in tables.items():
-            # a negative int32 reads as >= 2**31 in the uint32 view, so one max tests both ends
-            if arr.size and arr.view(np.uint32).max() >= n:
+            if not _ids_below(arr, n):
                 raise TableFormatError(f"{name} table contains out-of-range element ids")
         if not 0 <= zero < n or not 0 <= one < n:
             raise TableFormatError("zero/one must be valid element ids")
@@ -89,9 +108,10 @@ class RingTable:
         if names is not None and len(names) != n:
             raise TableFormatError("element_names length must equal ring order")
         for name, arr in tables.items():
-            # a table the caller can still write through is copied before it is frozen
-            if not arr.flags.owndata or (arr is getattr(self, name) and arr.flags.writeable):
-                tables[name] = arr = arr.copy()
+            # every entry is in range, so the narrowing is exact; a uint16 table is
+            # copied only while the caller can still write it
+            if arr.dtype != TABLE_DTYPE or not arr.flags.owndata or arr.flags.writeable:
+                tables[name] = arr = arr.astype(TABLE_DTYPE, order="C")
             arr.setflags(write=False)
         core = _intern(**tables, zero=int(zero), one=int(one))
         # the fields are frozen, so they are set past __setattr__

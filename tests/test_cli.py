@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -204,6 +205,21 @@ def test_sweep_checks_the_budget_before_building(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "sweep", "--zn", "2..30000", "--kinds", "nil-clean")
     assert code == 2 and out == ""
     assert err == "error: Z(30000) needs 30000 elements, over the budget of 20000\n"
+
+
+def test_orders_over_the_uint16_cap_exit_two_before_allocating(capsys, monkeypatch):
+    # the budget would admit Z(65537); its two tables would take 17 GB
+    monkeypatch.setenv("WNC_SIZE_BUDGET", "100000")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "classify", "--ring", "Z(65537)", "--kinds", "clean")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("error: Z(65537) needs 65537 elements, "
+                   "over the limit of 65536 that uint16 tables hold\n")
+    assert peak < 1 << 20
 
 
 def test_sweep_matches_loop_oracle_on_every_kind(capsys):

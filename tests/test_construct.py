@@ -26,6 +26,9 @@ from wnc.construct import (
     SkewPolyQuot,
     Tri,
     Zn,
+    _digit_vectors,
+    _encode,
+    _zn_products,
     build,
     build_text,
     build_zn,
@@ -47,9 +50,10 @@ from wnc.errors import (
     InvalidIdempotentError,
     InvalidModuleError,
     RingError,
+    TableFormatError,
 )
 from wnc.structure import ideal_generated_by, structure, subset
-from wnc.table import ring_table, verify_ring_axioms
+from wnc.table import RingTable, ring_table, verify_ring_axioms
 from wnc.theorems import parse_corpus, run_suite
 
 
@@ -170,7 +174,7 @@ def test_build_zn_matches_closed_forms():
         assert np.array_equal(ring.neg, -np.arange(n) % n), n
         assert ring.zero == 0 and ring.one == 1 % n
         for table in (ring.add, ring.mul, ring.neg):
-            assert table.dtype == np.int32 and not table.flags.writeable, n
+            assert table.dtype == np.uint16 and not table.flags.writeable, n
 
 
 def test_product_matches_crt_relabeling():
@@ -299,7 +303,7 @@ def test_idealize_commutative_tables_unchanged(base):
     # with the left action on both sides (right = mul.T), byte for byte
     inner = build_text(base)
     ring = build_text(f"idealize({base},self)")
-    old = _idealize_self_mul(inner, inner.mul.T).astype(np.int32)
+    old = _idealize_self_mul(inner, inner.mul.T).astype(np.uint16)
     assert ring.mul.tobytes() == old.tobytes()
     assert verify_ring_axioms(ring).passed
 
@@ -578,8 +582,6 @@ def test_degenerate_dimensions_rejected():
         build_text("M0(Z(2))")
     with pytest.raises(ValueError):
         build_text("T0(Z(2))")
-    from wnc.errors import TableFormatError
-
     with pytest.raises(TableFormatError):
         build_text("Z(0)")
 
@@ -590,6 +592,8 @@ def test_degenerate_dimensions_rejected():
     ("eqdiag0(Z(2))", "equal-diagonal subring needs k >= 2, got 0"),
     ("eqdiag1(Z(2))", "equal-diagonal subring needs k >= 2, got 1"),
     ("skew(Z(2),id,0)", "truncation degree must be >= 1, got 0"),
+    # the outer size is checked before the inner ring is built, so its message wins
+    ("M0(eqdiag1(Z(2)))", "matrix dimension must be >= 1, got 0"),
 ])
 def test_sizes_below_the_least_are_ring_errors(text, message):
     with pytest.raises(InvalidDimensionError) as err:
@@ -700,15 +704,56 @@ def test_tables_do_not_depend_on_the_blocks(monkeypatch):
             _assert_same_ring(build(expr), _naive_top(expr))
 
 
-@pytest.mark.parametrize("label", ["M2(Z(7))", "idealize(Z(49),self)", "skew(Z(4),id,5)"])
+@pytest.mark.parametrize("label", ["M2(Z(7))", "idealize(Z(49),self)", "skew(Z(4),id,5)",
+                                   "Z(400)"])
 def test_build_peak_memory_per_table_entry(label):
-    # the two kept tables are 8 bytes per entry; blocks bound the rest, also
-    # for the digits that read every coordinate (idealize's module digit and
-    # skew's top coefficients)
+    # the two kept uint16 tables are 4 bytes per entry, and no wider copy of a
+    # table is taken; blocks bound the rest, also for the digits that read every
+    # coordinate (idealize's module digit and skew's top coefficients) and for
+    # Z(n)'s uint32 products, 1.6 bytes per entry of Z(400)
     tracemalloc.start()
     try:
         ring = build_text(label)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * ring.order ** 2
+    assert peak < 6.5 * ring.order ** 2
+
+
+@pytest.mark.parametrize("text", ["M0(M3(Z(3)))", "T0(M3(Z(3)))", "eqdiag1(M3(Z(3)))",
+                                  "skew(M3(Z(3)),id,0)"])
+def test_sizes_below_the_least_are_refused_before_the_inner_build(text):
+    # M3(Z(3)) has 19 683 elements, within the budget: its tables would take 1.5 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidDimensionError):
+            build_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_orders_over_the_uint16_cap_are_refused_before_any_table():
+    for text in ("Z(65537)", "prod(Z(256),Z(257))", "quot(Z(65537),[1])"):
+        with pytest.raises(CapacityError, match="over the limit of 65536 that uint16 tables hold"):
+            build_text(text, budget=100_000)
+    # refused before the shapes are read, so no table of that order is needed
+    for make in (lambda: build_zn(65_537),
+                 lambda: RingTable(65_537, [[0]], [[0]], [0], 0, 0, "big")):
+        with pytest.raises(TableFormatError, match="ring order 65537 is over the limit of 65536"):
+            make()
+
+
+def test_products_and_codes_do_not_wrap_at_the_cap():
+    # the last two rows of Z(65536)'s multiplication: 65535**2 needs 32 bits
+    n = 65_536
+    rows = _zn_products(n, n - 2, n)
+    assert rows.tolist() == [[a * b % n for b in range(n)] for a in (n - 2, n - 1)]
+    # codes of order 65 536 from uint16 digits, with the largest place values
+    # (32 768 for a digit of order 2) and a leading digit of order 1, whose place
+    # value 65 536 no uint16 holds
+    for sizes in ((2,) * 16, (1, 2, 32_768), (1, 256, 1, 256), (65_536,)):
+        digits = [d.astype(np.uint16) for d in _digit_vectors(sizes)]
+        codes = _encode(digits, sizes)
+        assert codes.dtype == np.uint16 and np.array_equal(codes, np.arange(n)), sizes

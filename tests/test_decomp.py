@@ -623,4 +623,4 @@ def test_deciders_peak_memory_per_table_entry():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * ring.order ** 2
+    assert peak < 5 * ring.order ** 2

@@ -33,7 +33,7 @@ from wnc.structure import (
     structure,
     subset,
 )
-from wnc.table import _additive_span
+from wnc.table import _additive_span, ring_table
 from wnc.theorems import run_suite
 
 
@@ -113,9 +113,28 @@ def test_radical_does_not_depend_on_the_row_blocks(monkeypatch):
             assert radical == naive.radical(ring), (entries, ring.label)
 
 
+def test_units_do_not_depend_on_the_row_blocks(monkeypatch):
+    module = importlib.import_module("wnc.structure")
+    z4 = build_text("Z(4)")
+    # tables that are not rings: several y with x*y = 1, or x*y = 1 without y*x = 1
+    odd = [bad for bad in naive.corruptions(z4, ("mul",))
+           if sum(int(bad.mul[x, y]) == bad.one for x in range(4) for y in range(4)) != 2]
+    # 1 and 3 are each other's inverses and their own: the least inverse is 1 for both
+    mul = np.array(z4.mul)
+    mul[1, 3] = mul[3, 1] = 1
+    odd.append(ring_table(4, z4.add, mul, z4.neg, 0, 1, "Z(4) with 1*3 = 3*1 = 1"))
+    for entries in (1, 8, 40):  # one row a block, then 2 and 10 rows of Z(4)
+        monkeypatch.setattr(module, "ROW_BLOCK_ENTRIES", entries)
+        for ring in [*map(build_text, ("Z(12)", "M2(Z(2))", "T2(Z(3))")), *odd]:
+            cache = structure.__wrapped__(ring)
+            units = naive.units(ring)
+            assert cache.inverse == units, (entries, ring.label)
+            assert np.flatnonzero(cache.unit_mask).tolist() == sorted(units), (entries, ring.label)
+
+
 @pytest.mark.parametrize("label, radical_size", [("M2(Z(5))", 1), ("Z(2000)", 200)])
 def test_structure_peak_memory_per_table_entry(label, radical_size):
-    # the row-blocked radical copies ROW_BLOCK_ENTRIES // 8 indices at a time
+    # units and the radical read mul in row blocks, so no n x n mask is taken
     ring = build_text(label)
     tracemalloc.start()
     try:
@@ -124,7 +143,7 @@ def test_structure_peak_memory_per_table_entry(label, radical_size):
     finally:
         tracemalloc.stop()
     assert len(cache.radical) == radical_size
-    assert peak < 5 * ring.order ** 2
+    assert peak < ring.order ** 2
 
 
 def test_structure_is_memoized(rings):

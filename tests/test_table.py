@@ -99,12 +99,14 @@ def test_malformed_tables_rejected():
 @pytest.mark.parametrize("value", [-1, -2**31, 3, 2**31 - 1])
 @pytest.mark.parametrize("name", ["add", "mul", "neg"])
 def test_out_of_range_entries_rejected_at_either_end(name, value):
+    # int32 input is range-checked before it is narrowed to uint16, so -1 and
+    # 2**31 - 1 cannot wrap into range
     z3 = build_zn(3)
-    tables = {"add": z3.add.copy(), "mul": z3.mul.copy(), "neg": z3.neg.copy()}
+    tables = {op: getattr(z3, op).astype(np.int32) for op in ("add", "mul", "neg")}
     tables[name].flat[-1] = value
     with pytest.raises(TableFormatError, match=f"{name} table contains out-of-range"):
         ring_table(3, tables["add"], tables["mul"], tables["neg"], 0, 1, "bad")
-    ring_table(3, z3.add.T, z3.mul.T, z3.neg, 0, 1, "transposed")  # strided int32 views pass
+    ring_table(3, z3.add.T, z3.mul.T, z3.neg, 0, 1, "transposed")  # strided uint16 views pass
 
 
 def test_zero_one_collision_detected():
@@ -231,7 +233,7 @@ def test_axioms_peak_memory_per_table_entry(label):
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak <= 10 * ring.order ** 2
+    assert peak <= 6 * ring.order ** 2
 
 
 def test_rings_never_reach_the_cubic_scan(corpus_entries, monkeypatch):
@@ -406,11 +408,16 @@ def test_caller_views_cannot_change_interned_tables():
     ring = ring_table(2, ring.add, frozen, ring.neg, 0, 1, "F2 from a read-only view")
     base[1, 1] = 0
     assert ring.mul.tolist() == [[0, 0], [0, 1]] and ring.mul is not frozen
-    # a read-only array that owns its memory is kept as it is (tables no other test builds)
-    owned = np.array([[0, 0, 0], [0, 1, 2], [0, 2, 2]], dtype=np.int32)
+    # a read-only uint16 array that owns its memory is kept as it is (tables no
+    # other test builds); one of another dtype is narrowed into a copy
+    owned = np.array([[0, 0, 0], [0, 1, 2], [0, 2, 2]], dtype=np.uint16)
     owned.flags.writeable = False
     z3 = build_zn(3)
     assert ring_table(3, z3.add, owned, z3.neg, 0, 1, "not a ring").mul is owned
+    wide = owned.astype(np.int32)
+    wide.flags.writeable = False
+    narrowed = ring_table(3, z3.add, wide, z3.neg, 0, 1, "not a ring, from int32").mul
+    assert narrowed is not wide and narrowed.dtype == np.uint16 and not narrowed.flags.writeable
 
 
 def test_retained_tables_are_capped_and_released():
