@@ -141,6 +141,13 @@ class _Table(NamedTuple):
     verdict: RingVerdict
 
 
+def _fold_signs(table: _Table) -> tuple[np.ndarray, np.ndarray]:
+    """The table's idempotents once each, and row i: the elements x that some
+    sign of idems[i] serves.  A two-sign table runs (e, +), (e, -) per e."""
+    step = len(set(table.signs))
+    return table.idems[::step], table.ok.reshape(-1, step, table.ok.shape[1]).any(axis=1)
+
+
 @_memoised_on_tables
 def _candidates(ring: RingTable, kind: DecompKind,
                 s_tuple: Optional[tuple[ElementId, ...]]) -> _Table:
@@ -247,31 +254,27 @@ class ExchangeReport:
 
 
 @_memoised_on_tables
-def _annihilator_failure(ring: RingTable, kind: DecompKind, laws: int,
+def _annihilator_failure(ring: RingTable, kind: DecompKind,
                          also: Optional[DecompKind] = None) -> Optional[tuple[int, int, int]]:
     """First (x, e, law) at which a decomposition x = c +- e of the kind breaks a law.
 
-    Laws 0-3 are ann_l(x) <= ann_l(e), ann_r(x) <= ann_r(e), ann_l(x) <= R(1-e) and
-    ann_r(x) <= (1-e)R, of which the first ``laws`` count; law -1 is that x also
-    decomposes as kind ``also``.  The order is x, then candidate row, then law.
+    Laws 0 and 1 are ann_l(x) <= ann_l(e) and ann_r(x) <= ann_r(e); law -1 is that x
+    also decomposes as kind ``also``.  The order is x, then idempotent, then law.
+    Assumes a ring, where ann_l(e) = R(1-e) and ann_r(e) = (1-e)R.
     """
-    table = _candidates(ring, kind, None)
+    idems, ok = _fold_signs(_candidates(ring, kind, None))
     pre = False if also is None else ~_candidates(ring, also, None).found
     zero = ring.mul == ring.zero
-    bounds = [zero.T[table.idems], zero[table.idems]]
-    if laws > 2:  # the bounds of laws 2-3 are full-ring multiples masks
-        one_minus = ring.add[ring.one][ring.neg[table.idems]]
-        bounds += [_multiples(ring, side, one_minus) for side in ("left", "right")]
     sets = np.packbits(zero.T, axis=1), np.packbits(zero, axis=1)  # row x: ann_l(x), ann_r(x)
-    fails = [table.ok & pre]
-    for k, bound in enumerate(bounds[:laws]):
-        escapes = [(sets[k % 2] & outside).any(axis=1) for outside in np.packbits(~bound, axis=1)]
-        fails.append(table.ok & np.reshape(escapes, table.ok.shape))
+    fails = [ok & pre]
+    for own, bound in zip(sets, (zero.T[idems], zero[idems])):  # row i: ann_l(e), ann_r(e)
+        fails.append(ok & [(own & outside).any(axis=1)
+                           for outside in np.packbits(~bound, axis=1)])
     hit = _first_true(np.stack(fails).transpose(2, 1, 0))
     if hit is None:
         return None
-    x, r, law = hit
-    return x, int(table.idems[r]), law - 1
+    x, i, law = hit
+    return x, int(idems[i]), law - 1
 
 
 @_memoised_on_tables
@@ -281,15 +284,12 @@ def _rigidity_failure(ring: RingTable) -> Optional[tuple[ElementId, ...]]:
     The S-table is the weak* nil table cut to S's rows, so Idem(R) - {e} suffices
     when every element has a serving idempotent and e is never the only one.
     """
-    table = _candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None)
-    idems = table.idems[::2].tolist()
-    serve = table.ok.reshape(len(idems), 2, ring.order).any(axis=1)
+    idems, serve = _fold_signs(_candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None))
     spare = np.ones(len(idems), dtype=bool)
     spare[serve[:, serve.sum(axis=0) == 1].argmax(axis=0)] = False
     if not serve.any(axis=0).all() or not spare.any():
         return None
-    drop = int(spare.argmax())
-    return tuple(idems[:drop] + idems[drop + 1:])
+    return tuple(np.delete(idems, spare.argmax()).tolist())
 
 
 def is_exchange(ring: RingTable, side: str = "right") -> ExchangeReport:
