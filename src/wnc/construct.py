@@ -381,10 +381,15 @@ Terms = Sequence[Sequence[tuple[int, int, np.ndarray]]]
 
 def _zn_products(n: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the multiplication table of Z(n), in uint32: for
-    n <= MAX_ORDER, (n - 1)**2 < 2**32, so no product wraps."""
-    wide = np.arange(n, dtype=np.uint32)
+    n <= MAX_ORDER, (n - 1)**2 < 2**32, so no product wraps.  They are reduced
+    as p - (p // n) * n, which numpy computes several times faster than
+    np.remainder."""
+    wide, modulus = np.arange(n, dtype=np.uint32), np.uint32(n)
     products = np.multiply.outer(wide[start:stop], wide)
-    return np.remainder(products, np.uint32(n), out=products)
+    quotients = products // modulus
+    quotients *= modulus
+    products -= quotients
+    return products
 
 
 def build_zn(n: int) -> RingTable:
@@ -393,14 +398,14 @@ def build_zn(n: int) -> RingTable:
     # row a of add is idx rotated left by a: one copy of n windows of idx twice over
     add = np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), n)[:n].copy()
     mul = np.empty((n, n), dtype=TABLE_DTYPE)
-    rows = max(1, ROW_BLOCK_ENTRIES // n)
+    # half a block of rows: the products and their quotients take ROW_BLOCK_ENTRIES
+    rows = max(1, ROW_BLOCK_ENTRIES // 2 // n)
     for start in range(0, n, rows):
         mul[start:start + rows] = _zn_products(n, start, start + rows)
     # n - idx, not -idx: negation would wrap modulo 2**16, not modulo n
     neg = ((n - idx.astype(np.uint32)) % np.uint32(n)).astype(TABLE_DTYPE)
-    names = tuple(map(str, range(n)))
     add.flags.writeable = mul.flags.writeable = neg.flags.writeable = False  # uncopied by RingTable
-    return ring_table(n, add, mul, neg, 0, 1 % n, f"Z({n})", names)
+    return ring_table(n, add, mul, neg, 0, 1 % n, f"Z({n})", name_fn=str)
 
 
 def _place_values(sizes: Sequence[int]) -> list[int]:
@@ -494,7 +499,8 @@ def _coordinate_table(parts: Sequence[RingTable], terms: Terms) -> np.ndarray:
 def _coordinate_ring(parts: Sequence[RingTable], terms: Terms, one: Sequence[int],
                      label: str, name: Callable[[tuple[int, ...]], str]) -> RingTable:
     """Ring on digit vectors over ``parts`` (last digit fastest), added digit by
-    digit, with digit k of a product given by the term list ``terms[k]``."""
+    digit, with digit k of a product given by the term list ``terms[k]``; an
+    element is named ``name`` of its digit vector, on first read."""
     sizes = [p.order for p in parts]
     check_order(math.prod(sizes))
     digits = _digit_vectors(sizes)
@@ -502,10 +508,14 @@ def _coordinate_ring(parts: Sequence[RingTable], terms: Terms, one: Sequence[int
     mul = _coordinate_table(parts, terms)
     neg = _encode([p.neg[d] for p, d in zip(parts, digits)], sizes)
     zero = _encode([p.zero for p in parts], sizes)
-    names = tuple(name(v) for v in zip(*(d.tolist() for d in digits)))
+    places = _place_values(sizes)
+
+    def name_fn(x: int) -> str:
+        return name(tuple(x // place % size for place, size in zip(places, sizes)))
+
     add.flags.writeable = mul.flags.writeable = neg.flags.writeable = False
     return ring_table(math.prod(sizes), add, mul, neg, zero, _encode(one, sizes),
-                      label, names, parts)
+                      label, None, parts, name_fn)
 
 
 def build_product(factors: Sequence[RingTable], label: str) -> RingTable:
@@ -584,12 +594,19 @@ def build_idealize(expr: Idealize, label: str, inner: RingTable,
 
 
 def _restrict(ring: RingTable, keep: np.ndarray, relabel: np.ndarray, one: int,
-              label: str, names: Sequence[str]) -> RingTable:
-    """The tables of ``ring`` on the ids ``keep``, renamed through ``relabel``."""
+              label: str, name_format: str) -> RingTable:
+    """The tables of ``ring`` on the ids ``keep``, renamed through ``relabel``; the
+    new id i is named name_format.format(the parent's name of keep[i])."""
+    parent_name = ring.name_fn or str
+
+    def name_fn(x: int) -> str:  # reads the parent's names, not the parent
+        return name_format.format(parent_name(int(keep[x])))
+
     if len(keep) == ring.order:
         # both callers rename the kept ids in order, so keeping all of them is the
         # identity (1R1, R/{0}): the ring's own read-only tables, and its interned core
-        return ring_table(ring.order, ring.add, ring.mul, ring.neg, ring.zero, one, label, names)
+        return ring_table(ring.order, ring.add, ring.mul, ring.neg, ring.zero, one, label,
+                          name_fn=name_fn)
     # gathered straight into the table dtype; an id outside keep, which only a
     # table that is not a ring reaches, stays out of range (-1 reads as 65 535)
     relabel = relabel.astype(TABLE_DTYPE)
@@ -598,7 +615,8 @@ def _restrict(ring: RingTable, keep: np.ndarray, relabel: np.ndarray, one: int,
     mul = relabel[ring.mul[rows, keep]]
     neg = relabel[ring.neg[keep]]
     add.flags.writeable = mul.flags.writeable = neg.flags.writeable = False
-    return ring_table(len(keep), add, mul, neg, relabel[ring.zero], relabel[one], label, names)
+    return ring_table(len(keep), add, mul, neg, relabel[ring.zero], relabel[one], label,
+                      name_fn=name_fn)
 
 
 @_memoised
@@ -611,8 +629,7 @@ def corner(ring: RingTable, f: int) -> tuple[RingTable, tuple[int, ...]]:
     mask = np.zeros(ring.order, dtype=bool)
     mask[mul[f, mul[:, f]]] = True
     members = np.flatnonzero(mask)
-    table = _restrict(ring, members, np.cumsum(mask) - 1, f, f"corner({ring.label},{f})",
-                      [ring.name_of(x) for x in members.tolist()])
+    table = _restrict(ring, members, np.cumsum(mask) - 1, f, f"corner({ring.label},{f})", "{}")
     return table, tuple(members.tolist())
 
 
@@ -643,8 +660,7 @@ def _quotient(ring: RingTable, members: tuple[int, ...],
         raise InvalidIdealError(f"the sets x + {list(members)} do not partition {ring.label}")
     reps = np.flatnonzero(rep_of == np.arange(ring.order))
     proj = np.searchsorted(reps, rep_of)
-    names = [f"[{ring.name_of(x)}]" for x in reps.tolist()]
-    return _restrict(ring, reps, proj, ring.one, label, names), tuple(proj.tolist())
+    return _restrict(ring, reps, proj, ring.one, label, "[{}]"), tuple(proj.tolist())
 
 
 def _validate_endomorphism(ring: RingTable, sigma: np.ndarray) -> None:

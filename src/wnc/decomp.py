@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -80,23 +80,58 @@ class DecompCert:
     commutes: bool
 
 
+class _Table(NamedTuple):
+    """Candidate table of one kind and S: row r is (idems[r], signs[r]), column x is x."""
+
+    idems: np.ndarray
+    signs: np.ndarray  # "+" or "-"
+    comp: np.ndarray  # the companion x - idems[r] (sign +) or x + idems[r] (sign -)
+    ok: np.ndarray  # comp in the kind's pool, commuting with idems[r] where required
+    mul: np.ndarray  # the ring's multiplication, for the commuting flags
+
+
 @dataclass(frozen=True, eq=False)
 class RingVerdict:
     """Ring-level outcome of one decomposition kind, with all certificates.
 
-    The certificates are kept as columns, one entry per decomposable element in
-    ascending order; ``certs`` builds the certificate objects on first access.
+    ``found`` is the read-only mask of the elements that decompose.  The
+    certificates are columns, one entry per such element in ascending order,
+    each built from the candidate table on first read; ``certs`` builds the
+    certificate objects on first read.
     """
 
     kind: DecompKind
     holds: bool
     witness: Optional[ElementId]
     s: Optional[tuple[ElementId, ...]]
-    targets: np.ndarray
-    idempotents: np.ndarray
-    companions: np.ndarray
-    signs: np.ndarray  # "+" or "-"
-    commutes: np.ndarray
+    found: np.ndarray
+    table: _Table = field(repr=False)
+
+    @functools.cached_property
+    def targets(self) -> np.ndarray:
+        return np.flatnonzero(self.found)
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """The table row of each target's first certificate."""
+        return self.table.ok.argmax(axis=0)[self.targets]
+
+    @functools.cached_property
+    def idempotents(self) -> np.ndarray:
+        return self.table.idems[self._rows]
+
+    @functools.cached_property
+    def companions(self) -> np.ndarray:
+        return self.table.comp[self._rows, self.targets]
+
+    @functools.cached_property
+    def signs(self) -> np.ndarray:
+        return self.table.signs[self._rows]
+
+    @functools.cached_property
+    def commutes(self) -> np.ndarray:
+        mul, es, cs = self.table.mul, self.idempotents, self.companions
+        return mul[cs, es] == mul[es, cs]
 
     @functools.cached_property
     def certs(self) -> dict[ElementId, DecompCert]:
@@ -122,61 +157,73 @@ def _resolve_s(ring: RingTable, kind: DecompKind,
     return tuple(members.tolist())
 
 
-def _first_rows(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int], np.ndarray]:
-    """Columns of ok with a True, the first row of each, the least column without,
-    and the read-only mask of the columns with a True."""
+def _first_rows(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """Columns of ok with a True, the first row of each, and the least column without."""
     found = ok.any(axis=0)
-    found.flags.writeable = False
     cols, missing = np.flatnonzero(found), np.flatnonzero(~found)
-    return cols, ok.argmax(axis=0)[cols], int(missing[0]) if missing.size else None, found
-
-
-class _Table(NamedTuple):
-    """Candidate table of one kind and S: row r is (idems[r], signs[r]), column x is x."""
-
-    idems: np.ndarray
-    signs: tuple[str, ...]
-    ok: np.ndarray  # companion x -+ idems[r] in the kind's pool, commuting where required
-    found: np.ndarray  # read-only: the elements with a candidate, those that decompose
-    verdict: RingVerdict
+    return cols, ok.argmax(axis=0)[cols], int(missing[0]) if missing.size else None
 
 
 def _fold_signs(table: _Table) -> tuple[np.ndarray, np.ndarray]:
     """The table's idempotents once each, and row i: the elements x that some
     sign of idems[i] serves.  A two-sign table runs (e, +), (e, -) per e."""
-    step = len(set(table.signs))
+    step = len(set(table.signs.tolist()))
     return table.idems[::step], table.ok.reshape(-1, step, table.ok.shape[1]).any(axis=1)
+
+
+class _Companions(NamedTuple):
+    """Rows (e, +) and (e, -) per idempotent e, ascending: row r's companion of x."""
+
+    idems: np.ndarray
+    signs: np.ndarray
+    comp: np.ndarray  # uint16: x - e in row (e, +), x + e in row (e, -)
+
+
+@_memoised_on_tables
+def _companions(ring: RingTable, idems: tuple[ElementId, ...]) -> _Companions:
+    """The companion table that every kind over these idempotents slices its rows from."""
+    rows = np.repeat(np.asarray(idems, dtype=np.intp), 2)
+    cols = rows.copy()
+    cols[::2] = ring.neg[rows[::2]]
+    comp = ring.add.T[cols]
+    comp.flags.writeable = False
+    return _Companions(rows, np.array(["+", "-"] * len(idems)), comp)
+
+
+@_memoised_on_tables
+def _commuting(ring: RingTable, idems: tuple[ElementId, ...]) -> np.ndarray:
+    """Row r, column x: the companion table's entry commutes with row r's idempotent."""
+    rows, _, comp = _companions(ring, idems)
+    return ring.mul[comp, rows[:, None]] == ring.mul[rows[:, None], comp]
 
 
 @_memoised_on_tables
 def _candidates(ring: RingTable, kind: DecompKind,
-                s_tuple: Optional[tuple[ElementId, ...]]) -> _Table:
-    """The memoised candidate table and verdict of one kind and S."""
+                s_tuple: Optional[tuple[ElementId, ...]]) -> RingVerdict:
+    """The memoised verdict of one kind and S, over its candidate table: the rows
+    of the shared companion table that the kind's signs allow."""
     cache = structure(ring)
     family, both_signs, need_commute, _ = _KIND_RULES[kind]
-    signs = ("+", "-") if both_signs else ("+",)
-    idems = np.asarray(cache.idempotents if s_tuple is None else s_tuple, dtype=np.intp)
-    idems, signs = np.repeat(idems, len(signs)), signs * len(idems)
-    sign_col = np.array(signs)
-    comp = ring.add[:, np.where(sign_col == "+", ring.neg[idems], idems)].T
-    ok = getattr(cache, family)[comp]
+    idems = cache.idempotents if s_tuple is None else s_tuple
+    shared, rows = _companions(ring, idems), slice(None, None, 1 if both_signs else 2)
+    ok = getattr(cache, family)[shared.comp[rows]]
     if need_commute:
-        ok &= ring.mul[comp, idems[:, None]] == ring.mul[idems[:, None], comp]
-    xs, rows, witness, found = _first_rows(ok)
-    es, cs = idems[rows], comp[rows, xs]
-    verdict = RingVerdict(kind, witness is None, witness, s_tuple, xs, es, cs,
-                          sign_col[rows], ring.mul[cs, es] == ring.mul[es, cs])
-    return _Table(idems, signs, ok, found, verdict)
+        ok &= _commuting(ring, idems)[rows]
+    found = ok.any(axis=0)
+    found.flags.writeable = False
+    witness = int(found.argmin())
+    witness = None if found[witness] else witness
+    table = _Table(shared.idems[rows], shared.signs[rows], shared.comp[rows], ok, ring.mul)
+    return RingVerdict(kind, witness is None, witness, s_tuple, found, table)
 
 
 def iter_decomps(ring: RingTable, x: ElementId, kind: DecompKind,
                  s: Optional[SetArg] = None) -> Iterator[DecompCert]:
     """All decompositions of x of the given kind, in canonical search order."""
     ring.check_element(x)
-    table = _candidates(ring, kind, _resolve_s(ring, kind, s))
+    table = _candidates(ring, kind, _resolve_s(ring, kind, s)).table
     for r in np.flatnonzero(table.ok[:, x]).tolist():
-        e, sign = int(table.idems[r]), table.signs[r]
-        c = ring.sub(x, e) if sign == "+" else int(ring.add[x, e])
+        e, c, sign = int(table.idems[r]), int(table.comp[r, x]), str(table.signs[r])
         yield DecompCert(kind, x, e, c, sign, int(ring.mul[c, e]) == int(ring.mul[e, c]))
 
 
@@ -214,7 +261,7 @@ def cert_is_valid(ring: RingTable, cert: DecompCert,
 def ring_verdict(ring: RingTable, kind: DecompKind,
                  s: Optional[SetArg] = None) -> RingVerdict:
     """Decide the ring-level property; certificates are kept for every element."""
-    return _candidates(ring, kind, _resolve_s(ring, kind, s)).verdict
+    return _candidates(ring, kind, _resolve_s(ring, kind, s))
 
 
 # One certificate of the verdict JSON, at the depth json.dumps([...], indent=2) puts it.
@@ -262,7 +309,7 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind,
     also decomposes as kind ``also``.  The order is x, then idempotent, then law.
     Assumes a ring, where ann_l(e) = R(1-e) and ann_r(e) = (1-e)R.
     """
-    idems, ok = _fold_signs(_candidates(ring, kind, None))
+    idems, ok = _fold_signs(_candidates(ring, kind, None).table)
     pre = False if also is None else ~_candidates(ring, also, None).found
     zero = ring.mul == ring.zero
     sets = np.packbits(zero.T, axis=1), np.packbits(zero, axis=1)  # row x: ann_l(x), ann_r(x)
@@ -284,7 +331,7 @@ def _rigidity_failure(ring: RingTable) -> Optional[tuple[ElementId, ...]]:
     The S-table is the weak* nil table cut to S's rows, so Idem(R) - {e} suffices
     when every element has a serving idempotent and e is never the only one.
     """
-    idems, serve = _fold_signs(_candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None))
+    idems, serve = _fold_signs(_candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None).table)
     spare = np.ones(len(idems), dtype=bool)
     spare[serve[:, serve.sum(axis=0) == 1].argmax(axis=0)] = False
     if not serve.any(axis=0).all() or not spare.any():
@@ -304,7 +351,7 @@ def is_exchange(ring: RingTable, side: str = "right") -> ExchangeReport:
     reach = _multiples(ring, side)
     one_minus = ring.add[ring.one][ring.neg]
     ok = (reach[:, idems] & reach[np.ix_(one_minus, one_minus[idems])]).T
-    xs, rows, failure, _ = _first_rows(ok)
+    xs, rows, failure = _first_rows(ok)
     witnesses = dict(zip(xs[:failure].tolist(), idems[rows[:failure]].tolist()))
     return ExchangeReport(side, failure is None, witnesses, failure)
 
@@ -336,7 +383,7 @@ def _lift_report(ring: RingTable, ideal: Subset, weak: bool) -> LiftReport:
     idems = np.asarray(structure(ring).idempotents, dtype=np.intp)
     bars = np.asarray(structure(quot).idempotents, dtype=np.intp)
     image = np.asarray(proj)[idems, None]
-    cols, rows, failure, _ = _first_rows((image == bars) | (weak & (image == quot.neg[bars])))
+    cols, rows, failure = _first_rows((image == bars) | (weak & (image == quot.neg[bars])))
     witnesses = dict(zip(bars[cols[:failure]].tolist(), idems[rows[:failure]].tolist()))
     return LiftReport(failure is None, witnesses, None if failure is None else int(bars[failure]))
 

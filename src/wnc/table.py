@@ -70,6 +70,17 @@ class _TableCore:
         self.results: dict = {}
 
 
+class _LazyNames:
+    """The class-level default of RingTable.element_names: the names a ring's
+    name function makes, on first read (dataclass reads None as the default)."""
+
+    def __get__(self, ring: Optional["RingTable"], owner: Optional[type] = None):
+        if ring is None:
+            return None
+        names = vars(ring)["element_names"] = tuple(map(ring.name_fn, range(ring.order)))
+        return names
+
+
 @dataclass(frozen=True, eq=False)
 class RingTable:
     """Operation tables of a finite ring with unity.  Construction checks their
@@ -83,9 +94,13 @@ class RingTable:
     zero: ElementId
     one: ElementId
     label: str
-    element_names: Optional[tuple[str, ...]] = field(default=None, repr=False)
+    # given, or made by name_fn on first read; None names each x as str(x)
+    element_names: Optional[tuple[str, ...]] = _LazyNames()
     # the rings the digits of a coordinate-built ring range over, in digit order
     components: tuple["RingTable", ...] = field(default=(), repr=False)
+    # the name of each id, when element_names is not given; it must not refer to
+    # the ring, so that a corner's or quotient's names do not keep their base alive
+    name_fn: Optional[Callable[[ElementId], str]] = field(default=None, repr=False)
     # the interned tables, shared with every equal ring
     core: _TableCore = field(init=False, repr=False)
     # corners and quotients of this ring, memoised by _memoised
@@ -116,15 +131,17 @@ class RingTable:
         core = _intern(**tables, zero=int(zero), one=int(one))
         # the fields are frozen, so they are set past __setattr__
         vars(self).update(add=core.add, mul=core.mul, neg=core.neg, zero=int(zero), one=int(one),
-                          element_names=names, components=tuple(self.components), core=core)
+                          components=tuple(self.components), core=core)
+        if names is not None:
+            vars(self).update(element_names=names, name_fn=names.__getitem__)
+        elif self.name_fn is not None:
+            del vars(self)["element_names"]  # _LazyNames makes them on first read
 
     def elements(self) -> range:
         return range(self.order)
 
     def name_of(self, x: ElementId) -> str:
-        if self.element_names is None:
-            return str(x)
-        return self.element_names[x]
+        return str(x) if self.name_fn is None else self.name_fn(x)
 
     def check_element(self, x: ElementId) -> None:
         if not 0 <= x < self.order:
@@ -230,13 +247,15 @@ def ring_table(
     label: str,
     element_names: Optional[Sequence[str]] = None,
     components: Sequence[RingTable] = (),
+    name_fn: Optional[Callable[[ElementId], str]] = None,
 ) -> RingTable:
     """Validate raw tables and freeze them into a RingTable over their interned core.
 
-    Raises TableFormatError on malformed dimensions or out-of-range entries.
-    Ring axioms are *not* checked here; see verify_ring_axioms.
+    Raises TableFormatError on malformed dimensions or out-of-range entries,
+    and on element_names of the wrong length; names from name_fn are made on
+    first read.  Ring axioms are *not* checked here; see verify_ring_axioms.
     """
-    return RingTable(order, add, mul, neg, zero, one, label, element_names, components)
+    return RingTable(order, add, mul, neg, zero, one, label, element_names, components, name_fn)
 
 
 AXIOM_NAMES = (

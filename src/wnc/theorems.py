@@ -177,8 +177,8 @@ def check_corner_theorem(ring: RingTable, f: int) -> tuple[bool, Optional[str]]:
     """
     corner_ring, embed = corner(ring, f)
     to_corner = {x: i for i, x in enumerate(embed)}
-    table = _candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None)
-    parent, in_parent = table.verdict, table.found[list(embed)].tolist()
+    parent = _candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None)
+    in_parent = parent.found[list(embed)].tolist()
     in_corner = _candidates(corner_ring, DecompKind.WEAK_STAR_NIL_CLEAN, None).found.tolist()
     corner_cache = structure(corner_ring)
     for ci, (x, known, inner) in enumerate(zip(embed, in_parent, in_corner)):

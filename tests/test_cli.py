@@ -5,6 +5,7 @@ import hashlib
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import naive
@@ -553,11 +554,22 @@ _PINNED_OUTPUTS = [
     (("dump", "--ring", "M2(Z(2))", "--what", "structure"), "e734015b9ef438cd"),
     (("dump", "--ring", "T2(Z(3))", "--what", "structure"), "77d7ea8d38ba23ea"),
     (("dump", "--ring", "M2(Z(5))", "--what", "structure"), "6a5b71036828db5c"),
+    (("sweep", "--zn", "2..400", "--kinds", "clean,nil-clean,j-clean,weak-nil-clean,weak-j-clean",
+      "--format", "csv"), "f337b657782b5a21"),
+    # the element names of every constructor, and of corners and quotients
+    (("dump", "--ring", "corner(M2(Z(3)),19)", "--what", "structure"), "ad461fc5c247a654"),
+    (("dump", "--ring", "quot(Z(36),[6])", "--what", "structure"), "66b44fe3d307af57"),
+    (("dump", "--ring", "prod(Z(4),Z(9))", "--what", "structure"), "1f533d5e014843bb"),
+    (("dump", "--ring", "eqdiag2(Z(6))", "--what", "structure"), "2a102bd94f15b207"),
+    (("dump", "--ring", "idealize(Z(6),Z(3))", "--what", "structure"), "83201ed45ec230ad"),
+    (("dump", "--ring", "skew(prod(Z(3),Z(3)),swap(1,2),2)", "--what", "structure"),
+     "6759de1332fe90b8"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", _PINNED_OUTPUTS,
-                         ids=[" ".join(argv[:3]) for argv, _ in _PINNED_OUTPUTS])
+                         ids=[" ".join(argv[:3] + (argv[-2:] if "csv" in argv else ()))
+                              for argv, _ in _PINNED_OUTPUTS])
 def test_output_matches_its_pinned_hash(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -603,9 +615,8 @@ def test_classify_json_matches_verdict_to_json(capsys, label):
 def test_classify_json_writes_empty_certificates():
     ring = build_text("Z(6)")
     verdicts = _verdicts(ring)
-    empty = [dataclasses.replace(v, targets=v.targets[:0], idempotents=v.idempotents[:0],
-                                 companions=v.companions[:0], signs=v.signs[:0],
-                                 commutes=v.commutes[:0]) for v in verdicts[6:8]]
+    # the columns are read from the found mask: with none found, there are none
+    empty = [dataclasses.replace(v, found=np.zeros_like(v.found)) for v in verdicts[6:8]]
     mixed = [verdicts[0], *empty, verdicts[-1]]
     assert all(not v.certs for v in empty) and empty[1].s == (0, 1)
     assert _verdicts_json(ring, mixed) == json.dumps(
@@ -645,3 +656,27 @@ def test_certificates_are_built_only_when_read(capsys, certs_made):
     verdict = ring_verdict(ring, DecompKind.WEAK_NIL_CLEAN)
     assert len(certs_made) == 1 and "certs" not in vars(verdict)
     assert verdict.certs[7] == cert and len(certs_made) == 1 + len(verdict.certs)
+
+
+def test_columns_and_names_are_built_only_when_read(capsys):
+    columns = ("targets", "idempotents", "companions", "signs", "commutes")
+    # held across the sweep, so that the sweep's Z(60) memoises on its core; what
+    # other tests memoised on these shared tables is dropped, which changes only
+    # what is computed again
+    z60 = build_text("Z(60)")
+    z60.core.results.clear()
+    assert run_cli(capsys, "sweep", "--zn", "2..60", "--kinds", ALL_KINDS)[0] == 0
+    verdicts = [v for v in z60.core.results.values() if isinstance(v, decomp.RingVerdict)]
+    assert len(verdicts) == len(DecompKind)
+    assert not [name for v in verdicts for name in columns if name in vars(v)]
+    for verdict in verdicts:
+        first = naive.verdict(naive.all_decomps(z60, verdict.kind.value, verdict.s))[2]
+        read = [getattr(verdict, name).tolist() for name in columns]
+        assert dict(zip(read[0], zip(*read[1:]))) == first, verdict.kind
+    ring = build_text("M2(Z(4))")
+    assert "element_names" not in vars(ring)
+    positions = [(i, j) for i in range(2) for j in range(2)]
+    eager = naive.build_matrix_kind(build_text("Z(4)"), 2, positions, False, "M2(Z(4))")
+    assert [ring.name_of(x) for x in ring.elements()] == list(eager.element_names)
+    assert "element_names" not in vars(ring)
+    assert ring.element_names == eager.element_names and "element_names" in vars(ring)

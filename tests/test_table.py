@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import reprlib
 import sys
 import threading
 import tracemalloc
@@ -449,6 +450,14 @@ def test_retained_tables_are_capped_and_released():
     assert all(ref() is None for ref in refs.values())
 
 
+def _referrers(obj) -> str:
+    """The type and a short repr of each object that refers to obj, for a failure message."""
+    if obj is None:
+        return "the object was freed"
+    return "still referred to by: " + "; ".join(
+        f"{type(ref).__name__} {reprlib.repr(ref)}" for ref in gc.get_referrers(obj))
+
+
 def test_threads_share_tables_and_keep_their_own_retention():
     labels = ("Z(12)", "M2(Z(2))", "quot(Z(36),[6])", "corner(M2(Z(3)),1)", "Z(3)")
     kind = DecompKind.WEAK_NIL_CLEAN
@@ -457,10 +466,10 @@ def test_threads_share_tables_and_keep_their_own_retention():
         return cache.unit_mask.tolist(), cache.radical_mask.tolist(), verdict.holds
 
     expected = {}
-    for label in labels:  # the unmemoised bodies, so no memo entry is read
+    for label in labels:  # the unmemoised bodies, so neither result comes from its memo
         ring = build_text(label)
         expected[label] = results(structure.__wrapped__(ring),
-                                  decomp._candidates.__wrapped__(ring, kind, None).verdict)
+                                  decomp._candidates.__wrapped__(ring, kind, None))
     z16 = build_text("Z(16)")
     count = 4
     # tables built nowhere else, one per thread: Z(16) with 15*15 set to 2..5
@@ -504,7 +513,8 @@ def test_threads_share_tables_and_keep_their_own_retention():
             thread.join(timeout=120)
             gc.collect()
             # freed when its thread ends, while the later threads still run
-            assert cores[index]() is None and all(t.is_alive() for t in threads[index + 1:])
+            assert cores[index]() is None and all(t.is_alive() for t in threads[index + 1:]), (
+                _referrers(cores[index]()))
     finally:
         for event in release:
             event.set()
