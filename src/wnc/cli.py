@@ -305,10 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         size_budget()  # a bad WNC_SIZE_BUDGET stops every subcommand before any output
         return args.func(args)
-    except RingError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (RingError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RecursionError:

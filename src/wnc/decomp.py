@@ -13,7 +13,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -80,14 +80,22 @@ class DecompCert:
     commutes: bool
 
 
-class _Table(NamedTuple):
-    """Candidate table of one kind and S: row r is (idems[r], signs[r]), column x is x."""
+@dataclass(frozen=True, eq=False)
+class _Companions:
+    """The companion table of one ring and S: rows 2i and 2i + 1 are (e_i, +) and
+    (e_i, -) for the idempotents e_i ascending, so a row's sign is its parity."""
 
-    idems: np.ndarray
-    signs: np.ndarray  # "+" or "-"
-    comp: np.ndarray  # the companion x - idems[r] (sign +) or x + idems[r] (sign -)
-    ok: np.ndarray  # comp in the kind's pool, commuting with idems[r] where required
-    mul: np.ndarray  # the ring's multiplication, for the commuting flags
+    idems: np.ndarray  # row r's idempotent
+    comp: np.ndarray  # uint16, column x: x - e in row (e, +), x + e in row (e, -)
+    mul: np.ndarray  # the ring's multiplication, never the ring
+
+    @functools.cached_property
+    def commuting(self) -> np.ndarray:
+        """Row r, column x: comp[r, x] commutes with row r's idempotent."""
+        rows = self.idems[:, None]
+        commuting = self.mul[self.comp, rows] == self.mul[rows, self.comp]
+        commuting.flags.writeable = False
+        return commuting
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +104,8 @@ class RingVerdict:
 
     ``found`` is the read-only mask of the elements that decompose.  The
     certificates are columns, one entry per such element in ascending order,
-    each built from the candidate table on first read; ``certs`` builds the
-    certificate objects on first read.
+    each built on first read from ``ok``, the kind's candidate mask over the
+    shared companion table; ``certs`` builds the certificate objects on first read.
     """
 
     kind: DecompKind
@@ -105,7 +113,8 @@ class RingVerdict:
     witness: Optional[ElementId]
     s: Optional[tuple[ElementId, ...]]
     found: np.ndarray
-    table: _Table = field(repr=False)
+    table: _Companions = field(repr=False)
+    ok: np.ndarray = field(repr=False)  # comp in the kind's pool, commuting where required
 
     @functools.cached_property
     def targets(self) -> np.ndarray:
@@ -114,7 +123,7 @@ class RingVerdict:
     @functools.cached_property
     def _rows(self) -> np.ndarray:
         """The table row of each target's first certificate."""
-        return self.table.ok.argmax(axis=0)[self.targets]
+        return self.ok.argmax(axis=0)[self.targets]
 
     @functools.cached_property
     def idempotents(self) -> np.ndarray:
@@ -126,7 +135,7 @@ class RingVerdict:
 
     @functools.cached_property
     def signs(self) -> np.ndarray:
-        return self.table.signs[self._rows]
+        return np.where(self._rows % 2, "-", "+")
 
     @functools.cached_property
     def commutes(self) -> np.ndarray:
@@ -164,67 +173,52 @@ def _first_rows(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
     return cols, ok.argmax(axis=0)[cols], int(missing[0]) if missing.size else None
 
 
-def _fold_signs(table: _Table) -> tuple[np.ndarray, np.ndarray]:
-    """The table's idempotents once each, and row i: the elements x that some
-    sign of idems[i] serves.  A two-sign table runs (e, +), (e, -) per e."""
-    step = len(set(table.signs.tolist()))
-    return table.idems[::step], table.ok.reshape(-1, step, table.ok.shape[1]).any(axis=1)
-
-
-class _Companions(NamedTuple):
-    """Rows (e, +) and (e, -) per idempotent e, ascending: row r's companion of x."""
-
-    idems: np.ndarray
-    signs: np.ndarray
-    comp: np.ndarray  # uint16: x - e in row (e, +), x + e in row (e, -)
+def _fold_signs(verdict: RingVerdict) -> tuple[np.ndarray, np.ndarray]:
+    """The verdict's idempotents once each, and row i: the elements x that some
+    sign of the i-th idempotent serves."""
+    ok = verdict.ok
+    return verdict.table.idems[::2], ok.reshape(-1, 2, ok.shape[1]).any(axis=1)
 
 
 @_memoised_on_tables
 def _companions(ring: RingTable, idems: tuple[ElementId, ...]) -> _Companions:
-    """The companion table that every kind over these idempotents slices its rows from."""
+    """The companion table that every kind over these idempotents reads."""
     rows = np.repeat(np.asarray(idems, dtype=np.intp), 2)
     cols = rows.copy()
     cols[::2] = ring.neg[rows[::2]]
     comp = ring.add.T[cols]
-    comp.flags.writeable = False
-    return _Companions(rows, np.array(["+", "-"] * len(idems)), comp)
-
-
-@_memoised_on_tables
-def _commuting(ring: RingTable, idems: tuple[ElementId, ...]) -> np.ndarray:
-    """Row r, column x: the companion table's entry commutes with row r's idempotent."""
-    rows, _, comp = _companions(ring, idems)
-    return ring.mul[comp, rows[:, None]] == ring.mul[rows[:, None], comp]
+    rows.flags.writeable = comp.flags.writeable = False
+    return _Companions(rows, comp, ring.mul)
 
 
 @_memoised_on_tables
 def _candidates(ring: RingTable, kind: DecompKind,
                 s_tuple: Optional[tuple[ElementId, ...]]) -> RingVerdict:
-    """The memoised verdict of one kind and S, over its candidate table: the rows
-    of the shared companion table that the kind's signs allow."""
+    """The memoised verdict of one kind and S over the shared companion table; a
+    kind that allows only n + e has no candidate in a row (e, -)."""
     cache = structure(ring)
     family, both_signs, need_commute, _ = _KIND_RULES[kind]
-    idems = cache.idempotents if s_tuple is None else s_tuple
-    shared, rows = _companions(ring, idems), slice(None, None, 1 if both_signs else 2)
-    ok = getattr(cache, family)[shared.comp[rows]]
+    table = _companions(ring, cache.idempotents if s_tuple is None else s_tuple)
+    ok = getattr(cache, family)[table.comp]
+    if not both_signs:
+        ok[1::2] = False
     if need_commute:
-        ok &= _commuting(ring, idems)[rows]
+        ok &= table.commuting
     found = ok.any(axis=0)
-    found.flags.writeable = False
+    ok.flags.writeable = found.flags.writeable = False
     witness = int(found.argmin())
     witness = None if found[witness] else witness
-    table = _Table(shared.idems[rows], shared.signs[rows], shared.comp[rows], ok, ring.mul)
-    return RingVerdict(kind, witness is None, witness, s_tuple, found, table)
+    return RingVerdict(kind, witness is None, witness, s_tuple, found, table, ok)
 
 
 def iter_decomps(ring: RingTable, x: ElementId, kind: DecompKind,
                  s: Optional[SetArg] = None) -> Iterator[DecompCert]:
     """All decompositions of x of the given kind, in canonical search order."""
     ring.check_element(x)
-    table = _candidates(ring, kind, _resolve_s(ring, kind, s)).table
-    for r in np.flatnonzero(table.ok[:, x]).tolist():
-        e, c, sign = int(table.idems[r]), int(table.comp[r, x]), str(table.signs[r])
-        yield DecompCert(kind, x, e, c, sign, int(ring.mul[c, e]) == int(ring.mul[e, c]))
+    verdict = _candidates(ring, kind, _resolve_s(ring, kind, s))
+    for r in np.flatnonzero(verdict.ok[:, x]).tolist():
+        e, c = int(verdict.table.idems[r]), int(verdict.table.comp[r, x])
+        yield DecompCert(kind, x, e, c, "+-"[r % 2], int(ring.mul[c, e]) == int(ring.mul[e, c]))
 
 
 def find_decomp(ring: RingTable, x: ElementId, kind: DecompKind,
@@ -309,7 +303,7 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind,
     also decomposes as kind ``also``.  The order is x, then idempotent, then law.
     Assumes a ring, where ann_l(e) = R(1-e) and ann_r(e) = (1-e)R.
     """
-    idems, ok = _fold_signs(_candidates(ring, kind, None).table)
+    idems, ok = _fold_signs(_candidates(ring, kind, None))
     pre = False if also is None else ~_candidates(ring, also, None).found
     zero = ring.mul == ring.zero
     sets = np.packbits(zero.T, axis=1), np.packbits(zero, axis=1)  # row x: ann_l(x), ann_r(x)
@@ -331,7 +325,7 @@ def _rigidity_failure(ring: RingTable) -> Optional[tuple[ElementId, ...]]:
     The S-table is the weak* nil table cut to S's rows, so Idem(R) - {e} suffices
     when every element has a serving idempotent and e is never the only one.
     """
-    idems, serve = _fold_signs(_candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None).table)
+    idems, serve = _fold_signs(_candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None))
     spare = np.ones(len(idems), dtype=bool)
     spare[serve[:, serve.sum(axis=0) == 1].argmax(axis=0)] = False
     if not serve.any(axis=0).all() or not spare.any():

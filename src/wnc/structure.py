@@ -8,6 +8,7 @@ invertibility already implies invertibility, so no side distinction is needed.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -190,7 +191,8 @@ SetArg = Subset | np.ndarray | Iterable[ElementId]  # what _member_mask reads
 def _member_mask(ring: RingTable, members: SetArg,
                  error: type[RingError] = CrossRingError) -> np.ndarray:
     """The read-only mask of a Subset of ring, a bool mask of shape (n,) or ids.  A foreign
-    Subset or mask raises CrossRingError, and ids outside 0..n-1 raise error, naming them."""
+    Subset or mask raises CrossRingError, and a member that is not an integer (by
+    operator.index) or an integer outside 0..n-1 raises error, naming it."""
     if isinstance(members, Subset):
         members._check_ring(ring)
         return members.mask
@@ -199,10 +201,15 @@ def _member_mask(ring: RingTable, members: SetArg,
             raise CrossRingError(f"a mask of shape {members.shape} is no subset of {ring.label}")
         mask = members.copy()
     else:
-        ids = np.fromiter(members, dtype=np.intp)
-        stray = ids[(ids < 0) | (ids >= ring.order)]
-        if stray.size:
-            raise error(f"elements {np.unique(stray).tolist()} are not in {ring.label}")
+        ids = []
+        for member in members:
+            try:
+                ids.append(operator.index(member))
+            except TypeError:
+                raise error(f"{member!r} is not an element id of {ring.label}") from None
+        stray = sorted({i for i in ids if not 0 <= i < ring.order})
+        if stray:
+            raise error(f"elements {stray} are not in {ring.label}")
         mask = np.zeros(ring.order, dtype=bool)
         mask[ids] = True
     mask.flags.writeable = False

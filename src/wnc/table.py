@@ -24,7 +24,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -237,25 +237,8 @@ def _intern(add: np.ndarray, mul: np.ndarray, neg: np.ndarray, zero: int, one: i
     return core
 
 
-def ring_table(
-    order: int,
-    add: Sequence[Sequence[int]] | np.ndarray,
-    mul: Sequence[Sequence[int]] | np.ndarray,
-    neg: Sequence[int] | np.ndarray,
-    zero: int,
-    one: int,
-    label: str,
-    element_names: Optional[Sequence[str]] = None,
-    components: Sequence[RingTable] = (),
-    name_fn: Optional[Callable[[ElementId], str]] = None,
-) -> RingTable:
-    """Validate raw tables and freeze them into a RingTable over their interned core.
-
-    Raises TableFormatError on malformed dimensions or out-of-range entries,
-    and on element_names of the wrong length; names from name_fn are made on
-    first read.  Ring axioms are *not* checked here; see verify_ring_axioms.
-    """
-    return RingTable(order, add, mul, neg, zero, one, label, element_names, components, name_fn)
+# the public name of the constructor, which validates and interns the tables
+ring_table = RingTable
 
 
 AXIOM_NAMES = (

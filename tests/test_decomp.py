@@ -272,6 +272,26 @@ def test_candidate_mask_is_the_decomposable_set(corpus_entries):
     assert checked > len(tables) * len(DecompKind)
 
 
+def test_kinds_share_one_companion_table_and_mask_its_shape(rings):
+    # rows 2i and 2i + 1 are (e_i, +) and (e_i, -): a kind that allows only
+    # n + e has no candidate in an odd row
+    plus_only = {DecompKind.CLEAN, DecompKind.STRONGLY_CLEAN, DecompKind.NIL_CLEAN,
+                 DecompKind.STRONGLY_NIL_CLEAN, DecompKind.J_CLEAN, DecompKind.STRONGLY_J_CLEAN}
+    for label in ("Z(12)", "M2(Z(3))"):
+        ring = rings[label]
+        verdicts = [ring_verdict(ring, kind, zero_one_subset(ring) if kind_takes_subset(kind)
+                                 else None) for kind in DecompKind]
+        assert len({id(v.table) for v in verdicts if v.s is None}) == 1, label
+        for verdict in verdicts:
+            assert verdict.ok.shape == verdict.table.comp.shape, (label, verdict.kind)
+            # shared by every kind and call, so no reader may write them
+            arrays = verdict.ok, verdict.table.idems, verdict.table.comp, verdict.table.commuting
+            assert not any(array.flags.writeable for array in arrays), (label, verdict.kind)
+            if verdict.kind in plus_only:
+                assert not verdict.ok[1::2].any(), (label, verdict.kind)
+        assert any(v.ok[1::2].any() for v in verdicts), label
+
+
 def test_idempotent_lifting_examples(rings):
     z4 = rings["Z(4)"]
     report = lifts_idempotents_weakly(z4, subset(z4, {0, 2}))

@@ -20,7 +20,7 @@ from wnc.decomp import (
     ring_verdict,
     zero_one_subset,
 )
-from wnc.errors import CrossRingError
+from wnc.errors import CrossRingError, InvalidSubsetError
 from wnc.structure import (
     Subset,
     all_ideals,
@@ -520,4 +520,12 @@ def test_set_arguments_of_another_shape_or_ring_are_rejected(rings):
     for read in readers[:3]:
         with pytest.raises(CrossRingError, match=r"elements \[-1, 6\]"):
             read([0, 6, -1, 6])
+    # ids are read by operator.index: no float is truncated, no string parsed,
+    # and an integer past intp is out of range, not an OverflowError
+    errors = [CrossRingError] * 3 + [InvalidSubsetError]
+    for bad, named in (([1.5], r"1\.5"), (["1"], "'1'"), ([0.2, 1.9], r"0\.2"),
+                       ([0, 2**70], rf"elements \[{2**70}\]")):
+        for read, error in zip(readers, errors):
+            with pytest.raises(error, match=named):
+                read(bad)
     assert isinstance(subset(z6, subset(z6, {0, 3})), Subset)
