@@ -80,6 +80,12 @@ class DecompCert:
     commutes: bool
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only: memoised verdicts share it with every equal ring."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class _Companions:
     """The companion table of one ring and S: rows 2i and 2i + 1 are (e_i, +) and
@@ -93,9 +99,7 @@ class _Companions:
     def commuting(self) -> np.ndarray:
         """Row r, column x: comp[r, x] commutes with row r's idempotent."""
         rows = self.idems[:, None]
-        commuting = self.mul[self.comp, rows] == self.mul[rows, self.comp]
-        commuting.flags.writeable = False
-        return commuting
+        return _read_only(self.mul[self.comp, rows] == self.mul[rows, self.comp])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +107,7 @@ class RingVerdict:
     """Ring-level outcome of one decomposition kind, with all certificates.
 
     ``found`` is the read-only mask of the elements that decompose.  The
-    certificates are columns, one entry per such element in ascending order,
+    certificates are read-only columns, one entry per such element in ascending order,
     each built on first read from ``ok``, the kind's candidate mask over the
     shared companion table; ``certs`` builds the certificate objects on first read.
     """
@@ -118,29 +122,29 @@ class RingVerdict:
 
     @functools.cached_property
     def targets(self) -> np.ndarray:
-        return np.flatnonzero(self.found)
+        return _read_only(np.flatnonzero(self.found))
 
     @functools.cached_property
     def _rows(self) -> np.ndarray:
         """The table row of each target's first certificate."""
-        return self.ok.argmax(axis=0)[self.targets]
+        return _read_only(self.ok.argmax(axis=0)[self.targets])
 
     @functools.cached_property
     def idempotents(self) -> np.ndarray:
-        return self.table.idems[self._rows]
+        return _read_only(self.table.idems[self._rows])
 
     @functools.cached_property
     def companions(self) -> np.ndarray:
-        return self.table.comp[self._rows, self.targets]
+        return _read_only(self.table.comp[self._rows, self.targets])
 
     @functools.cached_property
     def signs(self) -> np.ndarray:
-        return np.where(self._rows % 2, "-", "+")
+        return _read_only(np.where(self._rows % 2, "-", "+"))
 
     @functools.cached_property
     def commutes(self) -> np.ndarray:
         mul, es, cs = self.table.mul, self.idempotents, self.companions
-        return mul[cs, es] == mul[es, cs]
+        return _read_only(mul[cs, es] == mul[es, cs])
 
     @functools.cached_property
     def certs(self) -> dict[ElementId, DecompCert]:
@@ -258,26 +262,46 @@ def ring_verdict(ring: RingTable, kind: DecompKind,
     return _candidates(ring, kind, _resolve_s(ring, kind, s))
 
 
-# One certificate of the verdict JSON, at the depth json.dumps([...], indent=2) puts it.
-_CERT_JSON = ('      {\n        "x": %d,\n        "e": %d,\n        "companion": %d,\n'
-              '        "sign": "%s",\n        "commutes": %s\n      }')
+# A verdict and its certificates at the depth json.dumps([...], indent=2) puts them:
+# each certificate is the pieces x, its id, e, its id, companion, its id, and a tail.
+_VERDICT_JSON = ('  {\n    "ring": %s,\n    "kind": "%s",\n%s    "holds": %s,\n'
+                 '    "witness": %s,\n    "certs": %s\n  }')
+_CERT_HEADS = ('      {\n        "x": ', ',\n        "e": ', ',\n        "companion": ')
+# indexed by 2 * (sign is "-") + commutes; each ends with the separator of the next
+_CERT_TAILS = np.array([f',\n        "sign": "{sign}",\n        "commutes": {commutes}\n      }},\n'
+                        for sign in "+-" for commutes in ("false", "true")], dtype=object)
+
+
+def _certs_json(verdict: RingVerdict, ids: np.ndarray) -> str:
+    """The verdict's certificate list, one join over an (m, 7) array of pieces."""
+    if not verdict.targets.size:
+        return "[]"
+    pieces = np.empty((verdict.targets.size, 7), dtype=object)
+    pieces[:, 0:6:2] = _CERT_HEADS
+    pieces[:, 1], pieces[:, 3], pieces[:, 5] = (
+        ids[verdict.targets], ids[verdict.idempotents], ids[verdict.companions])
+    pieces[:, 6] = _CERT_TAILS[verdict._rows % 2 * 2 + verdict.commutes]
+    return f"[\n{''.join(pieces.ravel())[:-2]}\n    ]"
 
 
 def _verdicts_json(ring: RingTable, verdicts: Iterable[RingVerdict]) -> str:
     """json.dumps([verdict_to_json(ring, v) for v in verdicts], indent=2) + "\n",
-    written from the certificate columns without building certificate objects."""
+    written from the certificate columns without building certificate objects.
+
+    Verdicts over one companion table with equal found masks and first rows have
+    equal columns, so each distinct certificate list is written once."""
+    ids = np.array([str(x) for x in range(ring.order)], dtype=object)
+    label = json.dumps(ring.label)
+    lists: dict[tuple, str] = {}
     items = []
     for v in verdicts:
-        head: dict = {"ring": ring.label, "kind": v.kind.value}
-        if v.s is not None:
-            head["s"] = list(v.s)
-        head.update(holds=v.holds, witness=v.witness)
-        head_text = json.dumps(head, indent=2)[:-2].replace("\n", "\n  ")
-        certs = ",\n".join(_CERT_JSON % cert for cert in zip(
-            v.targets.tolist(), v.idempotents.tolist(), v.companions.tolist(),
-            v.signs.tolist(), np.where(v.commutes, "true", "false").tolist()))
-        certs = f"[\n{certs}\n    ]" if certs else "[]"
-        items.append(f'  {head_text},\n    "certs": {certs}\n  }}')
+        key = (v.table, v.found.tobytes(), v._rows.tobytes())
+        if key not in lists:
+            lists[key] = _certs_json(v, ids)
+        s_text = "" if v.s is None else '    "s": [\n%s\n    ],\n' % ",\n".join(
+            f"      {m}" for m in v.s)
+        items.append(_VERDICT_JSON % (label, v.kind.value, s_text, json.dumps(v.holds),
+                                      json.dumps(v.witness), lists[key]))
     return "[\n" + ",\n".join(items) + "\n]\n"
 
 

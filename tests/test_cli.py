@@ -22,6 +22,8 @@ from wnc.decomp import (
     verdict_to_json,
     zero_one_subset,
 )
+from wnc.structure import structure
+from wnc.table import ring_table
 
 ALL_KINDS = ",".join(kind.value for kind in DecompKind)
 
@@ -550,6 +552,11 @@ _PINNED_OUTPUTS = [
      "255e8f555b12af1f"),
     (("classify", "--ring", "idealize(Z(6),self)", "--kinds", ALL_KINDS, "--format", "json"),
      "7b5200440739e43f"),
+    # kinds whose certificate lists are equal share one written list
+    (("classify", "--ring", "idealize(Z(25),self)", "--kinds", ALL_KINDS, "--format", "json"),
+     "c8b04e3dac9bcfb4"),
+    (("classify", "--ring", "eqdiag3(Z(4))", "--kinds", ALL_KINDS, "--format", "json"),
+     "f851418c6d94d7ab"),
     (("dump", "--ring", "Z(12)", "--what", "structure"), "41990c316c3afeea"),
     (("dump", "--ring", "M2(Z(2))", "--what", "structure"), "e734015b9ef438cd"),
     (("dump", "--ring", "T2(Z(3))", "--what", "structure"), "77d7ea8d38ba23ea"),
@@ -599,6 +606,7 @@ def _reference_json(ring, verdict):
 @pytest.mark.parametrize("label", [
     "Z(1)", "Z(6)", "M2(Z(2))", "T2(Z(3))", "idealize(T2(Z(2)),self)",
     "skew(prod(Z(2),Z(2)),swap(1,2),4)",
+    "eqdiag3(Z(4))",  # 13 certificate lists, 2 distinct
 ])
 def test_classify_json_matches_verdict_to_json(capsys, label):
     code, out, _ = run_cli(capsys, "classify", "--ring", label, "--kinds", ALL_KINDS,
@@ -621,6 +629,27 @@ def test_classify_json_writes_empty_certificates():
     assert all(not v.certs for v in empty) and empty[1].s == (0, 1)
     assert _verdicts_json(ring, mixed) == json.dumps(
         [_reference_json(ring, v) for v in mixed], indent=2) + "\n"
+
+
+def _escaped_label():
+    z3 = build_text("Z(3)")
+    ring = ring_table(z3.order, z3.add, z3.mul, z3.neg, z3.zero, z3.one, 'Z "3" \\ \u2124\u2083')
+    return ring, _verdicts(ring)
+
+
+def _long_s():
+    ring = build_text("Z(30)")
+    idems = structure(ring).idempotents
+    assert len(idems) == 8
+    return ring, [ring_verdict(ring, kind, idems) for kind in DecompKind
+                  if kind_takes_subset(kind)]
+
+
+@pytest.mark.parametrize("make", [_escaped_label, _long_s], ids=["escaped-label", "long-s"])
+def test_classify_json_writes_heads_as_json_does(make):
+    ring, verdicts = make()
+    assert _verdicts_json(ring, verdicts) == json.dumps(
+        [_reference_json(ring, v) for v in verdicts], indent=2) + "\n"
 
 
 @pytest.fixture

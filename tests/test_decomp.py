@@ -13,6 +13,7 @@ import naive
 from test_construct import _exprs
 from wnc.construct import build, build_text, corner, order_bound, quotient
 from wnc.decomp import (
+    DecompCert,
     DecompKind,
     _annihilator_failure,
     _candidates,
@@ -290,6 +291,28 @@ def test_kinds_share_one_companion_table_and_mask_its_shape(rings):
             if verdict.kind in plus_only:
                 assert not verdict.ok[1::2].any(), (label, verdict.kind)
         assert any(v.ok[1::2].any() for v in verdicts), label
+
+
+def test_certificate_columns_are_read_only(rings):
+    # the memoised verdict is shared by every equal ring: a write to a column
+    # would change the certificates of a Z(6) built later
+    verdict = ring_verdict(rings["Z(6)"], DecompKind.WEAK_NIL_CLEAN)
+    assert (verdict.targets[0], verdict.idempotents[0], verdict.companions[0]) == (0, 0, 0)
+    writes = {"targets": 3, "_rows": 1, "idempotents": 3, "companions": 3, "signs": "-",
+              "commutes": False}
+    refused = []
+    for name, value in writes.items():
+        try:
+            getattr(verdict, name)[0] = value
+        except ValueError as error:
+            assert "read-only" in str(error)
+            refused.append(name)
+    fresh = build_text("Z(6)")
+    payload = verdict_to_json(fresh, ring_verdict(fresh, DecompKind.WEAK_NIL_CLEAN))
+    certs = [DecompCert(DecompKind.WEAK_NIL_CLEAN, c["x"], c["e"], c["companion"], c["sign"],
+                        c["commutes"]) for c in payload["certs"]]
+    assert len(certs) == 6 and all(cert_is_valid(fresh, cert) for cert in certs)
+    assert refused == list(writes)
 
 
 def test_idempotent_lifting_examples(rings):
