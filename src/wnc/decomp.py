@@ -13,6 +13,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -109,7 +110,7 @@ class RingVerdict:
     ``found`` is the read-only mask of the elements that decompose.  The
     certificates are read-only columns, one entry per such element in ascending order,
     each built on first read from ``ok``, the kind's candidate mask over the
-    shared companion table; ``certs`` builds the certificate objects on first read.
+    shared companion table; ``certs``, a read-only mapping, is built on first read.
     """
 
     kind: DecompKind
@@ -147,10 +148,10 @@ class RingVerdict:
         return _read_only(mul[cs, es] == mul[es, cs])
 
     @functools.cached_property
-    def certs(self) -> dict[ElementId, DecompCert]:
+    def certs(self) -> MappingProxyType[ElementId, DecompCert]:
         columns = zip(self.targets.tolist(), self.idempotents.tolist(),
                       self.companions.tolist(), self.signs.tolist(), self.commutes.tolist())
-        return {row[0]: DecompCert(self.kind, *row) for row in columns}
+        return MappingProxyType({row[0]: DecompCert(self.kind, *row) for row in columns})
 
 
 def _resolve_s(ring: RingTable, kind: DecompKind,

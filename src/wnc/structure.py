@@ -297,33 +297,32 @@ def _ideal_masks(ring: RingTable) -> np.ndarray:
     union of the rows yR, y in R*x.  Elements with the same row R*x share
     it, so it is gathered and spanned once per distinct row.  Both masks
     come from _multiples, once per call each.
-    The lattice then grows by joining each newly found ideal with each
-    principal ideal, I + P being the set of sums add[I, P], which is already
-    an ideal.  This is complete: every ideal is the sum of the principal
-    ideals of its members, so it is reached by adding principal ideals one at
-    a time.
+    The lattice then grows in one pass over the distinct principal ideals,
+    smallest first, I + P being the set of sums add[I, P], which is already an
+    ideal.  After P_1..P_j it holds every sum of some of them, so a P already
+    in it is such a sum and is skipped; any other is joined with each ideal
+    found so far and then added.  Every ideal is the sum of the principal
+    ideals of its members, so all are found.  A pair where one ideal holds the
+    other is not joined: on a ring the sum is the larger one, and on a table
+    that is not a ring add[I, P] can be neither, a set the skip keeps out.
     """
     lefts = {row.tobytes(): row for row in _multiples(ring, "left")}
     right = _multiples(ring, "right")
     spans = (_additive_span(ring, right[left].any(axis=0))[0] for left in lefts.values())
     principal = {ideal.tobytes(): ideal for ideal in spans}
     del lefts, right  # the joins read neither n x n mask
-    ideals = dict(principal)
-    frontier = list(principal.values())
-    while frontier:
-        found = []
-        for ideal in frontier:
-            i = np.flatnonzero(ideal)
-            for p in principal.values():
-                if ideal[p].all() or p[i].all():
-                    continue
-                total = np.zeros_like(ideal)
-                total[ring.add[np.ix_(i, np.flatnonzero(p))]] = True
-                key = total.tobytes()
-                if key not in ideals:
-                    ideals[key] = total
-                    found.append(total)
-        frontier = found
+    ideals = {}
+    for key, p in sorted(principal.items(), key=lambda item: np.count_nonzero(item[1])):
+        if key in ideals:
+            continue
+        q = np.flatnonzero(p)
+        for ideal in list(ideals.values()):
+            if ideal[q].all() or p[ideal].all():
+                continue
+            total = np.zeros_like(ideal)
+            total[ring.add[np.ix_(np.flatnonzero(ideal), q)]] = True
+            ideals.setdefault(total.tobytes(), total)
+        ideals[key] = p
     # of two member lists of one size, the first in order is the one that holds
     # the first element where the masks differ: the one whose inverted mask is less
     masks = np.array(sorted(ideals.values(), key=lambda m: (np.count_nonzero(m), (~m).tobytes())))

@@ -307,10 +307,14 @@ def test_certificate_columns_are_read_only(rings):
         except ValueError as error:
             assert "read-only" in str(error)
             refused.append(name)
+    with pytest.raises(TypeError):
+        verdict.certs[0] = dataclasses.replace(verdict.certs[0], companion=3)
     fresh = build_text("Z(6)")
     payload = verdict_to_json(fresh, ring_verdict(fresh, DecompKind.WEAK_NIL_CLEAN))
     certs = [DecompCert(DecompKind.WEAK_NIL_CLEAN, c["x"], c["e"], c["companion"], c["sign"],
                         c["commutes"]) for c in payload["certs"]]
+    assert len(certs) == 6 and all(cert_is_valid(fresh, cert) for cert in certs)
+    certs = ring_verdict(fresh, DecompKind.WEAK_NIL_CLEAN).certs.values()
     assert len(certs) == 6 and all(cert_is_valid(fresh, cert) for cert in certs)
     assert refused == list(writes)
 

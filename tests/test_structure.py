@@ -346,10 +346,14 @@ def _flags(handle):
 
 
 def test_all_ideals_match_oracle(oracle_rings):
-    # T2(Z(4)) (14 ideals) and Z(2)^7 (128 ideals) need joins as well
-    extra = ["T2(Z(4))", "prod(Z(2),Z(2),Z(2),Z(2),Z(2),Z(2),Z(2))"]
-    for ring in [*oracle_rings, *map(build_text, extra)]:
+    # T2(Z(4)) (14 ideals) and Z(2)^7 (128 ideals) need joins as well; in the
+    # non-commutative T2(Z(6)) (25 ideals) and T3(Z(2)) (14) many principal
+    # ideals are sums of smaller ones
+    extra = ["T2(Z(4))", "prod(Z(2),Z(2),Z(2),Z(2),Z(2),Z(2),Z(2))", "T2(Z(6))", "T3(Z(2))"]
+    rings = [*oracle_rings, *map(build_text, extra)]
+    for ring in rings:
         assert all_ideals(ring) == naive.all_ideals(ring), ring.label
+    assert [len(all_ideals(ring)) for ring in rings[-2:]] == [25, 14]
 
 
 @pytest.mark.parametrize("label, ideal_count", [("M2(Z(5))", 2), ("Z(2000)", 20)])

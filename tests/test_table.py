@@ -310,6 +310,22 @@ def test_cheap_test_failures_get_the_full_scan_report(rings):
                 assert verify_ring_axioms(bad) == naive.axiom_report(bad), (bad.label, x, v)
 
 
+def test_span_short_of_the_table_gets_the_full_scan_report():
+    # + is commutative with identity 0 and inverses, and 1 is a unity, but 1 + 2 = 2
+    # and 2 + 2 = 1 keep the span of {1, 2} at {0, 1, 2}: the proof stops there
+    add = [[0, 1, 2, 3], [1, 0, 2, 1], [2, 2, 1, 0], [3, 1, 0, 2]]
+    mul = np.zeros((4, 4), dtype=np.int64)
+    mul[1], mul[:, 1] = np.arange(4), np.arange(4)
+    bad = ring_table(4, add, mul, [0, 1, 3, 2], 0, 1, "short-span")
+    span, _ = wnc.table._additive_span(bad, np.ones(4, dtype=bool))
+    assert span.tolist() == [True, True, True, False]
+    report = verify_ring_axioms(bad)
+    assert report == naive.axiom_report(bad)
+    assert report.failures() == [("add-associative", (1, 1, 3)),
+                                 ("left-distributive", (2, 1, 1)),
+                                 ("right-distributive", (1, 1, 2))]
+
+
 # --- interned tables ------------------------------------------------------------
 
 
