@@ -19,11 +19,12 @@ from .construct import (
     Prod,
     RingExpr,
     Zn,
+    _coset_labels,
+    _ideal_members,
     build,
     corner,
     expr_label,
     parse_ring_expr,
-    quotient,
 )
 from .decomp import (
     DecompKind,
@@ -35,8 +36,14 @@ from .decomp import (
     ring_verdict,
 )
 from .errors import CapacityError, RingError
-from .structure import _known_ideal, all_ideals, maximal_ideals, structure, subset
-from .table import RingTable, verify_ring_axioms
+from .structure import _ideal_masks, maximal_ideals, structure, subset
+from .table import (
+    ROW_BLOCK_ENTRIES,
+    RingTable,
+    _first_true,
+    _memoised_on_tables,
+    verify_ring_axioms,
+)
 
 
 def _holds(ring: RingTable, kind: DecompKind, s=None) -> bool:
@@ -82,15 +89,52 @@ def check_J_subset_Nil(ring: RingTable) -> tuple[bool, Optional[str]]:
     return True, None
 
 
-def check_quotient_preservation(ring: RingTable, ideal) -> tuple[bool, Optional[str]]:
-    """R/I stays weak nil clean."""
-    quot, _ = quotient(ring, ideal)
-    verdict = ring_verdict(quot, DecompKind.WEAK_NIL_CLEAN)
-    if not verdict.holds:
-        return False, (
-            f"quotient by {list(ideal.sorted_members())} fails at element {verdict.witness}"
-        )
+def _quotient_witness(ring: RingTable, mask: np.ndarray) -> Optional[int]:
+    """ring_verdict(quotient(ring, I)[0], WEAK_NIL_CLEAN).witness for the ideal I that
+    mask marks, decided on the coset labels of construct._coset_labels without
+    building R/I; memoised on the tables, keyed by the mask's bytes."""
+    return _coset_witness(ring, mask.tobytes())
+
+
+@_memoised_on_tables
+def _coset_witness(ring: RingTable, mask_bytes: bytes) -> Optional[int]:
+    """The least coset, by representative, that is no n + e or n - e for a nilpotent
+    coset n and an idempotent coset e, as its index in R/I; None when there is none.
+
+    A coset is named by its least element r (rep_of[r] == r), and the product and sum
+    of cosets are the labels of the products and sums of their names.  In a ring a
+    nilpotent's index is at most K = |R/I|.bit_length(), the bound structure()
+    applies to R/I, so r is nilpotent when r**(2**t) is the zero coset for any
+    2**t >= K: r squared t times.  The sums N + E and N - E are gathered in row
+    blocks of N.
+    """
+    rep_of = _coset_labels(ring, np.flatnonzero(np.frombuffer(mask_bytes, dtype=bool)))
+    reps = np.flatnonzero(rep_of == np.arange(ring.order))
+    power = rep_of[ring.mul[reps, reps]]
+    idems = reps[power == reps]
+    for _ in range(1, (len(reps).bit_length() - 1).bit_length()):
+        power = rep_of[ring.mul[power, power]]
+    nils = reps[power == rep_of[ring.zero], None]
+    signed = np.concatenate([idems, ring.neg[idems]])
+    found = np.zeros(ring.order, dtype=bool)
+    rows = max(1, ROW_BLOCK_ENTRIES // max(1, len(signed)))
+    for r0 in range(0, len(nils), rows):
+        found[rep_of[ring.add[nils[r0:r0 + rows], signed]]] = True
+    missing = np.flatnonzero(~found[reps])
+    return int(missing[0]) if missing.size else None
+
+
+def _quotient_outcome(ring: RingTable, mask: np.ndarray) -> tuple[bool, Optional[str]]:
+    witness = _quotient_witness(ring, mask)
+    if witness is not None:
+        return False, f"quotient by {np.flatnonzero(mask).tolist()} fails at element {witness}"
     return True, None
+
+
+def check_quotient_preservation(ring: RingTable, ideal) -> tuple[bool, Optional[str]]:
+    """R/I stays weak nil clean, decided on the coset labels without building R/I."""
+    _ideal_members(ring, ideal)  # refuses what quotient() refuses
+    return _quotient_outcome(ring, ideal.mask)
 
 
 def check_product_theorem(product_ring: RingTable,
@@ -109,13 +153,13 @@ def check_product_theorem(product_ring: RingTable,
 
 def check_nilradical_quotient(ring: RingTable) -> tuple[bool, Optional[str]]:
     """R weak nil clean iff R/Nil(R) is, given classical idempotent lifting.  Assumes a
-    ring: idempotents lift modulo every nil ideal, so lifting is not tested."""
-    nil = subset(ring, structure(ring).nil_mask)
-    if not nil.is_two_sided_ideal:
+    ring: idempotents lift modulo every nil ideal, so lifting is not tested.  R/Nil(R)
+    is decided on the coset labels, as the quotient-image check decides R/I."""
+    nil = structure(ring).nil_mask
+    if not subset(ring, nil).is_two_sided_ideal:
         return False, "nilpotent set is not an ideal"
-    quot, _ = quotient(ring, nil)
     r_weak = _weak_nil_clean(ring)
-    q_weak = _weak_nil_clean(quot)
+    q_weak = _quotient_witness(ring, nil) is None
     if r_weak and not q_weak:
         return False, "ring is weak nil clean but its nil-radical quotient is not"
     if q_weak and not r_weak:
@@ -169,37 +213,80 @@ def check_annihilator_lemmas(ring: RingTable) -> tuple[bool, Optional[str]]:
     return True, None
 
 
+_CORNER_LAWS = (
+    "decomposable in R is {known}, in fRf is {inner}",
+    "fnf={fnf} is not nilpotent in the corner",
+    "fef={fef} is not idempotent in the corner",
+    "conjugated parts do not commute",
+    "conjugated certificate does not recompose",
+)
+
+
+def _corner_pass(ring: RingTable, fs: Sequence[int]) -> tuple[bool, Optional[str]]:
+    """The first failure of the corner check at each f of fs in turn, on an
+    (idempotent f, element x) grid in R's ids, read in row blocks of
+    ROW_BLOCK_ENTRIES entries; the pass stops at the first block that fails.
+
+    Each corner fRf is built, and its weak* verdict and nil mask are read at
+    its members.  Where x decomposes in R, its first certificate (n, e, sign)
+    is conjugated to fnf and fef, and idempotency, commuting and recomposition
+    are read in R's tables: _restrict copies them into the corner unchanged,
+    renaming the members in order.  An f whose corner cannot be built ends the
+    pass, and its error is raised when no earlier f fails.
+    """
+    n, add, mul = ring.order, ring.add, ring.mul
+    parent = _candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None)
+    known = parent.found
+    # the first certificate of each x that decomposes in R; 0 elsewhere, masked out below
+    comp, idem = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    minus = np.zeros(n, dtype=bool)
+    comp[parent.targets], idem[parent.targets] = parent.companions, parent.idempotents
+    minus[parent.targets] = parent.signs == "-"
+    xs = np.arange(n)
+    rows = max(1, ROW_BLOCK_ENTRIES // n)
+    for r0 in range(0, len(fs), rows):
+        corners, error = [], None
+        for f in fs[r0:r0 + rows]:
+            try:
+                corners.append((f, *corner(ring, f)))
+            except RingError as exc:
+                error = exc
+                break
+        f_col = np.array([f for f, _, _ in corners], dtype=np.intp)[:, None]
+        in_corner, inner, nil = (np.zeros((len(corners), n), dtype=bool) for _ in range(3))
+        for i, (_, sub, embed) in enumerate(corners):
+            in_corner[i, embed] = True
+            inner[i, embed] = _candidates(sub, DecompKind.WEAK_STAR_NIL_CLEAN, None).found
+            nil[i, embed] = structure(sub).nil_mask
+        fnf = mul[f_col, mul[comp, f_col]]
+        fef = mul[f_col, mul[idem, f_col]]
+        back = np.where(minus, ring.neg[fef], fef)
+        active = in_corner & known
+        hit = _first_true(np.stack([
+            in_corner & (known != inner),
+            active & ~np.take_along_axis(nil, fnf, axis=1),
+            active & (mul[fef, fef] != fef),
+            active & (mul[fnf, fef] != mul[fef, fnf]),
+            active & (add[fnf, back] != xs),
+        ], axis=-1))
+        if hit is not None:
+            i, x, law = hit
+            f = corners[i][0]
+            return False, f"f={f}, x={x}: " + _CORNER_LAWS[law].format(
+                known=bool(known[x]), inner=bool(inner[i, x]), fnf=int(fnf[i, x]),
+                fef=int(fef[i, x]))
+        if error is not None:
+            raise error
+    return True, None
+
+
 def check_corner_theorem(ring: RingTable, f: int) -> tuple[bool, Optional[str]]:
     """Commuting nil decomposability in R and in fRf agree on fRf.
 
     When an element decomposes in R, the conjugated certificate (fnf, fef)
-    must re-validate inside the corner ring.
+    must re-validate inside the corner ring.  See _corner_pass.
     """
-    corner_ring, embed = corner(ring, f)
-    to_corner = {x: i for i, x in enumerate(embed)}
-    parent = _candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None)
-    in_parent = parent.found[list(embed)].tolist()
-    in_corner = _candidates(corner_ring, DecompKind.WEAK_STAR_NIL_CLEAN, None).found.tolist()
-    corner_cache = structure(corner_ring)
-    for ci, (x, known, inner) in enumerate(zip(embed, in_parent, in_corner)):
-        if known != inner:
-            return False, f"f={f}, x={x}: decomposable in R is {known}, in fRf is {inner}"
-        if not known:
-            continue
-        r = int(parent.targets.searchsorted(x))
-        fnf = int(ring.mul[f, ring.mul[parent.companions[r], f]])
-        fef = int(ring.mul[f, ring.mul[parent.idempotents[r], f]])
-        cn, ce = to_corner[fnf], to_corner[fef]
-        if not corner_cache.nil_mask[cn]:
-            return False, f"f={f}, x={x}: fnf={fnf} is not nilpotent in the corner"
-        if int(corner_ring.mul[ce, ce]) != ce:
-            return False, f"f={f}, x={x}: fef={fef} is not idempotent in the corner"
-        if int(corner_ring.mul[cn, ce]) != int(corner_ring.mul[ce, cn]):
-            return False, f"f={f}, x={x}: conjugated parts do not commute"
-        back = ce if parent.signs[r] == "+" else corner_ring.neg[ce]
-        if int(corner_ring.add[cn, back]) != ci:
-            return False, f"f={f}, x={x}: conjugated certificate does not recompose"
-    return True, None
+    return _corner_pass(ring, [f])
 
 
 def check_S_unique_maximal(ring: RingTable) -> tuple[bool, Optional[str]]:
@@ -377,10 +464,9 @@ def _applicable_weak(entry: CorpusEntry) -> bool:
 
 
 def _run_quotient_image(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
-    # the runner has proved the axioms, and all_ideals finds two-sided ideals only
+    # the runner has proved the axioms, and _ideal_masks finds two-sided ideals only
     ring = entry.ring
-    return _first_failure(check_quotient_preservation(ring, _known_ideal(ring, k))
-                          for k in range(len(all_ideals(ring))))
+    return _first_failure(_quotient_outcome(ring, mask) for mask in _ideal_masks(ring))
 
 
 def _run_zn(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
@@ -389,8 +475,7 @@ def _run_zn(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
 
 
 def _run_corner(entry: CorpusEntry) -> tuple[bool, Optional[str]]:
-    return _first_failure(check_corner_theorem(entry.ring, f)
-                          for f in structure(entry.ring).idempotents)
+    return _corner_pass(entry.ring, structure(entry.ring).idempotents)
 
 
 def _run_rigidity(entry: CorpusEntry) -> tuple[bool, Optional[str]]:

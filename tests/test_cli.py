@@ -583,6 +583,17 @@ def test_output_matches_its_pinned_hash(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+def test_verify_mid_output_matches_its_pinned_hash(capsys, tmp_path):
+    # the benchmark's four commutative rings of order 128-180, read from a corpus file
+    corpus = tmp_path / "mid_corpus.txt"
+    corpus.write_text("Z(128)\nZ(144)\nidealize(Z(12),self)\nprod(Z(4),Z(9),Z(5))\n",
+                      encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--checks", "all",
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "caa8e524bb833fa9"
+
+
 def _verdicts(ring):
     return [ring_verdict(ring, kind, zero_one_subset(ring) if kind_takes_subset(kind) else None)
             for kind in DecompKind]

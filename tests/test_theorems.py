@@ -1,6 +1,7 @@
 """Individual theorem checks, the suite runner and the default corpus."""
 
 import gc
+import itertools
 import re
 import weakref
 from collections import Counter
@@ -15,8 +16,8 @@ import wnc.table
 import wnc.theorems as theorems
 from wnc.construct import build_text
 from wnc.decomp import DecompKind, ring_verdict, zero_one_subset
-from wnc.structure import ideal_generated_by, structure, subset
-from wnc.table import ROW_BLOCK_ENTRIES, ring_table
+from wnc.structure import _ideal_masks, all_ideals, ideal_generated_by, structure, subset
+from wnc.table import ROW_BLOCK_ENTRIES, ring_table, verify_ring_axioms
 from wnc.theorems import (
     CorpusEntry,
     check_J_subset_Nil,
@@ -66,6 +67,27 @@ def test_quotient_preservation(rings):
     assert check_quotient_preservation(z6, subset(z6, {0})) == (True, None)
     z36 = build_text("Z(36)")
     assert check_quotient_preservation(z36, ideal_generated_by(z36, (4,))) == (True, None)
+
+
+# one ring of order 256-625 from each loop-built constructor, as the benchmark
+# classifies them, and the Boolean ring F_2^6 with its 64 ideals
+_LARGE_RINGS = ("M2(Z(4))", "T2(Z(7))", "eqdiag3(Z(4))", "idealize(Z(25),self)",
+                "skew(prod(Z(2),Z(2)),swap(1,2),4)", "idealize(T2(Z(2)),self)",
+                "prod(" + ",".join(["Z(2)"] * 6) + ")")
+
+
+def test_quotient_witness_matches_the_quotient_ring(corpus_entries):
+    rings = [entry.ring for entry in corpus_entries] + [build_text(t) for t in _LARGE_RINGS]
+    witnesses = Counter()
+    for ring in rings:
+        for mask in _ideal_masks(ring):
+            quot = construct.quotient(ring, subset(ring, mask))[0]
+            witness = theorems._quotient_witness(ring, mask)
+            assert witness == ring_verdict(quot, DecompKind.WEAK_NIL_CLEAN).witness, (
+                ring.label, np.flatnonzero(mask).tolist())
+            witnesses[witness is None] += 1
+    # both outcomes occur: some quotient of a ring that is not weak nil clean fails
+    assert witnesses[True] > 0 and witnesses[False] > 0, witnesses
 
 
 def test_product_theorem_cases(rings):
@@ -200,6 +222,11 @@ def _library_pools(ring):
     return {"nil": cache.nilpotents, "unit": cache.units, "radical": cache.radical}
 
 
+def _per_idempotent_corners(ring):
+    return theorems._first_failure(check_corner_theorem(ring, f)
+                                   for f in structure(ring).idempotents)
+
+
 def _check_against_oracles(ring, messages, pools_of=None):
     """Rigidity and corner checks give the oracles' outcomes; record failure messages."""
     rigidity = _outcome(theorems._run_rigidity, CorpusEntry(ring.label, ring.label, None, ring))
@@ -209,6 +236,10 @@ def _check_against_oracles(ring, messages, pools_of=None):
         corner = _outcome(check_corner_theorem, ring, f)
         assert corner == _outcome(naive.corner_theorem, ring, f, pools_of), (ring.label, f)
         messages.add(("corner", corner))
+    if verify_ring_axioms(ring).passed:
+        # the one pass over every idempotent stops where the checks one f at a time do
+        entry = CorpusEntry(ring.label, ring.label, None, ring)
+        assert theorems._run_corner(entry) == _per_idempotent_corners(ring), ring.label
     bundle = _outcome(check_weak_jclean_suite, ring)
     if naive.annihilator_failure(ring, "weak-star-j-clean", 2, "strongly-clean") is not None:
         assert bundle[1].startswith(("(a)", "(b)")), ring.label
@@ -247,6 +278,31 @@ def test_rigidity_and_corner_checks_match_loop_oracles(corpus_entries):
     shapes = {re.sub(r"\d+|True|False", "#", witness.split(": ", 1)[-1])
               for check, witness in failures if check == "corner"}
     assert len(shapes) >= 3, shapes
+
+
+def test_corner_pass_does_not_depend_on_the_row_blocks(monkeypatch, corpus_entries):
+    tables = [entry.ring for entry in corpus_entries]
+    tables += [build_text(text) for text in ("prod(Z(2),Z(2),Z(2))", "M2(Z(4))")]
+    tables += [*naive.corruptions(build_text("Z(4)")), *naive.corruptions(build_text("T2(Z(2))"))]
+    outcomes = Counter()
+    for ring in tables:
+        # each f alone is one row, whatever the blocks
+        expected = _outcome(_per_idempotent_corners, ring)
+        entry = CorpusEntry(ring.label, ring.label, None, ring)
+        count = len(structure(ring).idempotents)
+        for rows in (1, 3, count):  # one row a block, a few rows, every row
+            monkeypatch.setattr(theorems, "ROW_BLOCK_ENTRIES", rows * ring.order)
+            assert _outcome(theorems._run_corner, entry) == expected, (rows, ring.label)
+        monkeypatch.undo()
+        if isinstance(expected, type):
+            outcomes["error"] += 1
+        elif expected[0]:
+            outcomes["pass"] += 1
+        else:
+            f = int(re.match(r"f=(\d+)", expected[1]).group(1))
+            outcomes["first f" if f == structure(ring).idempotents[0] else "later f"] += 1
+    # corruptions fail at the first idempotent, at a later one, and in a corner build
+    assert set(outcomes) == {"pass", "first f", "later f", "error"}, outcomes
 
 
 def test_weakstar_exchange(rings):
@@ -388,6 +444,21 @@ def test_sub_rings_are_built_under_the_suite_budget(monkeypatch):
     assert outcomes[("prod(Z(6),Z(1))", "thm-finite-product")] == "pass"
     assert outcomes[("idealize(Z(6),self)", "thm-idealization")] == "pass"
     assert set(outcomes.values()) == {"pass", "not-applicable"}
+
+
+def test_table_with_an_inexact_lattice_is_one_build_error():
+    # the ideal lattice is exact on ring tables only: here it differs from the
+    # subsets that subset() flags as two-sided ideals
+    z4 = build_text("Z(4)")
+    add = np.array(z4.add)
+    add[0, 0] = 1
+    broken = ring_table(4, add, z4.mul, z4.neg, 0, 1, "Z(4)-add[0,0]=1")
+    flagged = [members for k in range(5) for members in itertools.combinations(range(4), k)
+               if subset(broken, members).is_two_sided_ideal]
+    assert sorted(map(sorted, all_ideals(broken))) != sorted(map(list, flagged))
+    cells = run_suite([CorpusEntry(broken.label, broken.label, None, broken)])
+    assert [(cell["check_id"], cell["outcome"]) for cell in cells] == [("build", "error")]
+    assert cells[0]["witness"].startswith("axiom ")
 
 
 def test_corrupted_table_surfaces_as_build_error(rings):
