@@ -619,15 +619,19 @@ def _restrict(ring: RingTable, keep: np.ndarray, relabel: np.ndarray, one: int,
                       name_fn=name_fn)
 
 
+def _check_idempotent(ring: RingTable, f: int) -> None:
+    """Refuse an f that is no element id of ring, or no idempotent of it."""
+    ring.check_element(f)
+    if int(ring.mul[f, f]) != f:
+        raise InvalidIdempotentError(f"element {f} of {ring.label} is not idempotent")
+
+
 @_memoised
 def corner(ring: RingTable, f: int) -> tuple[RingTable, tuple[int, ...]]:
     """Corner ring fRf with unity f, plus the embedding of its ids back into R."""
-    ring.check_element(f)
-    mul = ring.mul
-    if int(mul[f, f]) != f:
-        raise InvalidIdempotentError(f"element {f} of {ring.label} is not idempotent")
+    _check_idempotent(ring, f)
     mask = np.zeros(ring.order, dtype=bool)
-    mask[mul[f, mul[:, f]]] = True
+    mask[ring.mul[f, ring.mul[:, f]]] = True
     members = np.flatnonzero(mask)
     table = _restrict(ring, members, np.cumsum(mask) - 1, f, f"corner({ring.label},{f})", "{}")
     return table, tuple(members.tolist())

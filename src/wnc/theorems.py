@@ -19,10 +19,10 @@ from .construct import (
     Prod,
     RingExpr,
     Zn,
+    _check_idempotent,
     _coset_labels,
     _ideal_members,
     build,
-    corner,
     expr_label,
     parse_ring_expr,
 )
@@ -30,6 +30,7 @@ from .decomp import (
     DecompKind,
     _annihilator_failure,
     _candidates,
+    _fold_signs,
     _rigidity_failure,
     is_exchange,
     is_strongly_pi_regular,
@@ -222,61 +223,55 @@ _CORNER_LAWS = (
 )
 
 
-def _corner_pass(ring: RingTable, fs: Sequence[int]) -> tuple[bool, Optional[str]]:
-    """The first failure of the corner check at each f of fs in turn, on an
-    (idempotent f, element x) grid in R's ids, read in row blocks of
-    ROW_BLOCK_ENTRIES entries; the pass stops at the first block that fails.
+def _corner_grids(ring: RingTable, kind: DecompKind, fs: Sequence[int]):
+    """Per row block of fs, ROW_BLOCK_ENTRIES entries: the f column, in_corner (x is
+    in fRf) and inner (some candidate pair (g, x) of the kind has g in fRf), in R's ids.
+    Assumes a ring, where fRf has R's + and . and unity f, so its idempotents,
+    nilpotents and radical are R's in fRf (Lam, First Course, section 21), and so are
+    its pairs, the nonzeros of the kind's folded candidate mask: x -+ g is in fRf."""
+    idems, serve = _fold_signs(_candidates(ring, kind, None))
+    pair_x, pair_g = np.nonzero(serve.T)  # x ascending: one run of pairs per x
+    targets, starts = np.unique(pair_x, return_index=True)
+    xs, gs = np.arange(ring.order), idems[pair_g]
+    rows = max(1, ROW_BLOCK_ENTRIES // ring.order)
+    for r0 in range(0, len(fs), rows):
+        f_col = np.asarray(fs[r0:r0 + rows], dtype=np.intp)[:, None]
+        in_corner = ring.mul[f_col, ring.mul[xs, f_col]] == xs
+        inner = np.zeros_like(in_corner)
+        inner[:, targets] = np.logical_or.reduceat(in_corner[:, gs], starts, axis=1)
+        yield f_col, in_corner, inner
 
-    Each corner fRf is built, and its weak* verdict and nil mask are read at
-    its members.  Where x decomposes in R, its first certificate (n, e, sign)
-    is conjugated to fnf and fef, and idempotency, commuting and recomposition
-    are read in R's tables: _restrict copies them into the corner unchanged,
-    renaming the members in order.  An f whose corner cannot be built ends the
-    pass, and its error is raised when no earlier f fails.
-    """
+
+def _corner_pass(ring: RingTable, fs: Sequence[int]) -> tuple[bool, Optional[str]]:
+    """The first failure of the corner check at each f of fs in turn, read off the
+    blocks of _corner_grids, so it assumes a ring.  Where x decomposes in R, its
+    first certificate (n, e, sign) is conjugated to fnf and fef, and nilpotency,
+    idempotency, commuting and recomposition are read in R's tables and nil mask."""
     n, add, mul = ring.order, ring.add, ring.mul
     parent = _candidates(ring, DecompKind.WEAK_STAR_NIL_CLEAN, None)
-    known = parent.found
+    known, nil = parent.found, structure(ring).nil_mask
     # the first certificate of each x that decomposes in R; 0 elsewhere, masked out below
-    comp, idem = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-    minus = np.zeros(n, dtype=bool)
+    comp, idem, minus = np.zeros((3, n), dtype=np.intp)
     comp[parent.targets], idem[parent.targets] = parent.companions, parent.idempotents
     minus[parent.targets] = parent.signs == "-"
     xs = np.arange(n)
-    rows = max(1, ROW_BLOCK_ENTRIES // n)
-    for r0 in range(0, len(fs), rows):
-        corners, error = [], None
-        for f in fs[r0:r0 + rows]:
-            try:
-                corners.append((f, *corner(ring, f)))
-            except RingError as exc:
-                error = exc
-                break
-        f_col = np.array([f for f, _, _ in corners], dtype=np.intp)[:, None]
-        in_corner, inner, nil = (np.zeros((len(corners), n), dtype=bool) for _ in range(3))
-        for i, (_, sub, embed) in enumerate(corners):
-            in_corner[i, embed] = True
-            inner[i, embed] = _candidates(sub, DecompKind.WEAK_STAR_NIL_CLEAN, None).found
-            nil[i, embed] = structure(sub).nil_mask
+    for f_col, in_corner, inner in _corner_grids(ring, DecompKind.WEAK_STAR_NIL_CLEAN, fs):
         fnf = mul[f_col, mul[comp, f_col]]
         fef = mul[f_col, mul[idem, f_col]]
         back = np.where(minus, ring.neg[fef], fef)
         active = in_corner & known
         hit = _first_true(np.stack([
             in_corner & (known != inner),
-            active & ~np.take_along_axis(nil, fnf, axis=1),
+            active & ~nil[fnf],
             active & (mul[fef, fef] != fef),
             active & (mul[fnf, fef] != mul[fef, fnf]),
             active & (add[fnf, back] != xs),
         ], axis=-1))
         if hit is not None:
             i, x, law = hit
-            f = corners[i][0]
-            return False, f"f={f}, x={x}: " + _CORNER_LAWS[law].format(
+            return False, f"f={f_col[i, 0]}, x={x}: " + _CORNER_LAWS[law].format(
                 known=bool(known[x]), inner=bool(inner[i, x]), fnf=int(fnf[i, x]),
                 fef=int(fef[i, x]))
-        if error is not None:
-            raise error
     return True, None
 
 
@@ -284,8 +279,9 @@ def check_corner_theorem(ring: RingTable, f: int) -> tuple[bool, Optional[str]]:
     """Commuting nil decomposability in R and in fRf agree on fRf.
 
     When an element decomposes in R, the conjugated certificate (fnf, fef)
-    must re-validate inside the corner ring.  See _corner_pass.
-    """
+    must re-validate inside the corner.  Refuses what corner() refuses, and
+    assumes a ring: see _corner_pass."""
+    _check_idempotent(ring, f)
     return _corner_pass(ring, [f])
 
 
@@ -328,7 +324,8 @@ def check_strongly_nilclean_equiv(ring: RingTable) -> tuple[bool, Optional[str]]
 
 def check_weak_jclean_suite(ring: RingTable) -> tuple[bool, Optional[str]]:
     """Bundle of radical-decomposition facts (see the registry entry).  Assumes a ring:
-    J(R) is then nil, so idempotents lift modulo it and part (d) does not test lifting."""
+    J(R) is then nil, so idempotents lift modulo it and part (d) does not test lifting,
+    and part (c) reads each corner fRf off R's candidate pairs (see _corner_grids)."""
     cache = structure(ring)
     found = _annihilator_failure(ring, DecompKind.WEAK_STAR_J_CLEAN, DecompKind.STRONGLY_CLEAN)
     if found is not None:
@@ -338,12 +335,11 @@ def check_weak_jclean_suite(ring: RingTable) -> tuple[bool, Optional[str]]:
         return False, f"(b) x={x}, e={e}: {_ANNIHILATOR_LAWS[law]}"
     kind = DecompKind.WEAK_STAR_J_CLEAN
     in_ring = _candidates(ring, kind, None).found
-    for f in cache.idempotents:
-        corner_ring, embed = corner(ring, f)
-        differ = in_ring[list(embed)] != _candidates(corner_ring, kind, None).found
-        if differ.any():
-            x = embed[differ.argmax()]
-            return False, f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
+    for f_col, in_corner, inner in _corner_grids(ring, kind, cache.idempotents):
+        hit = _first_true(in_corner & (in_ring != inner))
+        if hit is not None:
+            i, x = hit
+            return False, f"(c) f={f_col[i, 0]}, x={x}: weak* J-cleanness differs in the corner"
     if not cache.radical_mask[ring.add[ring.mul.diagonal(), ring.neg]].all():
         return True, None  # parts (d) and (e) assume a boolean R/J: x*x - x in J for every x
     verdict = ring_verdict(ring, DecompKind.WEAK_J_CLEAN)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from wnc import construct
 from wnc.structure import maximal_ideals, structure, subset
 from wnc.table import AxiomReport, ring_table
 
@@ -589,7 +588,7 @@ def annihilator_failure(ring, kind_name, laws, also=None):
 
 # --- theorem checks, one subset or corner at a time ---------------------------
 
-# The checks take an optional pools_of(ring), giving the pools argument of all_decomps.
+# s_rigidity takes an optional pools_of(ring), giving the pools argument of all_decomps.
 
 
 def rigidity_subsets(idems):
@@ -617,19 +616,14 @@ def s_rigidity(ring, pools_of=None):
     return True, None
 
 
-def corner_theorem(ring, f, pools_of=None):
-    """(ok, witness) of the weak* nil corner check at f, with certificates from all_decomps.
-
-    The corner ring is the library's, which on tables that are not rings need not
-    be closed; corner() above would fail on those.
-    """
-    sub, embed = construct.corner(ring, f)
+def corner_theorem(ring, f):
+    """(ok, witness) of the weak* nil corner check at f, with certificates from all_decomps
+    and the corner built by corner() above."""
+    sub, embed = corner(ring, f)
     to_sub = {x: i for i, x in enumerate(embed)}
-    pools = pools_of or (lambda r: {"nil": set(nilpotents(r))})
-    sub_pools = pools(sub)
-    parent = verdict(all_decomps(ring, "weak-star-nil-clean", pools=pools(ring)))[2]
-    inner = verdict(all_decomps(sub, "weak-star-nil-clean", pools=sub_pools))[2]
-    nil = sub_pools["nil"]
+    parent = verdict(all_decomps(ring, "weak-star-nil-clean"))[2]
+    inner = verdict(all_decomps(sub, "weak-star-nil-clean"))[2]
+    nil = nilpotents(sub)
     mul, sadd, smul = ring.mul.tolist(), sub.add.tolist(), sub.mul.tolist()
     for ci, x in enumerate(embed):
         if (x in parent) != (ci in inner):
@@ -639,8 +633,6 @@ def corner_theorem(ring, f, pools_of=None):
             continue
         e, c, sign, _ = parent[x]
         fnf, fef = mul[f][mul[c][f]], mul[f][mul[e][f]]
-        if fnf not in to_sub or fef not in to_sub:
-            return False, f"f={f}, x={x}: conjugated parts leave the corner"
         cn, ce = to_sub[fnf], to_sub[fef]
         if cn not in nil:
             return False, f"f={f}, x={x}: fnf={fnf} is not nilpotent in the corner"
@@ -653,13 +645,12 @@ def corner_theorem(ring, f, pools_of=None):
     return True, None
 
 
-def weak_jclean_corners(ring, pools_of=None):
+def weak_jclean_corners(ring):
     """Witness of part (c) of the weak J-clean bundle, or None: the first f, then x."""
-    pools = pools_of or (lambda r: None)
-    found = verdict(all_decomps(ring, "weak-star-j-clean", pools=pools(ring)))[2]
+    found = verdict(all_decomps(ring, "weak-star-j-clean"))[2]
     for f in idempotents(ring):
-        sub, embed = construct.corner(ring, f)
-        inner = verdict(all_decomps(sub, "weak-star-j-clean", pools=pools(sub)))[2]
+        sub, embed = corner(ring, f)
+        inner = verdict(all_decomps(sub, "weak-star-j-clean"))[2]
         for ci, x in enumerate(embed):
             if (x in found) != (ci in inner):
                 return f"(c) f={f}, x={x}: weak* J-cleanness differs in the corner"
