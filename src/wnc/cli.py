@@ -4,17 +4,21 @@ theorem suite, and dump tables.
 Exit codes: 0 success / all checks pass, 1 a check failed or an --expect
 assertion did not hold, 2 usage or build errors.  Output is deterministic;
 the human table format prints a version banner unless --plain is given.
+
+The subcommands and their options are declared once, in ``_COMMANDS``.  The
+usual argv is read off that table; any other goes to an argparse parser built
+from it, so help, abbreviations and usage errors are argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import string
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .construct import Zn, _check_budget, build, build_text, size_budget
@@ -162,13 +166,6 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-def _element_arg(text: str) -> int:
-    try:
-        return _ascii_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
 def _parse_range(spec: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition("..")
     if not sep:
@@ -237,7 +234,114 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Option(NamedTuple):
+    """One ``--name`` option of a subcommand.  A flag takes no value and stores True;
+    every other option takes one value, read by ``read`` when given (a ValueError
+    refuses it), else kept as the text."""
+
+    name: str
+    help: Optional[str] = None
+    required: bool = False
+    default: object = None
+    choices: Optional[tuple[str, ...]] = None
+    read: Optional[Callable[[str], object]] = None
+    flag: bool = False
+
+
+class _Command(NamedTuple):
+    help: str
+    func: Callable[..., int]
+    options: tuple[_Option, ...]
+
+
+_FORMAT = _Option("format", choices=FORMATS, default="table")
+_PLAIN = _Option("plain", "suppress the version banner in table output", default=False,
+                 flag=True)
+_OUTPUT = _Option("output", "output path ('-' = stdout)", default="-")
+
+# Every subcommand and option, in help order: the argv reader and the argparse
+# parser are both read off this table.
+_COMMANDS = {
+    "classify": _Command("decide ring-level cleanness kinds", cmd_classify, (
+        _Option("ring", "ring expression", required=True),
+        _Option("kinds", "comma-separated kind names", required=True),
+        _Option("expect", "assert outcomes, e.g. weak-nil-clean=true,nil-clean=false"),
+        _FORMAT, _PLAIN, _OUTPUT)),
+    "element": _Command("find decompositions of one element", cmd_element, (
+        _Option("ring", required=True),
+        _Option("element", required=True, read=_ascii_int),
+        _Option("kinds", required=True),
+        _FORMAT, _PLAIN, _OUTPUT)),
+    "sweep": _Command("classify Z_n over a range", cmd_sweep, (
+        _Option("zn", "range of ASCII integers, e.g. 2..100", required=True),
+        _Option("kinds", required=True),
+        _FORMAT, _PLAIN, _OUTPUT)),
+    "verify": _Command("run the theorem suite over a corpus", cmd_verify, (
+        _Option("corpus", "'default' or a corpus file path", default="default"),
+        _Option("checks", "'all' or comma-separated check ids: " + ",".join(check_ids()),
+                default="all"),
+        _FORMAT, _PLAIN, _OUTPUT)),
+    "dump": _Command("dump operation tables or the structure map", cmd_dump, (
+        _Option("ring", required=True),
+        _Option("what", choices=("tables", "structure"), default="structure"),
+        _Option("format", choices=("csv",), default="csv"),
+        _OUTPUT)),
+}
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives argv, when argv has the usual form; else None.
+
+    The usual form is a subcommand, then its options spelled out as ``--flag`` or
+    ``--name value`` with a value that does not start with '-', with every required
+    option given and every value valid; as in argparse, the last of a repeated option
+    counts.  argparse reads any such argv to the same namespace; the rest (help,
+    ``--name=value``, abbreviations, errors) is left to it, so its messages and exit
+    codes stay its own."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {"--" + opt.name: opt for opt in command.options}
+    given: dict[str, object] = {}
+    i = 1
+    while i < len(argv):
+        opt = options.get(argv[i])
+        if opt is None:
+            return None
+        if opt.flag:
+            given[opt.name] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        if opt.read is not None:
+            try:
+                value = opt.read(value)
+            except ValueError:
+                return None
+        given[opt.name] = value
+        i += 2
+    if any(opt.required and opt.name not in given for opt in command.options):
+        return None
+    values = {opt.name: given.get(opt.name, opt.default) for opt in command.options}
+    return SimpleNamespace(command=argv[0], **values, func=command.func)
+
+
+def _build_parser():
+    """The argparse parser of the table, for every argv that _read_argv leaves."""
+    import argparse
+
+    def typed(read):
+        def value(text):
+            try:
+                return read(text)
+            except ValueError:  # every reader in the table reads an int
+                raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        return value
+
     parser = argparse.ArgumentParser(
         prog="wnc",
         description="Finite-ring cleanness toolkit: classify, sweep, verify, dump.",
@@ -248,58 +352,29 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("--output", default="-", help="output path ('-' = stdout)")
-
-    def add_common(p):
-        p.add_argument("--format", choices=FORMATS, default="table")
-        p.add_argument("--plain", action="store_true",
-                       help="suppress the version banner in table output")
-        add_output(p)
-
-    p = sub.add_parser("classify", help="decide ring-level cleanness kinds")
-    p.add_argument("--ring", required=True, help="ring expression")
-    p.add_argument("--kinds", required=True, help="comma-separated kind names")
-    p.add_argument("--expect", default=None,
-                   help="assert outcomes, e.g. weak-nil-clean=true,nil-clean=false")
-    add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("element", help="find decompositions of one element")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--element", required=True, type=_element_arg)
-    p.add_argument("--kinds", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_element)
-
-    p = sub.add_parser("sweep", help="classify Z_n over a range")
-    p.add_argument("--zn", required=True, help="range of ASCII integers, e.g. 2..100")
-    p.add_argument("--kinds", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="run the theorem suite over a corpus")
-    p.add_argument("--corpus", default="default", help="'default' or a corpus file path")
-    p.add_argument("--checks", default="all",
-                   help="'all' or comma-separated check ids: " + ",".join(check_ids()))
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("dump", help="dump operation tables or the structure map")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--what", choices=("tables", "structure"), default="structure")
-    p.add_argument("--format", choices=("csv",), default="csv")
-    add_output(p)
-    p.set_defaults(func=cmd_dump)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            if opt.flag:
+                p.add_argument("--" + opt.name, action="store_true", default=opt.default,
+                               help=opt.help)
+            else:
+                p.add_argument("--" + opt.name, required=opt.required, default=opt.default,
+                               choices=opt.choices, type=opt.read and typed(opt.read),
+                               help=opt.help)
+        p.set_defaults(func=command.func)
     return parser
 
 
+def _parse_args(argv: Sequence[str]):
+    """argv's namespace, read off the table for the usual form, else by argparse."""
+    args = _read_argv(argv)
+    return _build_parser().parse_args(argv) if args is None else args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -21,7 +21,7 @@ import numpy as np
 from .construct import quotient
 from .errors import InvalidSubsetError
 from .structure import SetArg, Subset, _member_mask, _multiples, structure, subset
-from .table import ElementId, RingTable, _first_true, _memoised_on_tables
+from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _first_true, _memoised_on_tables
 
 
 class DecompKind(Enum):
@@ -178,10 +178,10 @@ def _first_rows(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
     return cols, ok.argmax(axis=0)[cols], int(missing[0]) if missing.size else None
 
 
-def _fold_signs(verdict: RingVerdict) -> tuple[np.ndarray, np.ndarray]:
-    """The verdict's idempotents once each, and row i: the elements x that some
+def _fold_signs(verdict: RingVerdict, xs=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The verdict's idempotents once each, and row i: the elements x of xs that some
     sign of the i-th idempotent serves."""
-    ok = verdict.ok
+    ok = verdict.ok[:, xs]
     return verdict.table.idems[::2], ok.reshape(-1, 2, ok.shape[1]).any(axis=1)
 
 
@@ -319,6 +319,20 @@ class ExchangeReport:
     failure: Optional[ElementId]
 
 
+def _annihilator_rows(ring: RingTable) -> tuple[np.ndarray, np.ndarray]:
+    """Row x: ann_l(x) and ann_r(x) as packed bit rows, read off mul in row blocks;
+    block a's zeros mul[a, x] == 0 are bits a of ann_l(x) and the rows ann_r(a)."""
+    n = ring.order
+    left, right = np.empty((2, n, (n + 7) // 8), dtype=np.uint8)
+    rows = 8 * max(1, ROW_BLOCK_ENTRIES // n // 8)
+    for r0 in range(0, n, rows):
+        zero = ring.mul[r0:r0 + rows] == ring.zero
+        right[r0:r0 + rows] = np.packbits(zero, axis=1)
+        bits = np.packbits(zero, axis=0)
+        left[:, r0 // 8:r0 // 8 + len(bits)] = bits.T
+    return left, right
+
+
 @_memoised_on_tables
 def _annihilator_failure(ring: RingTable, kind: DecompKind,
                          also: Optional[DecompKind] = None) -> Optional[tuple[int, int, int]]:
@@ -326,21 +340,34 @@ def _annihilator_failure(ring: RingTable, kind: DecompKind,
 
     Laws 0 and 1 are ann_l(x) <= ann_l(e) and ann_r(x) <= ann_r(e); law -1 is that x
     also decomposes as kind ``also``.  The order is x, then idempotent, then law.
+    Only the pairs (x, e) of such decompositions are read, in blocks of x of about
+    ROW_BLOCK_ENTRIES bytes of packed rows.
     Assumes a ring, where ann_l(e) = R(1-e) and ann_r(e) = (1-e)R.
     """
-    idems, ok = _fold_signs(_candidates(ring, kind, None))
-    pre = False if also is None else ~_candidates(ring, also, None).found
-    zero = ring.mul == ring.zero
-    sets = np.packbits(zero.T, axis=1), np.packbits(zero, axis=1)  # row x: ann_l(x), ann_r(x)
-    fails = [ok & pre]
-    for own, bound in zip(sets, (zero.T[idems], zero[idems])):  # row i: ann_l(e), ann_r(e)
-        fails.append(ok & [(own & outside).any(axis=1)
-                           for outside in np.packbits(~bound, axis=1)])
-    hit = _first_true(np.stack(fails).transpose(2, 1, 0))
-    if hit is None:
-        return None
-    x, i, law = hit
-    return x, int(idems[i]), law - 1
+    n = ring.order
+    verdict = _candidates(ring, kind, None)
+    pre = np.zeros(n, dtype=bool) if also is None else ~_candidates(ring, also, None).found
+    own = _annihilator_rows(ring)
+    # at most twice the pairs of every x up to each x: one per sign
+    ends = np.cumsum(np.count_nonzero(verdict.ok, axis=0))
+    pairs_per_block = max(1, ROW_BLOCK_ENTRIES // own[0].shape[1])
+    x0 = 0
+    while x0 < n:
+        start = int(ends[x0 - 1]) if x0 else 0
+        x1 = max(x0 + 1, int(np.searchsorted(ends, start + pairs_per_block, side="right")))
+        idems, ok = _fold_signs(verdict, slice(x0, x1))
+        xs, es = np.nonzero(ok.T)  # the block's pairs, x then idempotent
+        xs += x0
+        fails = np.empty((len(xs), 3), dtype=bool)  # laws -1, 0, 1 of each pair
+        fails[:, 0] = pre[xs]
+        for law, mine in enumerate(own, 1):  # ann(x) meets R - ann(e)
+            np.any(mine[xs] & ~mine[idems[es]], axis=1, out=fails[:, law])
+        hit = _first_true(fails)
+        if hit is not None:
+            pair, law = hit
+            return int(xs[pair]), int(idems[es[pair]]), law - 1
+        x0 = x1
+    return None
 
 
 @_memoised_on_tables

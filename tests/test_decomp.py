@@ -429,8 +429,10 @@ def test_nil_clean_count_bound():
     assert nil_clean_count_bound(7, 2) == 28
     with pytest.raises(ValueError):
         nil_clean_count_bound(6, 1)
-    with pytest.raises(ValueError):
-        nil_clean_count_bound(5, 0)
+    assert nil_clean_count_bound(2, 1) == 4
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            nil_clean_count_bound(5, k)
 
 
 # --- proof-identity invariants ---------------------------------------------------

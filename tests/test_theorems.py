@@ -136,6 +136,23 @@ def test_zn_flags_and_sweep():
     assert ok and mismatches == []
     with pytest.raises(ValueError):
         zn_classification(1)
+    assert zn_classification(2) == (True, [])
+
+
+def test_zn_flags_fail_a_two_power_that_is_not_nil_clean(monkeypatch):
+    # with no kind holding, 8 passes the 2^r*3^t clause (8 is not flagged) and
+    # reaches the 2-power clause; 5 passes both
+    monkeypatch.setattr(theorems, "_holds", lambda ring, kind, s=None: False)
+    assert check_zn_flags(8, build_text("Z(8)")) == (
+        False, "n=8: a 2-power ring must be nil clean")
+    assert check_zn_flags(5, build_text("Z(5)")) == (True, None)
+
+
+def test_zn_classification_names_each_mismatch(monkeypatch):
+    outcomes = {3: (False, None), 4: (False, "n=4: given text")}
+    monkeypatch.setattr(theorems, "check_zn_flags",
+                        lambda n, ring: outcomes.get(n, (True, None)))
+    assert zn_classification(5) == (False, ["n=3", "n=4: given text"])
 
 
 def test_annihilator_lemmas(rings):
