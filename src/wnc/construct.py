@@ -45,21 +45,18 @@ import numpy as np
 
 from .errors import (
     CapacityError,
-    CrossRingError,
     ExprSyntaxError,
     InvalidDimensionError,
     InvalidEndomorphismError,
-    InvalidIdealError,
     InvalidIdempotentError,
     InvalidModuleError,
 )
-from .structure import Subset, ideal_generated_by
+from .structure import Subset, _coset_labels, _ideal_members, ideal_generated_by
 from .table import (
     MAX_ORDER,
     ROW_BLOCK_ENTRIES,
     TABLE_DTYPE,
     RingTable,
-    _memoised,
     check_order,
     ring_table,
 )
@@ -626,7 +623,6 @@ def _check_idempotent(ring: RingTable, f: int) -> None:
         raise InvalidIdempotentError(f"element {f} of {ring.label} is not idempotent")
 
 
-@_memoised
 def corner(ring: RingTable, f: int) -> tuple[RingTable, tuple[int, ...]]:
     """Corner ring fRf with unity f, plus the embedding of its ids back into R."""
     _check_idempotent(ring, f)
@@ -647,38 +643,7 @@ def quotient(ring: RingTable, ideal: Subset,
     members = _ideal_members(ring, ideal)
     if label is None:
         label = f"quot({ring.label},[{','.join(str(m) for m in members)}])"
-    return _quotient(ring, members, label)
-
-
-def _ideal_members(ring: RingTable, ideal: Subset) -> tuple[int, ...]:
-    """The sorted members of ideal, refused unless it is a two-sided ideal of ring."""
-    if ideal.ring is not ring:
-        raise CrossRingError("ideal belongs to a different ring")
-    members = ideal.sorted_members()
-    if not ideal.is_two_sided_ideal:
-        raise InvalidIdealError(f"{list(members)} is not a two-sided ideal of {ring.label}")
-    return members
-
-
-def _coset_labels(ring: RingTable, members: Sequence[int]) -> np.ndarray:
-    """rep_of[x]: the least element of the coset x + I, for I the ids members.
-
-    Refused unless the sets x + I partition the table, which on a ring they do.
-    """
-    rep_of = ring.add[:, np.asarray(members, dtype=np.intp)].min(axis=1)
-    if (rep_of[rep_of] != rep_of).any():  # only where the addition is not a group's
-        raise InvalidIdealError(f"the sets x + {[int(m) for m in members]} do not partition "
-                                f"{ring.label}")
-    return rep_of
-
-
-# keyed on the sorted members, not the Subset, which holds the ring
-@_memoised
-def _quotient(ring: RingTable, members: tuple[int, ...],
-              label: str) -> tuple[RingTable, tuple[int, ...]]:
-    # x represents its coset x + I when it is the coset's minimal element
-    rep_of = _coset_labels(ring, members)
-    reps = np.flatnonzero(rep_of == np.arange(ring.order))
+    rep_of, reps = _coset_labels(ring, members)
     proj = np.searchsorted(reps, rep_of)
     return _restrict(ring, reps, proj, ring.one, label, "[{}]"), tuple(proj.tolist())
 

@@ -18,9 +18,17 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .construct import quotient
 from .errors import InvalidSubsetError
-from .structure import SetArg, Subset, _member_mask, _multiples, structure, subset
+from .structure import (
+    SetArg,
+    Subset,
+    _coset_labels,
+    _ideal_members,
+    _member_mask,
+    _multiples,
+    structure,
+    subset,
+)
 from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _first_true, _memoised_on_tables
 
 
@@ -423,13 +431,16 @@ class LiftReport:
 
 
 def _lift_report(ring: RingTable, ideal: Subset, weak: bool) -> LiftReport:
-    """Row e (a ring idempotent), column ebar (a quotient idempotent) is true where
-    e maps onto ebar, or onto -ebar when weak; the first row of each column lifts it."""
-    quot, proj = quotient(ring, ideal)
+    """Decided on the coset labels, without building R/I.  The idempotent cosets are
+    the names r with rep_of[r*r] == r; row e (a ring idempotent), column r is true
+    where rep_of[e] == r, or rep_of[e] == rep_of[-r] when weak, and the first row of
+    each column lifts it.  Cosets are numbered as quotient() numbers them."""
+    rep_of, reps = _coset_labels(ring, _ideal_members(ring, ideal))
     idems = np.asarray(structure(ring).idempotents, dtype=np.intp)
-    bars = np.asarray(structure(quot).idempotents, dtype=np.intp)
-    image = np.asarray(proj)[idems, None]
-    cols, rows, failure = _first_rows((image == bars) | (weak & (image == quot.neg[bars])))
+    bars = reps[rep_of[ring.mul[reps, reps]] == reps]
+    image = rep_of[idems, None]
+    cols, rows, failure = _first_rows((image == bars) | (weak & (image == rep_of[ring.neg[bars]])))
+    bars = np.searchsorted(reps, bars)  # the cosets' ids in R/I
     witnesses = dict(zip(bars[cols[:failure]].tolist(), idems[rows[:failure]].tolist()))
     return LiftReport(failure is None, witnesses, None if failure is None else int(bars[failure]))
 

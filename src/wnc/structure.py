@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CrossRingError, RingError
+from .errors import CrossRingError, InvalidIdealError, RingError
 from .table import ROW_BLOCK_ENTRIES, ElementId, RingTable, _additive_span, _memoised_on_tables
 
 
@@ -286,6 +286,29 @@ def ideal_generated_by(ring: RingTable, gens: SetArg) -> Subset:
     left = _multiples(ring, "left", _member_mask(ring, gens)).any(axis=0)
     both = _multiples(ring, "right", left).any(axis=0)
     return subset(ring, _additive_span(ring, both)[0])
+
+
+def _ideal_members(ring: RingTable, ideal: Subset) -> tuple[int, ...]:
+    """The sorted members of ideal, refused unless it is a two-sided ideal of ring."""
+    if ideal.ring is not ring:
+        raise CrossRingError("ideal belongs to a different ring")
+    members = ideal.sorted_members()
+    if not ideal.is_two_sided_ideal:
+        raise InvalidIdealError(f"{list(members)} is not a two-sided ideal of {ring.label}")
+    return members
+
+
+def _coset_labels(ring: RingTable, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """rep_of[x], the least element of the coset x + I for I the ids members, and
+    reps, the ascending x with rep_of[x] == x: the coset names in quotient order.
+
+    Refused unless the sets x + I partition the table, which on a ring they do.
+    """
+    rep_of = ring.add[:, np.asarray(members, dtype=np.intp)].min(axis=1)
+    if (rep_of[rep_of] != rep_of).any():  # only where the addition is not a group's
+        raise InvalidIdealError(f"the sets x + {[int(m) for m in members]} do not partition "
+                                f"{ring.label}")
+    return rep_of, np.flatnonzero(rep_of == np.arange(ring.order))
 
 
 @_memoised_on_tables

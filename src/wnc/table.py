@@ -9,12 +9,12 @@ share between threads.
 A RingTable validates its tables and interns them: rings whose order, zero, one
 and tables are all equal share one core.  Results that read the tables alone
 (structural sets, verdicts, the ideal lattice) are memoised on that core, so they
-are computed once per distinct table; results that carry a ring's labels and
-names (corners, quotients) are memoised on the ring.  Each thread keeps the
-cores it interned most recently alive, so rings built one after another share
-results though none outlives the next.  The memos and the interning only decide
-which results are kept and which are computed again, never what a result is, so
-concurrent threads may at worst compute a result twice.
+are computed once per distinct table; corners and quotients are computed on each
+call, and equal results share one core.  Each thread keeps the cores it interned
+most recently alive, so rings built one after another share results though none
+outlives the next.  The memo and the interning only decide which results are
+kept and which are computed again, never what a result is, so concurrent threads
+may at worst compute a result twice.
 """
 
 from __future__ import annotations
@@ -103,8 +103,6 @@ class RingTable:
     name_fn: Optional[Callable[[ElementId], str]] = field(default=None, repr=False)
     # the interned tables, shared with every equal ring
     core: _TableCore = field(init=False, repr=False)
-    # corners and quotients of this ring, memoised by _memoised
-    _results: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         n, zero, one = self.order, self.zero, self.one
@@ -166,28 +164,20 @@ class RingTable:
         return f"RingTable({self.label}, order={self.order})"
 
 
-def _memoised_in(results_of: Callable) -> Callable:
-    """A decorator memoising fn(ring, *args) in the dict results_of(ring); the
-    results die with the dict's owner.
+def _memoised_on_tables(fn: Callable) -> Callable:
+    """Memoise fn(ring, *args) on the ring's core, per distinct table: equal rings
+    share the results, which die with the core.
 
-    No key or result may refer to a ring: on a core it would keep that ring alive,
-    and on a ring it would make a cycle that only a collection frees.
+    No key or result may refer to a ring: it would keep that ring alive.
     """
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(ring: RingTable, *args):
-            results, key = results_of(ring), (fn, *args)
-            if key not in results:
-                results[key] = fn(ring, *args)
-            return results[key]
-        return wrapper
-    return decorate
+    @functools.wraps(fn)
+    def wrapper(ring: RingTable, *args):
+        results, key = ring.core.results, (fn, *args)
+        if key not in results:
+            results[key] = fn(ring, *args)
+        return results[key]
+    return wrapper
 
-
-# per ring, for results that carry the ring's labels and names (corners, quotients)
-_memoised = _memoised_in(lambda ring: ring._results)
-# per distinct table, for results that read the tables alone: equal rings share them
-_memoised_on_tables = _memoised_in(lambda ring: ring.core.results)
 
 # fingerprint -> the live core of those tables; a hit is confirmed in full
 _interned: "weakref.WeakValueDictionary[tuple, _TableCore]" = weakref.WeakValueDictionary()

@@ -20,8 +20,6 @@ from .construct import (
     RingExpr,
     Zn,
     _check_idempotent,
-    _coset_labels,
-    _ideal_members,
     build,
     expr_label,
     parse_ring_expr,
@@ -37,7 +35,14 @@ from .decomp import (
     ring_verdict,
 )
 from .errors import CapacityError, RingError
-from .structure import _ideal_masks, maximal_ideals, structure, subset
+from .structure import (
+    _coset_labels,
+    _ideal_masks,
+    _ideal_members,
+    maximal_ideals,
+    structure,
+    subset,
+)
 from .table import (
     ROW_BLOCK_ENTRIES,
     RingTable,
@@ -92,7 +97,7 @@ def check_J_subset_Nil(ring: RingTable) -> tuple[bool, Optional[str]]:
 
 def _quotient_witness(ring: RingTable, mask: np.ndarray) -> Optional[int]:
     """ring_verdict(quotient(ring, I)[0], WEAK_NIL_CLEAN).witness for the ideal I that
-    mask marks, decided on the coset labels of construct._coset_labels without
+    mask marks, decided on the coset labels of structure._coset_labels without
     building R/I; memoised on the tables, keyed by the mask's bytes."""
     return _coset_witness(ring, mask.tobytes())
 
@@ -109,8 +114,7 @@ def _coset_witness(ring: RingTable, mask_bytes: bytes) -> Optional[int]:
     2**t >= K: r squared t times.  The sums N + E and N - E are gathered in row
     blocks of N.
     """
-    rep_of = _coset_labels(ring, np.flatnonzero(np.frombuffer(mask_bytes, dtype=bool)))
-    reps = np.flatnonzero(rep_of == np.arange(ring.order))
+    rep_of, reps = _coset_labels(ring, np.flatnonzero(np.frombuffer(mask_bytes, dtype=bool)))
     power = rep_of[ring.mul[reps, reps]]
     idems = reps[power == reps]
     for _ in range(1, (len(reps).bit_length() - 1).bit_length()):
@@ -602,7 +606,7 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
     Returns cells {ring, check_id, outcome, witness?} sorted by (ring, check_id).
     Build failures become one 'build' cell; they never abort the run.  Members
     are built, checked and dropped one at a time, prepared entries first, so
-    each ring and the sub-rings memoised on it are freed before the next build.
+    each ring is freed before the next build.
     The tables interned most recently stay alive (see wnc.table), so a sub-ring
     whose tables an earlier member or sub-ring had reuses their structure,
     verdicts and ideals.

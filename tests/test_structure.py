@@ -151,7 +151,8 @@ def test_structure_is_memoized(rings):
 
 
 def _memoise_everything(ring):
-    """Fill the memo of ring, its components, corners and quotients; return a weak reference."""
+    """Fill the memo of ring and its components, and build its corners and quotients;
+    return weak references to the ring and to each corner and quotient ring."""
     for part in ring.components:
         structure(part)
     structure(ring)
@@ -159,27 +160,26 @@ def _memoise_everything(ring):
     for kind in DecompKind:
         s = zero_one_subset(ring) if kind_takes_subset(kind) else None
         ring_verdict(ring, kind, s)
-    for f in structure(ring).idempotents:
-        assert corner(ring, f) is corner(ring, f)
-        structure(corner(ring, f)[0])
+    subs = [corner(ring, f)[0] for f in structure(ring).idempotents]
     for members in ideals:
         ideal = subset(ring, members)
-        structure(quotient(ring, ideal)[0])
+        subs.append(quotient(ring, ideal)[0])
         lifts_idempotents(ring, ideal)
-    return weakref.ref(ring)
+    for sub in subs:
+        structure(sub)
+    return [weakref.ref(x) for x in (ring, *subs)]
 
 
 def test_structure_memo_frees_rings():
-    # a ring's corners and quotients are memoised on the ring and die with it,
-    # without a collection; its retained cores hold results, never a ring
+    # a ring, its corners and its quotients die once dropped, without a collection;
+    # the retained cores hold results, never a ring
     refs = []
     gc.disable()
     try:
         for label in ("T2(Z(3))", "Z(12)", "prod(Z(2),Z(3))"):
             ring = build_text(label)
-            refs.append(_memoise_everything(ring))
-            refs += [weakref.ref(sub) for sub, _ in ring._results.values()]
-            assert ring._results and ring.core.results
+            refs += _memoise_everything(ring)
+            assert ring.core.results
             del ring
         assert all(ref() is None for ref in refs)
     finally:

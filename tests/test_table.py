@@ -349,6 +349,10 @@ def test_equal_tables_share_results():
     masks = _ideal_masks(m2)
     assert not masks.flags.writeable
     assert tuple(frozenset(np.flatnonzero(mask).tolist()) for mask in masks) == all_ideals(m2)
+    # corners and quotients are computed on each call, and equal results share a core
+    assert _shared(build_text("quot(Z(36),[6])"), build_text("Z(6)"))
+    again, _ = corner(m2, 1)
+    assert again is not rank_one and again.core is rank_one.core
 
 
 def test_whole_ring_corner_and_quotient_copy_no_table():

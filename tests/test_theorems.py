@@ -16,12 +16,21 @@ import wnc.construct as construct
 import wnc.table
 import wnc.theorems as theorems
 from wnc.construct import build_text
-from wnc.decomp import DecompKind, _candidates, ring_verdict, zero_one_subset
+from wnc.decomp import (
+    DecompKind,
+    _candidates,
+    is_strongly_pi_regular,
+    lifts_idempotents,
+    lifts_idempotents_weakly,
+    ring_verdict,
+    zero_one_subset,
+)
 from wnc.errors import CrossRingError, InvalidIdempotentError
 from wnc.structure import _ideal_masks, all_ideals, ideal_generated_by, structure, subset
 from wnc.table import ROW_BLOCK_ENTRIES, ring_table, verify_ring_axioms
 from wnc.theorems import (
     CorpusEntry,
+    build_corpus,
     check_J_subset_Nil,
     check_S_unique_maximal,
     check_annihilator_lemmas,
@@ -29,6 +38,7 @@ from wnc.theorems import (
     check_idealization,
     check_ids,
     check_nilradical_quotient,
+    check_pi_regular,
     check_product_theorem,
     check_quotient_preservation,
     check_strongly_nilclean_equiv,
@@ -426,6 +436,24 @@ def test_weak_jclean_bundle(rings):
     assert ring_verdict(rings["Z(8)"], DecompKind.J_CLEAN).holds
 
 
+def test_pi_regularity_fails_on_corrupted_tables():
+    # no finite ring reaches the failure path of the pi-regularity check; four
+    # one-entry corruptions of T2(Z(2)) do, each with a power chain that never stabilizes
+    tables, failing = 0, []
+    for label in ("Z(4)", "Z(6)", "T2(Z(2))"):
+        for bad in naive.corruptions(build_text(label)):
+            holds = is_strongly_pi_regular(bad)
+            assert holds == naive.is_strongly_pi_regular(bad), bad.label
+            if not holds:
+                failing.append(bad)
+            tables += 1
+    assert tables == 1352
+    assert [bad.label for bad in failing] == ["T2(Z(2))-mul[5,7]=4", "T2(Z(2))-mul[5,7]=6",
+                                              "T2(Z(2))-mul[7,7]=4", "T2(Z(2))-mul[7,7]=6"]
+    for bad in failing:
+        assert check_pi_regular(bad) == (False, "some power chain never stabilizes"), bad.label
+
+
 # --- corpus and suite -----------------------------------------------------------
 
 
@@ -679,6 +707,39 @@ def test_corner_and_quotient_lines_free_their_base(monkeypatch):
         gc.collect()
         assert bases[-1]() is None, f"{text} keeps its base alive"
         assert ring.components == ()
+
+
+def _forget_results(rings):
+    """Empty the memo on the cores of rings and their components, so that each
+    result is computed again rather than read from a memo an earlier test filled."""
+    for ring in rings:
+        ring.core.results.clear()
+        _forget_results(ring.components)
+
+
+def test_no_decider_builds_a_sub_ring(monkeypatch):
+    # lifting reads R/I off the coset labels and the suite reads corners and
+    # quotients off R's tables, so with every restriction of a table to a
+    # sub-ring refused, both give what they give without the refusal
+    entries = build_corpus(default_corpus())
+    small = [entry.ring for entry in entries if entry.ring.order <= 64]
+
+    def outcomes():
+        _forget_results([entry.ring for entry in entries])
+        ideals = [(ring, subset(ring, members)) for ring in small for members in all_ideals(ring)]
+        lifts = [lift(ring, ideal) for ring, ideal in ideals
+                 for lift in (lifts_idempotents, lifts_idempotents_weakly)]
+        return len(ideals), lifts, run_suite(entries)
+
+    def refuse(*args):
+        raise AssertionError("a sub-ring was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "_restrict", refuse)
+        refused = outcomes()
+    found = outcomes()
+    assert found[0] == 251 and len(found[2]) == 1008
+    assert refused == found
 
 
 def test_check_selection():
