@@ -15,13 +15,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import string
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .construct import Zn, _check_budget, build, build_text, size_budget
+from .construct import Zn, _ascii_int, _check_budget, build, build_text, size_budget
 from .decomp import (
     DecompKind,
     _verdicts_json,
@@ -154,16 +153,6 @@ def cmd_element(args) -> int:
                                             "sign": cert.sign, "commutes": cert.commutes}}
         for kind, cert in results], indent=2) + "\n")
     return 0
-
-
-def _ascii_int(text: str) -> int:
-    """int(text) for ASCII digits after an optional '-', with ASCII whitespace around;
-    the non-ASCII digits and underscores int() also reads are refused, as the ring
-    grammar refuses them."""
-    digits = text.strip(string.whitespace).removeprefix("-")
-    if not digits or digits.strip(string.digits):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
 
 
 def _parse_range(spec: str) -> tuple[int, int]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import string
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -65,6 +66,16 @@ DEFAULT_SIZE_BUDGET = 20_000
 SIZE_BUDGET_ENV = "WNC_SIZE_BUDGET"
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII digits after an optional '-', with ASCII whitespace around;
+    the non-ASCII digits and underscores int() also reads are refused, as the ring
+    grammar refuses them."""
+    digits = text.strip(string.whitespace).removeprefix("-")
+    if not digits or digits.strip(string.digits):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def size_budget(override: Optional[int] = None) -> int:
     if override is not None:
         return override
@@ -72,7 +83,7 @@ def size_budget(override: Optional[int] = None) -> int:
     if not raw:
         return DEFAULT_SIZE_BUDGET
     try:
-        limit = int(raw)
+        limit = _ascii_int(raw)
     except ValueError:
         limit = 0
     if limit < 1:

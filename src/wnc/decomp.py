@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -411,12 +412,22 @@ def is_exchange(ring: RingTable, side: str = "right") -> ExchangeReport:
 
 
 def is_strongly_pi_regular(ring: RingTable) -> bool:
-    """Some power a**k lies in a**(k+1)R and in R a**(k+1), for every a."""
-    right, left = _multiples(ring, "right"), _multiples(ring, "left")
-    a = power = np.arange(ring.order)
-    for _ in range(ring.order):
+    """Some power a**k lies in a**(k+1)R and in R a**(k+1), for every a.
+
+    Both _multiples masks are held as packed bit rows, made in row blocks of about
+    ROW_BLOCK_ENTRIES entries: bit y of row x is bit 7 - y % 8 of byte y // 8.
+    """
+    n = ring.order
+    rows = max(1, ROW_BLOCK_ENTRIES // n)
+    right, left = np.empty((2, n, (n + 7) // 8), dtype=np.uint8)
+    for packed, side in ((right, "right"), (left, "left")):
+        for r0 in range(0, n, rows):
+            packed[r0:r0 + rows] = np.packbits(_multiples(ring, side, slice(r0, r0 + rows)), axis=1)
+    a = power = np.arange(n)
+    for _ in range(n):
         next_power = ring.mul[power, a]
-        pending = ~(right[next_power, power] & left[next_power, power])
+        both = right[next_power, power >> 3] & left[next_power, power >> 3]
+        pending = (both >> (7 - (power & 7))) & 1 == 0
         a, power = a[pending], next_power[pending]
         if not a.size:
             return True
@@ -457,7 +468,7 @@ def lifts_idempotents(ring: RingTable, ideal: Subset) -> LiftReport:
 
 def nil_clean_count_bound(p: int, k: int) -> int:
     """The cardinality bound 4*p**(k-1) on elements expressible as +-n +- e in Z_{p**k}."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

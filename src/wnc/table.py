@@ -10,19 +10,16 @@ A RingTable validates its tables and interns them: rings whose order, zero, one
 and tables are all equal share one core.  Results that read the tables alone
 (structural sets, verdicts, the ideal lattice) are memoised on that core, so they
 are computed once per distinct table; corners and quotients are computed on each
-call, and equal results share one core.  Each thread keeps the cores it interned
-most recently alive, so rings built one after another share results though none
-outlives the next.  The memo and the interning only decide which results are
-kept and which are computed again, never what a result is, so concurrent threads
-may at worst compute a result twice.
+call, and equal results share one core.  A core lives while a ring or a caller
+holds it (run_suite holds its latest members'), and no longer.  The memo and the
+interning only decide which results are kept and which are computed again, never
+what a result is, so concurrent threads may at worst compute a result twice.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -35,7 +32,7 @@ ElementId = int
 # Entries per block in a blocked pass: the grid of a coordinate-ring digit that
 # reads many digits (construct), the rows of the radical's gather (structure).
 # It bounds the temporaries at a few MB whatever the ring order.  It also caps
-# the table entries of the cores each thread keeps alive after interning them.
+# the table entries of the cores run_suite keeps alive after their members go.
 ROW_BLOCK_ENTRIES = 1 << 16
 
 # The table dtype and the largest order whose element ids it holds.  Two tables
@@ -183,30 +180,6 @@ def _memoised_on_tables(fn: Callable) -> Callable:
 _interned: "weakref.WeakValueDictionary[tuple, _TableCore]" = weakref.WeakValueDictionary()
 
 
-class _Retained(threading.local):
-    """The cores this thread interned most recently, least recently interned first.
-
-    At most ROW_BLOCK_ENTRIES table entries are kept, and never a table of more.
-    The cores die with the thread.
-    """
-
-    def __init__(self) -> None:
-        self.cores: OrderedDict[_TableCore, None] = OrderedDict()
-        self.entries = 0
-
-    def keep(self, core: _TableCore) -> None:
-        if core in self.cores:
-            self.cores.move_to_end(core)
-        elif core.add.size <= ROW_BLOCK_ENTRIES:
-            self.cores[core] = None
-            self.entries += core.add.size
-            while self.entries > ROW_BLOCK_ENTRIES:
-                self.entries -= self.cores.popitem(last=False)[0].add.size
-
-
-_retained = _Retained()
-
-
 def _intern(add: np.ndarray, mul: np.ndarray, neg: np.ndarray, zero: int, one: int
             ) -> _TableCore:
     """The core of these validated tables: the live core of equal tables, if any.
@@ -223,7 +196,6 @@ def _intern(add: np.ndarray, mul: np.ndarray, neg: np.ndarray, zero: int, one: i
         if core is None:
             _interned[key] = fresh
         core = fresh
-    _retained.keep(core)
     return core
 
 

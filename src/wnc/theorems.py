@@ -46,6 +46,7 @@ from .structure import (
 from .table import (
     ROW_BLOCK_ENTRIES,
     RingTable,
+    _TableCore,
     _first_true,
     _memoised_on_tables,
     verify_ring_axioms,
@@ -607,9 +608,9 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
     Build failures become one 'build' cell; they never abort the run.  Members
     are built, checked and dropped one at a time, prepared entries first, so
     each ring is freed before the next build.
-    The tables interned most recently stay alive (see wnc.table), so a sub-ring
-    whose tables an earlier member or sub-ring had reuses their structure,
-    verdicts and ideals.
+    The cores (never the rings) of the latest members stay alive until the run
+    returns, each and all together at most ROW_BLOCK_ENTRIES table entries, least
+    recent first out, so a member on a recent member's tables reuses their results.
     """
     if checks is None:
         selected = REGISTRY
@@ -623,26 +624,35 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
             raise ValueError(f"check ids given twice: {repeated}")
         selected = tuple(known[cid] for cid in checks)
     items = sorted(corpus, key=lambda item: not isinstance(item, CorpusEntry))
-    cells = [cell for item in items for cell in _member_cells(item, selected, budget)]
+    cells: list[dict] = []
+    kept: dict[_TableCore, int] = {}  # core -> its table entries, least recent first
+    for item in items:
+        core, member_cells = _member_cells(item, selected, budget)
+        cells += member_cells
+        if core is not None and core.add.size <= ROW_BLOCK_ENTRIES:
+            kept[core] = kept.pop(core, core.add.size)  # now the most recent
+            while sum(kept.values()) > ROW_BLOCK_ENTRIES:
+                del kept[next(iter(kept))]
+        del core  # a core over the cap dies before the next build
     cells.sort(key=lambda c: (c["ring"], c["check_id"]))
     return cells
 
 
 def _member_cells(item: str | CorpusLine | CorpusEntry, selected: Sequence[TheoremCheck],
-                  budget: Optional[int]) -> list[dict]:
-    """The cells of one corpus member; a ring built here is dropped on return."""
+                  budget: Optional[int]) -> tuple[Optional[_TableCore], list[dict]]:
+    """The member's core (None if it did not build) and its cells; its ring dies here."""
     entry = item if isinstance(item, CorpusEntry) else _build_entry(item, budget)
     if entry is None:
-        return []
+        return None, []
     if entry.ring is None:
         outcome = "waived" if entry.waived else "error"
-        return [{"ring": entry.label, "check_id": "build", "outcome": outcome,
-                 "witness": entry.error}]
+        return None, [{"ring": entry.label, "check_id": "build", "outcome": outcome,
+                       "witness": entry.error}]
     report = verify_ring_axioms(entry.ring)
     if not report.passed:
         name, witness = report.failures()[0]
-        return [{"ring": entry.label, "check_id": "build", "outcome": "error",
-                 "witness": f"axiom {name} fails at {witness}"}]
+        return entry.ring.core, [{"ring": entry.label, "check_id": "build", "outcome": "error",
+                                  "witness": f"axiom {name} fails at {witness}"}]
     cells: list[dict] = []
     for check in selected:
         if not check.applicable(entry):
@@ -656,7 +666,7 @@ def _member_cells(item: str | CorpusLine | CorpusEntry, selected: Sequence[Theor
         if witness is not None:
             cell["witness"] = witness
         cells.append(cell)
-    return cells
+    return entry.ring.core, cells
 
 
 def suite_failed(cells: Sequence[dict]) -> bool:

@@ -287,7 +287,7 @@ def test_verify_survives_hostile_lines(capsys, tmp_path):
     assert run_cli(capsys, "verify", "--corpus", str(corpus))[0] == 0
 
 
-@pytest.mark.parametrize("raw", ["abc", "1e3", "0", "-5"])
+@pytest.mark.parametrize("raw", ["abc", "1e3", "0", "-5", "\u0663", "1_0"])
 @pytest.mark.parametrize("argv", [
     ("sweep", "--zn", "2..5", "--kinds", "clean"),
     ("verify", "--corpus", "default"),

@@ -429,6 +429,9 @@ def test_nil_clean_count_bound():
     assert nil_clean_count_bound(7, 2) == 28
     with pytest.raises(ValueError):
         nil_clean_count_bound(6, 1)
+    # trial division stays in integers: a float square root overflows here
+    with pytest.raises(ValueError, match="p must be prime"):
+        nil_clean_count_bound(10**400, 1)
     assert nil_clean_count_bound(2, 1) == 4
     for k in (0, -1):
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):

@@ -172,7 +172,7 @@ def _memoise_everything(ring):
 
 def test_structure_memo_frees_rings():
     # a ring, its corners and its quotients die once dropped, without a collection;
-    # the retained cores hold results, never a ring
+    # the cores hold results, never a ring
     refs = []
     gc.disable()
     try:

@@ -7,7 +7,6 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from wnc.errors import CrossRingError, TableFormatError
 from wnc.structure import _ideal_masks, all_ideals, structure, subset
 from wnc.table import (
     AXIOM_NAMES,
-    ROW_BLOCK_ENTRIES,
     RingTable,
     ring_table,
     tables_to_csv,
@@ -441,35 +439,6 @@ def test_caller_views_cannot_change_interned_tables():
     assert narrowed is not wide and narrowed.dtype == np.uint16 and not narrowed.flags.writeable
 
 
-def test_retained_tables_are_capped_and_released():
-    def core_of(text):
-        return weakref.ref(build_text(text).core)
-
-    refs = {}
-
-    def work():
-        refs["small"], refs["large"] = core_of("Z(180)"), core_of("Z(257)")
-        assert refs["small"]() is not None  # the ring is dropped at once, its core is kept
-        assert refs["large"]() is None  # 257**2 entries exceed the cap
-        refs["newer"] = core_of("Z(200)")  # 180**2 + 200**2 entries: the older table goes
-        assert refs["small"]() is None and refs["newer"]() is not None
-        # least recently interned first out: Z(100) displaces Z(200), and Z(150) is
-        # interned again after Z(100), so Z(190) (36 100 entries) displaces Z(100)
-        refs["first"], refs["second"] = core_of("Z(150)"), core_of("Z(100)")
-        assert core_of("Z(150)")() is refs["first"]()
-        refs["last"] = core_of("Z(190)")
-        assert refs["second"]() is None and refs["newer"]() is None
-        assert refs["first"]() is not None and refs["last"]() is not None
-        retained = wnc.table._retained
-        assert retained.entries == sum(core.add.size for core in retained.cores) <= ROW_BLOCK_ENTRIES
-
-    # in a thread of its own, whose retention starts empty and ends with it
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(work).result()
-    gc.collect()
-    assert all(ref() is None for ref in refs.values())
-
-
 def _referrers(obj) -> str:
     """The type and a short repr of each object that refers to obj, for a failure message."""
     if obj is None:
@@ -478,7 +447,18 @@ def _referrers(obj) -> str:
         f"{type(ref).__name__} {reprlib.repr(ref)}" for ref in gc.get_referrers(obj))
 
 
-def test_threads_share_tables_and_keep_their_own_retention():
+def test_a_dropped_rings_core_is_freed():
+    # outside run_suite nothing keeps a core alive past its rings; Z(12)'s own
+    # tables are held by the session fixtures, so its relabelling prod(Z(4),Z(3))
+    ring = build_text("prod(Z(4),Z(3))")
+    structure(ring)
+    core = weakref.ref(ring.core)
+    del ring
+    gc.collect()
+    assert core() is None, _referrers(core())
+
+
+def test_threads_share_tables_and_free_their_own():
     labels = ("Z(12)", "M2(Z(2))", "quot(Z(36),[6])", "corner(M2(Z(3)),1)", "Z(3)")
     kind = DecompKind.WEAK_NIL_CLEAN
 
@@ -510,14 +490,13 @@ def test_threads_share_tables_and_keep_their_own_retention():
                     got = results(structure(ring), ring_verdict(ring, kind))
                     if got != expected[label]:
                         errors.append(label)
-            structure(ring_table(16, z16.add, own[index], z16.neg, 0, 1, f"own {index}"))
-            mine = next(core for core in wnc.table._retained.cores
-                        if np.array_equal(core.mul, own[index]))
-            cores[index] = weakref.ref(mine)
+            mine = ring_table(16, z16.add, own[index], z16.neg, 0, 1, f"own {index}")
+            structure(mine)
+            cores[index] = weakref.ref(mine.core)
             built.wait(timeout=120)
-            # each thread retains its own tables, none of the others'
-            if any(core() in wnc.table._retained.cores for core in cores if core() is not mine):
-                errors.append(f"thread {index} retains another thread's table")
+            # each thread's tables intern to a core of their own
+            if len({core() for core in cores}) != count:
+                errors.append(f"thread {index} shares another thread's table")
             release[index].wait(timeout=120)
         except Exception as exc:  # a thread's exception would be lost: assert on it below
             errors.append(repr(exc))
@@ -532,7 +511,7 @@ def test_threads_share_tables_and_keep_their_own_retention():
             release[index].set()
             thread.join(timeout=120)
             gc.collect()
-            # freed when its thread ends, while the later threads still run
+            # freed once its thread drops its ring, while the later threads hold theirs
             assert cores[index]() is None and all(t.is_alive() for t in threads[index + 1:]), (
                 _referrers(cores[index]()))
     finally:

@@ -13,7 +13,6 @@ import pytest
 
 import naive
 import wnc.construct as construct
-import wnc.table
 import wnc.theorems as theorems
 from wnc.construct import build_text
 from wnc.decomp import (
@@ -639,7 +638,7 @@ def test_suite_shares_tables_across_members_and_keeps_none(monkeypatch):
 
     def build_entry(line, budget):
         entry = build_one(line, budget)
-        if cores:  # the first member's ring is gone, its retained core is not
+        if cores:  # the first member's ring is gone, its kept core is not
             shared.append(rings[0]() is None and entry.ring.core is cores[0]())
         rings.append(weakref.ref(entry.ring))
         cores.append(weakref.ref(entry.ring.core))
@@ -651,12 +650,42 @@ def test_suite_shares_tables_across_members_and_keeps_none(monkeypatch):
     # no corpus ring has them (idealize(Z(5),self) has those of eqdiag2(Z(5)))
     cells = run_suite(["eqdiag2(Z(7))", "quot(prod(eqdiag2(Z(7)),Z(2)),[1])"])
     assert shared == [True] and not suite_failed(cells)
-    # no ring outlives the run, with or without a collection; the calling thread
-    # keeps only its most recent tables, within the cap
-    assert all(ref() is None for ref in rings)
-    retained = wnc.table._retained.cores
-    assert cores[0]() in retained
-    assert sum(core.add.size for core in retained) <= ROW_BLOCK_ENTRIES
+    # no ring and no core outlives the run, with or without a collection
+    assert all(ref() is None for ref in rings + cores)
+
+
+def test_suite_keeps_recent_cores_within_the_cap(monkeypatch):
+    cores, alive = [], []
+
+    def build_entry(line, budget):
+        gc.collect()
+        alive.append([ref() is not None for ref in cores])  # the cores kept so far
+        entry = build_one(line, budget)
+        cores.append(weakref.ref(entry.ring.core))
+        return entry
+
+    build_one = theorems._build_entry
+    monkeypatch.setattr(theorems, "_build_entry", build_entry)
+    # tables no fixture holds, so only the run can keep them alive
+    lines = ["Z(180)", "Z(257)", "Z(200)", "Z(150)", "Z(100)", "Z(150)", "Z(190)", "Z(41)"]
+    cells = run_suite(lines, ["prop-J-subset-Nil"])
+    assert not suite_failed(cells)
+    assert ROW_BLOCK_ENTRIES == 1 << 16
+    assert alive == [
+        [],
+        [True],  # the ring is dropped at once, its core is kept
+        [True, False],  # 257**2 entries exceed the cap
+        [False, False, True],  # 180**2 + 200**2 entries: the older core goes
+        [False, False, True, True],
+        # Z(100) displaces Z(200); Z(150) is built on its kept core again
+        [False, False, False, True, True],
+        [False, False, False, True, True, True],
+        # least recent first out: Z(190) (36 100 entries) displaces Z(100), not Z(150)
+        [False, False, False, True, False, True, True],
+    ]
+    assert cores[5]() is cores[3]()
+    gc.collect()
+    assert all(ref() is None for ref in cores)  # none outlives the run
 
 
 def test_runner_builds_each_line_once(monkeypatch):
