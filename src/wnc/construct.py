@@ -39,6 +39,7 @@ import math
 import os
 import re
 import string
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -796,19 +797,34 @@ def _check_budget(expr: RingExpr, limit: int) -> None:
                             f"over the limit of {_MAX_COORDINATES}")
 
 
+# While run_suite runs, its dict of the rings build() made, by expression, least
+# recent first: each of at most ROW_BLOCK_ENTRIES table entries and at most that
+# many in all.  None elsewhere, so that build() returns a fresh ring on every call.
+_shared_rings: ContextVar[Optional[dict]] = ContextVar("_shared_rings", default=None)
+
+
 def build(expr: RingExpr, budget: Optional[int] = None) -> RingTable:
     """Elaborate a ring expression into a RingTable: check the budget and the
     node's size, build the inner expressions through this module's ``build``,
     then call the row's ``make``. Table shapes and entry ranges are checked,
-    ring axioms are not."""
+    ring axioms are not.  While _shared_rings holds a dict, the ring kept there
+    for an equal expression is returned instead."""
     _check_budget(expr, size_budget(budget))
-    row, values = _fields(expr)
-    if row.shape is not None:
-        _check_size(row.shape, next(v for kind, v in values if kind == "int"))
-    built = [build(v, budget) if kind == "expr"
-             else [build(f, budget) for f in v] if kind == "exprs" else v
-             for kind, v in values]
-    return row.make(expr, expr_label(expr), *built)
+    kept = _shared_rings.get()
+    ring = None if kept is None else kept.pop(expr, None)
+    if ring is None:
+        row, values = _fields(expr)
+        if row.shape is not None:
+            _check_size(row.shape, next(v for kind, v in values if kind == "int"))
+        built = [build(v, budget) if kind == "expr"
+                 else [build(f, budget) for f in v] if kind == "exprs" else v
+                 for kind, v in values]
+        ring = row.make(expr, expr_label(expr), *built)
+    if kept is not None and ring.core.add.size <= ROW_BLOCK_ENTRIES:
+        kept[expr] = ring  # now the most recent
+        while sum(kept_ring.core.add.size for kept_ring in kept.values()) > ROW_BLOCK_ENTRIES:
+            del kept[next(iter(kept))]
+    return ring
 
 
 def build_text(text: str, budget: Optional[int] = None) -> RingTable:

@@ -403,9 +403,15 @@ def is_exchange(ring: RingTable, side: str = "right") -> ExchangeReport:
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', not {side!r}")
     idems = np.asarray(structure(ring).idempotents, dtype=np.intp)
-    reach = _multiples(ring, side)
     one_minus = ring.add[ring.one][ring.neg]
-    ok = (reach[:, idems] & reach[np.ix_(one_minus, one_minus[idems])]).T
+    # has[y, i]: e_i in yR, and has[y, |Idem| + i]: 1 - e_i in yR, from row blocks
+    # of _multiples of about ROW_BLOCK_ENTRIES entries
+    cols = np.concatenate([idems, one_minus[idems]])
+    has = np.empty((ring.order, len(cols)), dtype=bool)
+    block = max(1, ROW_BLOCK_ENTRIES // ring.order)
+    for r0 in range(0, ring.order, block):
+        has[r0:r0 + block] = _multiples(ring, side, slice(r0, r0 + block))[:, cols]
+    ok = (has[:, :len(idems)] & has[one_minus, len(idems):]).T
     xs, rows, failure = _first_rows(ok)
     witnesses = dict(zip(xs[:failure].tolist(), idems[rows[:failure]].tolist()))
     return ExchangeReport(side, failure is None, witnesses, failure)

@@ -8,10 +8,11 @@ share between threads.
 
 A RingTable validates its tables and interns them: rings whose order, zero, one
 and tables are all equal share one core.  Results that read the tables alone
-(structural sets, verdicts, the ideal lattice) are memoised on that core, so they
-are computed once per distinct table; corners and quotients are computed on each
-call, and equal results share one core.  A core lives while a ring or a caller
-holds it (run_suite holds its latest members'), and no longer.  The memo and the
+(the axiom report, commutativity, structural sets, verdicts, the ideal lattice)
+are memoised on that core, so they are computed once per distinct table; corners
+and quotients are computed on each call, and equal results share one core.  A
+core lives while a ring or a caller holds it (run_suite holds the rings it built
+lately, and so their cores, until it returns), and no longer.  The memo and the
 interning only decide which results are kept and which are computed again, never
 what a result is, so concurrent threads may at worst compute a result twice.
 """
@@ -32,7 +33,7 @@ ElementId = int
 # Entries per block in a blocked pass: the grid of a coordinate-ring digit that
 # reads many digits (construct), the rows of the radical's gather (structure).
 # It bounds the temporaries at a few MB whatever the ring order.  It also caps
-# the table entries of the cores run_suite keeps alive after their members go.
+# the table entries of the rings run_suite keeps for its later builds.
 ROW_BLOCK_ENTRIES = 1 << 16
 
 # The table dtype and the largest order whose element ids it holds.  Two tables
@@ -155,7 +156,7 @@ class RingTable:
         return acc
 
     def is_commutative(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
+        return _is_commutative(self)
 
     def __repr__(self) -> str:  # keep huge tables out of tracebacks
         return f"RingTable({self.label}, order={self.order})"
@@ -174,6 +175,11 @@ def _memoised_on_tables(fn: Callable) -> Callable:
             results[key] = fn(ring, *args)
         return results[key]
     return wrapper
+
+
+@_memoised_on_tables
+def _is_commutative(ring: RingTable) -> bool:
+    return bool(np.array_equal(ring.mul, ring.mul.T))
 
 
 # fingerprint -> the live core of those tables; a hit is confirmed in full
@@ -336,8 +342,10 @@ def _cubic_laws_hold_on_generators(ring: RingTable) -> bool:
     )
 
 
+@_memoised_on_tables
 def verify_ring_axioms(ring: RingTable) -> AxiomReport:
-    """Check every ring axiom, returning a witness tuple for each failure.
+    """Check every ring axiom, returning a witness tuple for each failure.  The
+    report is memoised on the tables, so each table is proved once while it lives.
 
     The five O(n^2) laws are tested first, each with its first witness in scan
     order.  When they hold, the four cubic laws are proved in O(n^2 * |G|) with

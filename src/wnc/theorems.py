@@ -7,9 +7,9 @@ against the registry and produces a deterministic report.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .construct import (
     RingExpr,
     Zn,
     _check_idempotent,
+    _shared_rings,
     build,
     expr_label,
     parse_ring_expr,
@@ -46,7 +47,6 @@ from .structure import (
 from .table import (
     ROW_BLOCK_ENTRIES,
     RingTable,
-    _TableCore,
     _first_true,
     _memoised_on_tables,
     verify_ring_axioms,
@@ -454,6 +454,8 @@ class TheoremCheck:
     statements: tuple[str, ...]
     applicable: Callable[[CorpusEntry], bool]
     run: Callable[[CorpusEntry], tuple[bool, Optional[str]]]
+    # whether applicable or run reads more of the entry than its ring's tables
+    reads_member: bool = False
 
 
 def _always(entry: CorpusEntry) -> bool:
@@ -519,6 +521,7 @@ REGISTRY: tuple[TheoremCheck, ...] = (
         ("finite-product-characterization",),
         lambda entry: isinstance(entry.expr, Prod),
         lambda entry: check_product_theorem(entry.ring, entry.ring.components),
+        reads_member=True,
     ),
     TheoremCheck(
         "prop-nilradical-quotient",
@@ -531,12 +534,14 @@ REGISTRY: tuple[TheoremCheck, ...] = (
         ("idealization-equivalence",),
         lambda entry: isinstance(entry.expr, Idealize),
         lambda entry: check_idealization(entry.ring.components[0], entry.ring),
+        reads_member=True,
     ),
     TheoremCheck(
         "thm-zn-classification",
         ("z3k-weak-not-nil", "zpk-weak-not-nil-iff-p-equals-3", "zn-weak-not-nil-iff-2r3t"),
         lambda entry: isinstance(entry.expr, Zn),
         _run_zn,
+        reads_member=True,
     ),
     TheoremCheck(
         "lem-weakstar-annihilators",
@@ -606,11 +611,13 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
 
     Returns cells {ring, check_id, outcome, witness?} sorted by (ring, check_id).
     Build failures become one 'build' cell; they never abort the run.  Members
-    are built, checked and dropped one at a time, prepared entries first, so
-    each ring is freed before the next build.
-    The cores (never the rings) of the latest members stay alive until the run
-    returns, each and all together at most ROW_BLOCK_ENTRIES table entries, least
-    recent first out, so a member on a recent member's tables reuses their results.
+    are built and checked one at a time, prepared entries first.
+    While the run lasts, build() returns the ring it already built for an equal
+    expression, at any depth: kept holds the latest rings the run built, by
+    expression, each and all together at most ROW_BLOCK_ENTRIES table entries,
+    least recent first out, and they are all dropped on return.  A kept ring holds
+    its core, whose memo has the axiom report and the outcome of each check that
+    reads nothing but the tables, so members on equal tables share them.
     """
     if checks is None:
         selected = REGISTRY
@@ -625,56 +632,79 @@ def run_suite(corpus: Iterable[str | CorpusLine | CorpusEntry],
         selected = tuple(known[cid] for cid in checks)
     items = sorted(corpus, key=lambda item: not isinstance(item, CorpusEntry))
     cells: list[dict] = []
-    kept: dict[_TableCore, int] = {}  # core -> its table entries, least recent first
-    for item in items:
-        core, member_cells = _member_cells(item, selected, budget)
-        cells += member_cells
-        if core is not None and core.add.size <= ROW_BLOCK_ENTRIES:
-            kept[core] = kept.pop(core, core.add.size)  # now the most recent
-            while sum(kept.values()) > ROW_BLOCK_ENTRIES:
-                del kept[next(iter(kept))]
-        del core  # a core over the cap dies before the next build
+    kept: dict[RingExpr, RingTable] = {}  # expression -> ring, least recent first
+    token = _shared_rings.set(kept)
+    try:
+        for item in items:
+            cells += _member_cells(item, selected, budget)
+    finally:
+        _shared_rings.reset(token)
     cells.sort(key=lambda c: (c["ring"], c["check_id"]))
     return cells
 
 
+def _check_outcome(check: TheoremCheck, entry: CorpusEntry) -> tuple[str, Optional[str]]:
+    """The cell's outcome and witness: not-applicable, pass or fail."""
+    if not check.applicable(entry):
+        return "not-applicable", None
+    ok, witness = check.run(entry)
+    return "pass" if ok else "fail", witness
+
+
+@_memoised_on_tables
+def _table_outcome(ring: RingTable, check_id: str) -> tuple[str, Optional[str]]:
+    """_check_outcome of the registered check_id, which reads nothing but the ring's
+    tables, on an entry that carries the ring alone; equal tables share it."""
+    check = next(check for check in REGISTRY if check.check_id == check_id)
+    return _check_outcome(check, CorpusEntry(ring.label, ring.label, None, ring))
+
+
 def _member_cells(item: str | CorpusLine | CorpusEntry, selected: Sequence[TheoremCheck],
-                  budget: Optional[int]) -> tuple[Optional[_TableCore], list[dict]]:
-    """The member's core (None if it did not build) and its cells; its ring dies here."""
+                  budget: Optional[int]) -> list[dict]:
+    """The member's cells; its ring is dropped here, unless the run keeps it."""
     entry = item if isinstance(item, CorpusEntry) else _build_entry(item, budget)
     if entry is None:
-        return None, []
+        return []
     if entry.ring is None:
         outcome = "waived" if entry.waived else "error"
-        return None, [{"ring": entry.label, "check_id": "build", "outcome": outcome,
-                       "witness": entry.error}]
+        return [{"ring": entry.label, "check_id": "build", "outcome": outcome,
+                 "witness": entry.error}]
     report = verify_ring_axioms(entry.ring)
     if not report.passed:
         name, witness = report.failures()[0]
-        return entry.ring.core, [{"ring": entry.label, "check_id": "build", "outcome": "error",
-                                  "witness": f"axiom {name} fails at {witness}"}]
+        return [{"ring": entry.label, "check_id": "build", "outcome": "error",
+                 "witness": f"axiom {name} fails at {witness}"}]
     cells: list[dict] = []
     for check in selected:
-        if not check.applicable(entry):
-            cells.append(
-                {"ring": entry.label, "check_id": check.check_id, "outcome": "not-applicable"}
-            )
-            continue
-        ok, witness = check.run(entry)
-        cell = {"ring": entry.label, "check_id": check.check_id,
-                "outcome": "pass" if ok else "fail"}
+        outcome, witness = (_check_outcome(check, entry) if check.reads_member
+                            else _table_outcome(entry.ring, check.check_id))
+        cell = {"ring": entry.label, "check_id": check.check_id, "outcome": outcome}
         if witness is not None:
             cell["witness"] = witness
         cells.append(cell)
-    return entry.ring.core, cells
+    return cells
 
 
 def suite_failed(cells: Sequence[dict]) -> bool:
     return any(cell["outcome"] in ("fail", "error") for cell in cells)
 
 
+_CELL_JSON = '  {\n    "ring": %s,\n    "check_id": %s,\n    "outcome": %s%s\n  }'
+_WITNESS_JSON = ',\n    "witness": %s'
+
+
+def _json_text(text: Optional[str]) -> str:
+    return "null" if text is None else encode_basestring_ascii(text)
+
+
 def report_to_json(cells: Sequence[dict]) -> str:
-    return json.dumps(cells, indent=2) + "\n"
+    """json.dumps(cells, indent=2) and a newline, for cells as run_suite makes them
+    (its keys in its order, str values, a witness that may be None), from a template."""
+    items = [_CELL_JSON % (_json_text(cell["ring"]), _json_text(cell["check_id"]),
+                           _json_text(cell["outcome"]),
+                           _WITNESS_JSON % _json_text(cell["witness"]) if "witness" in cell else "")
+             for cell in cells]
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def traceability_matrix() -> str:

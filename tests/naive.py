@@ -259,6 +259,12 @@ def axiom_report(ring):
     return AxiomReport(tuple((name, w is None, w) for name, w in results))
 
 
+def is_commutative(ring):
+    """Whether a * b == b * a for every pair, by literal loops."""
+    mul = ring.mul.tolist()
+    return all(mul[a][b] == mul[b][a] for a in range(ring.order) for b in range(ring.order))
+
+
 # --- ring constructions, one element pair at a time ----------------------------
 
 

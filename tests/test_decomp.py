@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import naive
+import wnc.decomp
 from test_construct import _exprs
 from wnc.construct import build, build_text, corner, order_bound, quotient
 from wnc.decomp import (
@@ -609,6 +610,15 @@ def test_exchange_and_pi_regularity_match_loop_oracle(oracle_rings):
             assert (report.holds, report.witnesses, report.failure) == naive.is_exchange(
                 ring, side), (ring.label, side)
         assert is_strongly_pi_regular(ring) == naive.is_strongly_pi_regular(ring), ring.label
+
+
+def test_exchange_does_not_depend_on_the_row_blocks(monkeypatch, rings):
+    # one row of _multiples per block, on tables whose test holds or fails partway
+    tables = [rings["M2(Z(3))"], *naive.corruptions(rings["T2(Z(2))"], ("mul",))]
+    reports = [is_exchange(table, side) for table in tables for side in ("right", "left")]
+    assert {report.holds for report in reports} == {True, False}
+    monkeypatch.setattr(wnc.decomp, "ROW_BLOCK_ENTRIES", 1)
+    assert [is_exchange(table, side) for table in tables for side in ("right", "left")] == reports
 
 
 # (kind, also): clean elements break containment, and clean with also = nil

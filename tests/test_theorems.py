@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import json
 import re
 import weakref
 from collections import Counter
@@ -13,6 +14,7 @@ import pytest
 
 import naive
 import wnc.construct as construct
+import wnc.table
 import wnc.theorems as theorems
 from wnc.construct import build_text
 from wnc.decomp import (
@@ -26,7 +28,7 @@ from wnc.decomp import (
 )
 from wnc.errors import CrossRingError, InvalidIdempotentError
 from wnc.structure import _ideal_masks, all_ideals, ideal_generated_by, structure, subset
-from wnc.table import ROW_BLOCK_ENTRIES, ring_table, verify_ring_axioms
+from wnc.table import ROW_BLOCK_ENTRIES, AxiomReport, ring_table, verify_ring_axioms
 from wnc.theorems import (
     CorpusEntry,
     build_corpus,
@@ -530,6 +532,15 @@ def test_suite_is_deterministic(corpus_entries, suite_cells):
     assert report_to_json(again) == report_to_json(suite_cells)
 
 
+def test_report_json_is_what_the_json_module_writes(suite_cells):
+    odd = [{"ring": 'Z("2")\\', "check_id": "a\nb\tc", "outcome": "fail",
+            "witness": "\u00e9 \u221e \u2028 \x00 \U0001d53d"},
+           {"ring": "Z(3)", "check_id": "build", "outcome": "error", "witness": None},
+           {"ring": "Z(4)", "check_id": "prop-J-subset-Nil", "outcome": "pass"}]
+    for cells in (suite_cells, odd, []):
+        assert report_to_json(cells) == json.dumps(cells, indent=2) + "\n"
+
+
 def test_empty_corpus():
     cells = run_suite([])
     assert cells == [] and not suite_failed(cells)
@@ -622,7 +633,9 @@ def test_suite_holds_one_corpus_ring_at_a_time(monkeypatch):
 
     def build_entry(line, budget):
         gc.collect()
-        assert all(ref() is None for ref in built), "an earlier corpus ring is still alive"
+        kept = construct._shared_rings.get().values()
+        assert all(ref() is None or any(ref() is ring for ring in kept) for ref in built), (
+            "an earlier corpus ring is alive but not kept by the run")
         entry = build_one(line, budget)
         built.append(weakref.ref(entry.ring))
         return entry
@@ -638,8 +651,8 @@ def test_suite_shares_tables_across_members_and_keeps_none(monkeypatch):
 
     def build_entry(line, budget):
         entry = build_one(line, budget)
-        if cores:  # the first member's ring is gone, its kept core is not
-            shared.append(rings[0]() is None and entry.ring.core is cores[0]())
+        if cores:  # a ring of its own on the first member's kept core
+            shared.append(entry.ring is not rings[0]() and entry.ring.core is cores[0]())
         rings.append(weakref.ref(entry.ring))
         cores.append(weakref.ref(entry.ring.core))
         return entry
@@ -708,6 +721,52 @@ def test_runner_builds_each_line_once(monkeypatch):
     # one call per sub-expression: the checks read the factors and the base
     # from the ring's components, and the swap reads the product's
     assert counts == [3, 2, 4] and not suite_failed(cells)
+
+
+def test_suite_equals_its_members_run_alone():
+    corpus = default_corpus()
+    whole = run_suite(corpus)
+    alone = sorted((cell for member in corpus for cell in run_suite([member])),
+                   key=lambda cell: (cell["ring"], cell["check_id"]))
+    assert whole == alone and run_suite(corpus[::-1]) == whole
+
+
+def test_suite_builds_and_proves_each_distinct_ring_once(monkeypatch):
+    # the run's tables intern to these rings' cores, whose proofs are forgotten first
+    held = build_corpus(default_corpus())
+    for entry in held:
+        entry.ring.core.results.pop((verify_ring_axioms.__wrapped__,), None)
+    made, reports, refs = Counter(), [], []
+
+    def counting(make):
+        def wrapper(*args):
+            ring = make(*args)
+            made[ring.label] += 1
+            refs.append(weakref.ref(ring))
+            return ring
+        return wrapper
+
+    for node, row in list(construct._BY_NODE.items()):
+        monkeypatch.setitem(construct._BY_NODE, node, row._replace(make=counting(row.make)))
+
+    def report(results):
+        reports.append(results)
+        return AxiomReport(results)
+
+    monkeypatch.setattr(wnc.table, "AxiomReport", report)
+    cells = run_suite(default_corpus())
+    assert not suite_failed(cells) and len(held) == 72
+    # every corner(M2(Z(q)),e) reads one M2(Z(q)), and no expression is built twice
+    assert made["M2(Z(2))"] == made["M2(Z(3))"] == 1 and set(made.values()) == {1}
+    assert len(reports) == len({entry.ring.core for entry in held}) == 49
+    assert all(ref() is None for ref in refs)  # no ring the run built outlives it
+
+
+def test_builds_outside_a_run_are_fresh_rings():
+    first, second = build_text("Z(6)"), build_text("Z(6)")
+    assert first is not second and first.core is second.core
+    with pytest.raises(CrossRingError):
+        construct.quotient(second, ideal_generated_by(first, [2]))
 
 
 def test_quotient_image_hands_on_found_ideals(monkeypatch):
